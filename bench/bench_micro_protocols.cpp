@@ -12,6 +12,7 @@
 #include "hls/playlist.h"
 #include "json/json.h"
 #include "media/encoder.h"
+#include "media/filler.h"
 #include "mpegts/mpegts.h"
 #include "rtmp/chunk.h"
 
@@ -116,6 +117,26 @@ void BM_H264EncodeFrame(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(frames));
 }
 BENCHMARK(BM_H264EncodeFrame);
+
+// The filler of a 4 KiB slice: generated and escaped on every call (arg 0,
+// a table with no budget) or copied from a warm FillerTable (arg 1).
+void BM_SliceFiller(benchmark::State& state) {
+  constexpr std::uint64_t kSeeds = 64;
+  media::FillerTable table(state.range(0) != 0 ? std::size_t{1} << 20 : 0,
+                           kSeeds);
+  Bytes out;
+  std::uint64_t seed = 0;
+  std::uint64_t bytes = 0;
+  for (auto _ : state) {
+    out.clear();
+    table.append(out, seed++ % kSeeds, 4096);
+    bytes += out.size();
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_SliceFiller)->Arg(0)->Arg(1);
 
 void BM_SliceHeaderParse(benchmark::State& state) {
   media::Sps sps;

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <thread>
 
+#include "media/filler.h"
 #include "util/rng.h"
 
 namespace psc::core {
@@ -94,6 +95,21 @@ void harvest_obs(Study& study, CampaignResult& r) {
   r.shard_traces.push_back(study.obs().trace.take_events());
 }
 
+/// Every shard on every thread shares one filler table, and which thread
+/// builds which chunk depends on scheduling, so the table's totals are
+/// process figures, not campaign metrics.
+void publish_filler_stats() {
+  if (!obs::enabled()) return;
+  const media::FillerTable::Stats s = media::FillerTable::process().stats();
+  obs::process_gauge_max("filler_table_bytes", static_cast<double>(s.bytes));
+  obs::process_gauge_max("filler_table_chunks",
+                         static_cast<double>(s.chunks));
+  obs::process_gauge_max("filler_direct_bytes",
+                         static_cast<double>(s.direct_bytes));
+  obs::process_gauge_max("filler_lost_races",
+                         static_cast<double>(s.lost_races));
+}
+
 }  // namespace
 
 std::vector<CampaignResult> ShardedRunner::run_many(
@@ -173,6 +189,7 @@ std::vector<CampaignResult> ShardedRunner::run_many(
   for (std::size_t ci : shared_campaigns) {
     merged[ci] = run_shared(campaigns[ci]);
   }
+  publish_filler_stats();
   return merged;
 }
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "media/filler.h"
 #include "util/bitio.h"
 
 namespace psc::media {
@@ -479,27 +480,6 @@ Result<FrameType> frame_type_from_code(std::uint32_t code) {
 
 namespace {
 
-// Filler LCG: jump the recurrence four steps at a time —
-// state_{n+k} = A^k * state_n + C_k with precomputed (A^k, C_k) — so the
-// serial multiply chain (~5 cycles/byte one-step) becomes four
-// independent multiplies per iteration. The emitted byte stream is
-// exactly the one-step sequence.
-constexpr std::uint64_t kFillA = 6364136223846793005ull;
-constexpr std::uint64_t kFillC = 1442695040888963407ull;
-constexpr std::uint64_t kFillA2 = kFillA * kFillA;
-constexpr std::uint64_t kFillC2 = kFillA * kFillC + kFillC;
-constexpr std::uint64_t kFillA3 = kFillA2 * kFillA;
-constexpr std::uint64_t kFillC3 = kFillA * kFillC2 + kFillC;
-constexpr std::uint64_t kFillA4 = kFillA3 * kFillA;
-constexpr std::uint64_t kFillC4 = kFillA * kFillC3 + kFillC;
-
-/// Map one LCG state to a filler byte. Zero runs are injected (every
-/// low-nibble-zero draw) so emulation prevention gets exercised.
-inline std::uint8_t fill_emit(std::uint64_t s) {
-  const auto b = static_cast<std::uint8_t>(s >> 33);
-  return static_cast<std::uint8_t>((b & 0x0F) == 0 ? 0x00 : b);
-}
-
 /// Slice-header RBSP bits shared by make_slice_nal (materialised NAL)
 /// and append_annexb_slice (fused streaming form). Returns nal_ref_idc.
 int write_slice_header_bits(BitWriter& w, const SliceHeader& hdr,
@@ -547,28 +527,12 @@ NalUnit make_slice_nal(const SliceHeader& hdr, const Sps& sps, const Pps& pps,
   nal.rbsp = w.take();
 
   // Pad with deterministic pseudo-random "slice data" to the requested
-  // size (see fill_emit above for the zero-run injection).
+  // size (media/filler.h).
   if (nal.rbsp.size() < payload_bytes) {
     const std::size_t start = nal.rbsp.size();
     nal.rbsp.resize(payload_bytes);
-    std::uint8_t* p = nal.rbsp.data() + start;
-    std::uint8_t* const pe = nal.rbsp.data() + payload_bytes;
-    std::uint64_t state = filler_seed * 0x9E3779B97F4A7C15ull + 1;
-    for (; pe - p >= 4; p += 4) {
-      const std::uint64_t s1 = state * kFillA + kFillC;
-      const std::uint64_t s2 = state * kFillA2 + kFillC2;
-      const std::uint64_t s3 = state * kFillA3 + kFillC3;
-      const std::uint64_t s4 = state * kFillA4 + kFillC4;
-      p[0] = fill_emit(s1);
-      p[1] = fill_emit(s2);
-      p[2] = fill_emit(s3);
-      p[3] = fill_emit(s4);
-      state = s4;
-    }
-    while (p != pe) {
-      state = state * kFillA + kFillC;
-      *p++ = fill_emit(state);
-    }
+    FillerCursor(filler_seed)
+        .fill(nal.rbsp.data() + start, payload_bytes - start);
   }
   return nal;
 }
@@ -584,12 +548,10 @@ void append_annexb_nal(Bytes& out, const NalUnit& nal) {
 void append_annexb_slice(Bytes& out, const SliceHeader& hdr, const Sps& sps,
                          const Pps& pps, std::size_t payload_bytes,
                          std::uint64_t filler_seed) {
-  // The encoder's hot path: a slice is produced exactly once, fanned out
-  // many times — and the materialised route writes its megabyte filler
-  // three times (RBSP fill, EBSP escape, Annex-B copy) with a heap
-  // allocation for each. Stream the same bytes out in one pass instead:
-  // header bits, then filler generated directly in escaped form, chunked
-  // through a stack buffer so vector growth stays amortised bulk appends.
+  // The encoder's hot path. The materialised route writes the filler
+  // three times (fill, escape, wrap) with an allocation for each; here the
+  // header is escaped in place and the filler is copied, already escaped,
+  // from the process-wide table.
   BitWriter w;
   const int nal_ref_idc = write_slice_header_bits(w, hdr, sps, pps);
   const Bytes head = w.take();
@@ -601,60 +563,12 @@ void append_annexb_slice(Bytes& out, const SliceHeader& hdr, const Sps& sps,
   out.insert(out.end(), {0x00, 0x00, 0x00, 0x01});
   out.push_back(static_cast<std::uint8_t>((nal_ref_idc & 0x3) << 5 |
                                           static_cast<int>(type)));
-
-  // Escape state spans the whole RBSP (header then filler), exactly as
-  // escape_ebsp sees it on the materialised route. The filler's zero
-  // density (~1/16 bytes) is high enough that memchr-style run-skipping
-  // loses to this branch-predictable per-byte loop — escapes themselves
-  // fire only once per few thousand bytes, so the inner branch is
-  // almost-never-taken and the chunked stack buffer keeps vector growth
-  // as amortised bulk appends.
   std::size_t zeros = 0;
-  const auto put = [&zeros](std::uint8_t*& p, std::uint8_t b) {
-    if (zeros >= 2 && b <= 0x03) {
-      *p++ = 0x03;
-      zeros = 0;
-    }
-    *p++ = b;
-    zeros = (b == 0x00) ? zeros + 1 : 0;
-  };
-
-  {
-    // Header bytes: tiny, escape via the same per-byte rule.
-    std::uint8_t hbuf[128];
-    std::uint8_t* p = hbuf;
-    for (std::uint8_t b : head) put(p, b);
-    out.insert(out.end(), hbuf, p);
-  }
-
-  // Escapes expand by at most 1 byte per 3 (a 00 00 0x run), so a chunk
-  // of 6000 RBSP bytes needs at most 8000 output bytes.
-  constexpr std::size_t kChunk = 6000;
-  std::uint8_t buf[8008];
-  std::uint64_t state = filler_seed * 0x9E3779B97F4A7C15ull + 1;
-  std::size_t remaining = filler;
-  while (remaining > 0) {
-    const std::size_t n = remaining < kChunk ? remaining : kChunk;
-    std::uint8_t* p = buf;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const std::uint64_t s1 = state * kFillA + kFillC;
-      const std::uint64_t s2 = state * kFillA2 + kFillC2;
-      const std::uint64_t s3 = state * kFillA3 + kFillC3;
-      const std::uint64_t s4 = state * kFillA4 + kFillC4;
-      put(p, fill_emit(s1));
-      put(p, fill_emit(s2));
-      put(p, fill_emit(s3));
-      put(p, fill_emit(s4));
-      state = s4;
-    }
-    for (; i < n; ++i) {
-      state = state * kFillA + kFillC;
-      put(p, fill_emit(state));
-    }
-    out.insert(out.end(), buf, p);
-    remaining -= n;
-  }
+  escape_append(out, head.data(), head.size(), zeros);
+  // The header ends in the RBSP stop bit, so no zero run carries into the
+  // filler: the clean escape state the table's streams start from.
+  assert(zeros == 0);
+  FillerTable::process().append(out, filler_seed, filler);
 }
 
 Result<SliceHeader> parse_slice_header(const NalUnit& nal, const Sps& sps,

@@ -128,10 +128,10 @@ NalUnit make_slice_nal(const SliceHeader& hdr, const Sps& sps, const Pps& pps,
 void append_annexb_nal(Bytes& out, const NalUnit& nal);
 
 /// Append the Annex-B framing of make_slice_nal(...) to `out`,
-/// byte-identically, in a single pass: the RBSP is streamed out in
-/// escaped (EBSP) form as it is generated and never materialised. This is
-/// the encoder's hot path — the materialised route writes the filler
-/// three times (fill, escape, wrap) with an allocation for each.
+/// byte-identically, without materialising the RBSP: the filler is
+/// copied in escaped (EBSP) form from FillerTable::process(). This is the
+/// encoder's hot path — the materialised route writes the filler three
+/// times (fill, escape, wrap) with an allocation for each.
 void append_annexb_slice(Bytes& out, const SliceHeader& hdr, const Sps& sps,
                          const Pps& pps, std::size_t payload_bytes,
                          std::uint64_t filler_seed);

@@ -110,14 +110,18 @@ TEST_P(SliceRoundtrip, HeaderFieldsSurvive) {
   EXPECT_EQ(parsed.value().frame_num, c.frame_num & 0xFF);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Cases, SliceRoundtrip,
-    ::testing::Values(SliceCase{FrameType::I, true, 26, 0},
-                      SliceCase{FrameType::I, false, 40, 5},
-                      SliceCase{FrameType::P, false, 18, 17},
-                      SliceCase{FrameType::P, false, 44, 255},
-                      SliceCase{FrameType::B, false, 30, 100},
-                      SliceCase{FrameType::B, false, 51, 3}));
+// gtest names each case by the raw bytes of its SliceCase, padding
+// included. Static storage zero-fills that padding; temporaries built on
+// the stack would leave it holding whatever was there, so the names would
+// change from one run to the next.
+const SliceCase kSliceCases[] = {
+    {FrameType::I, true, 26, 0},    {FrameType::I, false, 40, 5},
+    {FrameType::P, false, 18, 17},  {FrameType::P, false, 44, 255},
+    {FrameType::B, false, 30, 100}, {FrameType::B, false, 51, 3},
+};
+
+INSTANTIATE_TEST_SUITE_P(Cases, SliceRoundtrip,
+                         ::testing::ValuesIn(kSliceCases));
 
 TEST(Slice, PayloadPaddedToRequestedSize) {
   Sps sps;
