@@ -1,32 +1,26 @@
 // Kernel microbenchmark: raw event throughput of the discrete-event core.
 //
-// Three workloads, each run against the current kernel and against a
-// replica of the seed kernel (std::priority_queue + linearly-scanned
-// cancelled-id list + std::function callbacks) so the speedup is measured
-// in-binary rather than across checkouts:
+// Three workloads, all at PSC_MICRO_EVENTS scheduled events:
 //   schedule_fire   N events scheduled in pseudo-random time order, drained
-//   cancel_heavy    N scheduled, half cancelled before firing (the RTO-timer
-//                   pattern: every TCP send re-arms a timer that almost
-//                   always gets cancelled). Runs at a smaller N by default
-//                   because the seed kernel is quadratic here.
+//   cancel_heavy    N scheduled, all but the last cancelled before firing
+//                   (the RTO-timer pattern: every TCP send re-arms a timer
+//                   that almost always gets cancelled)
 //   mixed           self-rescheduling tickers + churn of cancelled one-shots
 //
-// Each workload also runs against a heap-only geometry of the current
-// kernel (a single-bucket wheel routes every schedule to the 4-ary heap
-// tier) so the calendar wheel's contribution is isolated from the other
-// kernel improvements (O(1) cancel, inline callbacks, move-pop heap).
+// Each workload also runs against a heap-only geometry of the kernel (a
+// single-bucket wheel routes every schedule to the 4-ary heap tier) so the
+// calendar wheel's contribution is isolated. The history against the seed
+// kernel is recorded in docs/PERFORMANCE.md.
 //
 // Also counts heap allocations per event (global operator new override) to
 // verify the InlineCallback<96> small-buffer path: captures <= 96 bytes
 // must not allocate. The workload capture is 24 bytes — past
 // std::function's 16-byte SSO, inside InlineCallback's 96.
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <new>
-#include <queue>
 #include <vector>
 
 #include "bench_common.h"
@@ -58,73 +52,6 @@ using namespace psc;
 
 namespace {
 
-// ---- seed-kernel replica ------------------------------------------------
-// Byte-for-byte the algorithm the repo shipped with: O(n) cancel scan,
-// priority_queue with const_cast top-move, std::function callbacks.
-class LegacySimulation {
- public:
-  using Handle = std::uint64_t;
-
-  Handle schedule_at(TimePoint when, std::function<void()> fn) {
-    if (when < now_) when = now_;
-    const std::uint64_t id = next_id_++;
-    queue_.push(Event{when, next_seq_++, id, std::move(fn)});
-    ++live_count_;
-    return id;
-  }
-
-  bool cancel(Handle id) {
-    if (id == 0) return false;
-    if (std::find(cancelled_.begin(), cancelled_.end(), id) !=
-        cancelled_.end()) {
-      return false;
-    }
-    cancelled_.push_back(id);
-    if (live_count_ > 0) --live_count_;
-    return true;
-  }
-
-  void run_all() {
-    while (!queue_.empty()) {
-      const Event& top = queue_.top();
-      Event ev{top.when, top.seq, top.id,
-               std::move(const_cast<Event&>(top).fn)};
-      queue_.pop();
-      auto it = std::find(cancelled_.begin(), cancelled_.end(), ev.id);
-      if (it != cancelled_.end()) {
-        cancelled_.erase(it);
-        continue;
-      }
-      --live_count_;
-      now_ = ev.when;
-      ++executed_;
-      ev.fn();
-    }
-  }
-
-  TimePoint now() const { return now_; }
-  std::size_t events_executed() const { return executed_; }
-
- private:
-  struct Event {
-    TimePoint when;
-    std::uint64_t seq;
-    std::uint64_t id;
-    std::function<void()> fn;
-    bool operator>(const Event& other) const {
-      if (when != other.when) return when > other.when;
-      return seq > other.seq;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  std::vector<std::uint64_t> cancelled_;
-  TimePoint now_{};
-  std::uint64_t next_seq_ = 1;
-  std::uint64_t next_id_ = 1;
-  std::size_t executed_ = 0;
-  std::size_t live_count_ = 0;
-};
-
 // Pseudo-random but reproducible event times, precomputed so the RNG cost
 // stays outside the measured region.
 std::vector<double> make_times(std::size_t n) {
@@ -145,53 +72,44 @@ struct Sink {
 
 struct RunStats {
   double secs = 0;
-  std::size_t executed = 0;
   std::size_t allocs = 0;
 };
 
-template <typename SimT, typename ScheduleFn, typename CancelFn>
-RunStats run_schedule_fire(SimT& sim, const std::vector<double>& times,
-                           ScheduleFn schedule, CancelFn /*cancel*/,
-                           Sink* sink) {
+RunStats run_schedule_fire(sim::Simulation& sim,
+                           const std::vector<double>& times, Sink* sink) {
   const std::size_t allocs_before = g_allocs;
   const bench::WallTimer t;
   for (double when : times) {
-    schedule(time_at(when), [sink, a = std::uint64_t{1},
-                             b = std::uint64_t{2}] { sink->bump(a, b); });
+    sim.schedule_at(time_at(when),
+                    [sink, a = std::uint64_t{1}, b = std::uint64_t{2}] {
+                      sink->bump(a, b);
+                    });
   }
   sim.run_all();
-  return RunStats{t.elapsed_s(), sim.events_executed(),
-                  g_allocs - allocs_before};
+  return RunStats{t.elapsed_s(), g_allocs - allocs_before};
 }
 
-template <typename SimT, typename ScheduleFn, typename CancelFn>
-RunStats run_cancel_heavy(SimT& sim, const std::vector<double>& times,
-                          ScheduleFn schedule, CancelFn cancel, Sink* sink) {
+RunStats run_cancel_heavy(sim::Simulation& sim,
+                          const std::vector<double>& times, Sink* sink) {
   const std::size_t allocs_before = g_allocs;
   const bench::WallTimer t;
   // The RTO-timer pattern: schedule two, immediately cancel the older one.
-  decltype(schedule(TimePoint{}, [sink, a = std::uint64_t{1},
-                                  b = std::uint64_t{2}] {
-    sink->bump(a, b);
-  })) prev{};
+  sim::EventHandle prev{};
   bool have_prev = false;
   for (double when : times) {
-    auto h = schedule(time_at(when), [sink, a = std::uint64_t{1},
-                                      b = std::uint64_t{2}] {
-      sink->bump(a, b);
-    });
-    if (have_prev) cancel(prev);
+    const sim::EventHandle h = sim.schedule_at(
+        time_at(when), [sink, a = std::uint64_t{1}, b = std::uint64_t{2}] {
+          sink->bump(a, b);
+        });
+    if (have_prev) sim.cancel(prev);
     prev = h;
     have_prev = true;
   }
   sim.run_all();
-  return RunStats{t.elapsed_s(), sim.events_executed(),
-                  g_allocs - allocs_before};
+  return RunStats{t.elapsed_s(), g_allocs - allocs_before};
 }
 
-template <typename SimT, typename ScheduleFn, typename CancelFn>
-RunStats run_mixed(SimT& sim, std::size_t n, ScheduleFn schedule,
-                   CancelFn cancel, Sink* sink) {
+RunStats run_mixed(sim::Simulation& sim, std::size_t n, Sink* sink) {
   const std::size_t allocs_before = g_allocs;
   const bench::WallTimer t;
   // 16 tickers rescheduling themselves, plus a churn of one-shots where
@@ -200,8 +118,8 @@ RunStats run_mixed(SimT& sim, std::size_t n, ScheduleFn schedule,
   const double horizon = static_cast<double>(n) / 32.0;
   std::vector<std::function<void(double)>> tickers(16);
   for (std::size_t k = 0; k < 16; ++k) {
-    tickers[k] = [&tickers, &schedule, sink, k, horizon](double at) {
-      schedule(time_at(at), [&tickers, sink, k, at, horizon] {
+    tickers[k] = [&tickers, &sim, sink, k, horizon](double at) {
+      sim.schedule_at(time_at(at), [&tickers, sink, k, at, horizon] {
         sink->bump(k, 0);
         if (at + 1.0 < horizon) tickers[k](at + 1.0);
       });
@@ -211,15 +129,14 @@ RunStats run_mixed(SimT& sim, std::size_t n, ScheduleFn schedule,
   SplitMix64Engine rng(11);
   for (std::size_t i = 0; i < n / 2; ++i) {
     const double when = static_cast<double>(rng() % 100000) * 1e-2;
-    auto h = schedule(time_at(when), [sink, a = std::uint64_t{3},
-                                      b = std::uint64_t{4}] {
-      sink->bump(a, b);
-    });
-    if ((i & 1) != 0) cancel(h);
+    const sim::EventHandle h = sim.schedule_at(
+        time_at(when), [sink, a = std::uint64_t{3}, b = std::uint64_t{4}] {
+          sink->bump(a, b);
+        });
+    if ((i & 1) != 0) sim.cancel(h);
   }
   sim.run_all();
-  return RunStats{t.elapsed_s(), sim.events_executed(),
-                  g_allocs - allocs_before};
+  return RunStats{t.elapsed_s(), g_allocs - allocs_before};
 }
 
 struct Workload {
@@ -228,27 +145,13 @@ struct Workload {
   // Throughput is normalised by *scheduled* events — the full
   // schedule/(cancel|fire) lifecycle — since cancel_heavy executes almost
   // nothing by design.
-  double new_secs = 0;
-  double legacy_secs = 0;
-  double heap_secs = 0;         // current kernel, heap-only geometry
-  double new_events_s = 0;      // scheduled events/sec, current kernel
-  double legacy_events_s = 0;   // scheduled events/sec, seed-kernel replica
+  double secs = 0;
+  double heap_secs = 0;         // heap-only geometry
+  double events_s = 0;          // scheduled events/sec
   double heap_events_s = 0;     // scheduled events/sec, heap-only geometry
-  double new_allocs = 0;        // allocations per scheduled event
-  double legacy_allocs = 0;
+  double allocs = 0;            // allocations per scheduled event
   double wheel_inserts = 0;     // schedules that took the O(1) wheel path
 };
-
-/// Run one workload against a sim::Simulation with the given geometry.
-template <typename RunnerFn>
-RunStats run_new_kernel(sim::Simulation& sim, RunnerFn&& runner,
-                        Sink* sink) {
-  auto schedule = [&sim](TimePoint at, auto fn) {
-    return sim.schedule_at(at, std::move(fn));
-  };
-  auto cancel = [&sim](sim::EventHandle h) { return sim.cancel(h); };
-  return runner(sim, schedule, cancel, sink);
-}
 
 }  // namespace
 
@@ -256,9 +159,9 @@ int main(int argc, char** argv) {
   bench::Reporter reporter("micro_sim", argc, argv);
   const bench::WallTimer timer;
   bench::print_header(
-      "Kernel", "Discrete-event kernel throughput (new vs seed kernel)",
-      "generation-counted O(1) cancel + 4-ary move-pop heap + inline "
-      "callbacks vs O(n) cancel scan + priority_queue + std::function");
+      "Kernel", "Discrete-event kernel throughput",
+      "generation-counted O(1) cancel + calendar wheel over a 4-ary "
+      "move-pop heap + inline callbacks");
 
   // Compile-time guarantee backing the no-allocation claim below. The
   // media-path closures (MediaSample / hls::Segment captures) fit the
@@ -275,41 +178,32 @@ int main(int argc, char** argv) {
 
   const std::size_t n = static_cast<std::size_t>(
       bench::env_int("PSC_MICRO_EVENTS", 400000));
-  // The seed kernel is O(n^2) in outstanding cancels; keep that workload
-  // small enough to finish while still deep in its quadratic regime.
-  const std::size_t n_cancel = static_cast<std::size_t>(
-      bench::env_int("PSC_MICRO_CANCEL_EVENTS", 40000));
+  const std::vector<double> times = make_times(n);
   Sink sink;
   std::vector<Workload> results;
 
   for (int w = 0; w < 3; ++w) {
     Workload wl{};
-    wl.events = w == 1 ? n_cancel : n;
-    const std::vector<double> times = make_times(wl.events);
+    wl.events = n;
     switch (w) {
       case 0: wl.name = "schedule_fire"; break;
       case 1: wl.name = "cancel_heavy"; break;
       case 2: wl.name = "mixed"; break;
     }
-    // Dispatch one workload against any (sim, schedule, cancel) triple.
-    const auto runner = [&](auto& sim, auto schedule, auto cancel,
-                            Sink* s) -> RunStats {
+    const auto run = [&](sim::Simulation& sim) -> RunStats {
       switch (w) {
-        case 0:
-          return run_schedule_fire(sim, times, schedule, cancel, s);
-        case 1:
-          return run_cancel_heavy(sim, times, schedule, cancel, s);
-        default:
-          return run_mixed(sim, wl.events, schedule, cancel, s);
+        case 0: return run_schedule_fire(sim, times, &sink);
+        case 1: return run_cancel_heavy(sim, times, &sink);
+        default: return run_mixed(sim, n, &sink);
       }
     };
     {
       sim::Simulation sim;  // default calendar-wheel geometry
-      const RunStats st = run_new_kernel(sim, runner, &sink);
-      wl.new_secs = st.secs;
-      wl.new_events_s = static_cast<double>(wl.events) / st.secs;
-      wl.new_allocs = static_cast<double>(st.allocs) /
-                      static_cast<double>(wl.events);
+      const RunStats st = run(sim);
+      wl.secs = st.secs;
+      wl.events_s = static_cast<double>(wl.events) / st.secs;
+      wl.allocs = static_cast<double>(st.allocs) /
+                  static_cast<double>(wl.events);
       wl.wheel_inserts = static_cast<double>(sim.wheel_inserts());
     }
     {
@@ -317,42 +211,20 @@ int main(int argc, char** argv) {
       // lands at or beyond the cursor bucket and routes to the heap tier
       // (wheel_inserts stays 0) — same kernel, calendar front end off.
       sim::Simulation sim(Duration{0.004}, 1);
-      const RunStats st = run_new_kernel(sim, runner, &sink);
+      const RunStats st = run(sim);
       wl.heap_secs = st.secs;
       wl.heap_events_s = static_cast<double>(wl.events) / st.secs;
-    }
-    {
-      LegacySimulation sim;
-      auto schedule = [&sim](TimePoint at, std::function<void()> fn) {
-        return sim.schedule_at(at, std::move(fn));
-      };
-      auto cancel = [&sim](LegacySimulation::Handle h) {
-        return sim.cancel(h);
-      };
-      const RunStats st = runner(sim, schedule, cancel, &sink);
-      wl.legacy_secs = st.secs;
-      wl.legacy_events_s = static_cast<double>(wl.events) / st.secs;
-      wl.legacy_allocs = static_cast<double>(st.allocs) /
-                         static_cast<double>(wl.events);
     }
     results.push_back(wl);
   }
 
-  std::printf("\n%-16s %9s %13s %13s %8s %11s %11s\n", "workload", "events",
-              "new ev/s", "seed ev/s", "speedup", "new alloc/ev",
-              "seed alloc/ev");
+  std::printf("\n%-16s %9s %13s %15s %8s %13s %9s\n", "workload",
+              "events", "wheel ev/s", "heap-only ev/s", "speedup",
+              "wheel inserts", "alloc/ev");
   for (const Workload& w : results) {
-    std::printf("%-16s %9zu %13.0f %13.0f %7.1fx %11.4f %11.4f\n", w.name,
-                w.events, w.new_events_s, w.legacy_events_s,
-                w.new_events_s / w.legacy_events_s, w.new_allocs,
-                w.legacy_allocs);
-  }
-  std::printf("\n%-16s %13s %15s %8s %13s\n", "workload", "wheel ev/s",
-              "heap-only ev/s", "speedup", "wheel inserts");
-  for (const Workload& w : results) {
-    std::printf("%-16s %13.0f %15.0f %7.2fx %13.0f\n", w.name,
-                w.new_events_s, w.heap_events_s,
-                w.new_events_s / w.heap_events_s, w.wheel_inserts);
+    std::printf("%-16s %9zu %13.0f %15.0f %7.2fx %13.0f %9.4f\n", w.name,
+                w.events, w.events_s, w.heap_events_s,
+                w.events_s / w.heap_events_s, w.wheel_inserts, w.allocs);
   }
   std::printf("\n(heap-only = the same kernel with a single-bucket wheel, "
               "so every schedule routes to the 4-ary heap tier. These "
@@ -361,10 +233,8 @@ int main(int argc, char** argv) {
               "— a floor for the wheel's win. The media pipeline is the "
               "other extreme: bench_fig3_stalls routes ~98%% of its "
               "schedules through the wheel)\n");
-  std::printf("(new-kernel allocations amortise to ~0/event — only "
-              "vector growth; the seed kernel paid one std::function "
-              "allocation per event for this 24-byte capture plus its "
-              "quadratic cancel scans)\n");
+  std::printf("(allocations amortise to ~0/event — only vector growth; "
+              "the 24-byte capture stays in the inline callback buffer)\n");
   std::printf("sink=%llu (keeps callbacks observable)\n",
               static_cast<unsigned long long>(sink.value));
 
@@ -374,17 +244,14 @@ int main(int argc, char** argv) {
     // `allocs_per_event` is already emitted by the shared BENCH prefix
     // (0 here: no campaign kernel); the workload's own counter rides as
     // `new_allocs_per_event` to avoid a duplicate JSON key.
-    bench::emit_bench_line(name, w.new_secs, reporter.local(),
+    bench::emit_bench_line(name, w.secs, reporter.local(),
                       {{"events", static_cast<double>(w.events)},
-                       {"seed_wall_s", w.legacy_secs},
                        {"heap_only_wall_s", w.heap_secs},
-                       {"events_per_sec", w.new_events_s},
-                       {"seed_events_per_sec", w.legacy_events_s},
+                       {"events_per_sec", w.events_s},
                        {"heap_only_events_per_sec", w.heap_events_s},
-                       {"wheel_speedup", w.new_events_s / w.heap_events_s},
+                       {"wheel_speedup", w.events_s / w.heap_events_s},
                        {"wheel_inserts", w.wheel_inserts},
-                       {"new_allocs_per_event", w.new_allocs},
-                       {"seed_allocs_per_event", w.legacy_allocs}});
+                       {"new_allocs_per_event", w.allocs}});
     reporter.local()
         .counter(std::string("micro_events_total{workload=\"") + w.name +
                  "\"}")

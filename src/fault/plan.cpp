@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <utility>
 
+#include "util/records.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -41,21 +41,24 @@ constexpr KindTraits kTraits[kKindCount] = {
 /// canonical sort order would not survive a text round-trip.
 double snap(double v, double scale) { return std::round(v * scale) / scale; }
 
-Error plan_error(std::size_t line, std::string message) {
-  return make_error("fault_plan",
-                    strf("line %zu: %s", line, message.c_str()));
-}
+enum PlanKey : std::size_t { kStart, kDur, kSeverity, kTarget };
+constexpr RecordKey kPlanKeys[] = {
+    {"start", 0, false, true},
+    {"dur", 0, false, true},
+    {"severity"},
+    {"target", -1, true},
+};
 
-bool parse_number(std::string_view s, double* out) {
-  if (s.empty()) return false;
-  const std::string buf(s);
-  char* end = nullptr;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return false;
-  if (!std::isfinite(v)) return false;
-  *out = v;
+bool kind_index(std::string_view name, int* out) {
+  Kind k;
+  if (!kind_from_name(name, &k)) return false;
+  *out = static_cast<int>(k);
   return true;
 }
+
+constexpr RecordFormat kPlanFormat{"fault_plan", kHeader,  "episode",
+                                   "kind",       "episodes", kind_index,
+                                   kPlanKeys};
 
 }  // namespace
 
@@ -128,98 +131,19 @@ Plan Plan::generate(std::uint64_t seed, const GenConfig& cfg) {
 }
 
 Result<Plan> Plan::parse(std::string_view text) {
-  // Hard cap so a pathological (fuzzed) input cannot balloon memory.
-  constexpr std::size_t kMaxEpisodes = 100000;
+  auto records = read_records(text, kPlanFormat);
+  if (!records) return records.error();
   std::vector<Episode> eps;
-  std::size_t line_no = 0;
-  bool saw_header = false;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    std::string_view line = text.substr(
-        pos, nl == std::string_view::npos ? text.size() - pos : nl - pos);
-    pos = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (!saw_header) {
-      if (line != kHeader) {
-        return plan_error(line_no, strf("expected header '%s'", kHeader));
-      }
-      saw_header = true;
-      continue;
-    }
-    if (line.empty() || line[0] == '#') continue;
-
-    // episode <kind> key=value...
-    std::vector<std::string_view> tokens;
-    std::size_t i = 0;
-    while (i < line.size()) {
-      while (i < line.size() && line[i] == ' ') ++i;
-      std::size_t j = i;
-      while (j < line.size() && line[j] != ' ') ++j;
-      if (j > i) tokens.push_back(line.substr(i, j - i));
-      i = j;
-    }
-    if (tokens.empty()) continue;
-    if (tokens[0] != "episode") {
-      return plan_error(line_no, strf("unknown directive '%.*s'",
-                                      static_cast<int>(tokens[0].size()),
-                                      tokens[0].data()));
-    }
-    if (tokens.size() < 2) {
-      return plan_error(line_no, "episode needs a kind");
-    }
+  eps.reserve(records.value().size());
+  for (const Record& r : records.value()) {
     Episode e;
-    if (!kind_from_name(tokens[1], &e.kind)) {
-      return plan_error(line_no, strf("unknown episode kind '%.*s'",
-                                      static_cast<int>(tokens[1].size()),
-                                      tokens[1].data()));
-    }
-    bool have_start = false, have_dur = false;
-    for (std::size_t k = 2; k < tokens.size(); ++k) {
-      const std::string_view tok = tokens[k];
-      const std::size_t eq = tok.find('=');
-      if (eq == std::string_view::npos) {
-        return plan_error(line_no, "expected key=value");
-      }
-      const std::string_view key = tok.substr(0, eq);
-      double v = 0;
-      if (!parse_number(tok.substr(eq + 1), &v)) {
-        return plan_error(line_no, strf("bad number for '%.*s'",
-                                        static_cast<int>(key.size()),
-                                        key.data()));
-      }
-      if (key == "start") {
-        if (v < 0) return plan_error(line_no, "start must be >= 0");
-        e.start = time_at(v);
-        have_start = true;
-      } else if (key == "dur") {
-        if (v < 0) return plan_error(line_no, "dur must be >= 0");
-        e.duration = seconds(v);
-        have_dur = true;
-      } else if (key == "severity") {
-        if (v < 0) return plan_error(line_no, "severity must be >= 0");
-        e.severity = v;
-      } else if (key == "target") {
-        if (v != std::floor(v) || v < -1 || v > 1e6) {
-          return plan_error(line_no, "target must be an integer >= -1");
-        }
-        e.target = static_cast<int>(v);
-      } else {
-        return plan_error(line_no, strf("unknown key '%.*s'",
-                                        static_cast<int>(key.size()),
-                                        key.data()));
-      }
-    }
-    if (!have_start || !have_dur) {
-      return plan_error(line_no, "episode needs start= and dur=");
-    }
-    if (eps.size() >= kMaxEpisodes) {
-      return plan_error(line_no, "too many episodes");
-    }
+    e.kind = static_cast<Kind>(r.name);
+    e.start = time_at(r.get(kStart, 0));
+    e.duration = seconds(r.get(kDur, 0));
+    e.severity = r.get(kSeverity, e.severity);
+    e.target = static_cast<int>(r.get(kTarget, e.target));
     eps.push_back(e);
   }
-  if (!saw_header) return make_error("fault_plan", "empty plan text");
   return Plan(std::move(eps));
 }
 

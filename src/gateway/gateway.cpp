@@ -29,7 +29,12 @@ Gateway::Gateway(const GatewayConfig& cfg, SimBridge::WallClock clock)
       bridge_(sim_, std::move(clock)),
       origin_(cfg.seed),
       store_(SegmentStoreConfig{cfg.segment_target, cfg.playlist_window,
-                                cfg.retain_extra}) {
+                                cfg.retain_extra}),
+      http_requests_(&metrics_.counter("gateway_http_requests_total")),
+      segments_served_(&metrics_.counter("gateway_segments_served_total")),
+      bytes_served_(&metrics_.counter("gateway_http_bytes_total")),
+      rtmp_accepted_(&metrics_.counter("gateway_rtmp_connections_total")),
+      http_accepted_(&metrics_.counter("gateway_http_connections_total")) {
   store_.set_arena(&arena_);
   store_.set_metrics(&metrics_);
 
@@ -90,8 +95,7 @@ void Gateway::on_rtmp_accept(Connection& c) {
   const int id = origin_.open_connection();
   c.user_tag = static_cast<std::uint64_t>(id);
   rtmp_conns_[id] = &c;
-  ++rtmp_accepted_;
-  metrics_.counter("gateway_rtmp_connections_total").add();
+  rtmp_accepted_->add();
 }
 
 void Gateway::on_rtmp_data(Connection& c, BytesView data) {
@@ -130,8 +134,7 @@ void Gateway::on_rtmp_close(Connection& c) {
 void Gateway::on_http_accept(Connection& c) {
   c.set_write_cap(cfg_.write_cap);
   http_conns_[c.id()].conn = &c;
-  ++http_accepted_;
-  metrics_.counter("gateway_http_connections_total").add();
+  http_accepted_->add();
 }
 
 void Gateway::on_http_data(Connection& c, BytesView data) {
@@ -155,8 +158,7 @@ void Gateway::on_http_data(Connection& c, BytesView data) {
 void Gateway::on_http_close(Connection& c) { http_conns_.erase(c.id()); }
 
 void Gateway::handle_http(Connection& c, const http::Request& req) {
-  ++http_requests_;
-  metrics_.counter("gateway_http_requests_total").add();
+  http_requests_->add();
   const bool keep_alive = !wants_close(req);
 
   if (req.method == "POST" && req.path.rfind("/api/v2/", 0) == 0) {
@@ -231,8 +233,7 @@ void Gateway::handle_http(Connection& c, const http::Request& req) {
                      store_.find_segment(stream, file)) {
         // Zero-copy: the response body is a refcount bump on the same
         // arena block the segmenter committed.
-        ++segments_served_;
-        metrics_.counter("gateway_segments_served_total").add();
+        segments_served_->add();
         send_response(c, 200, kContentTypeTs, seg->segment.ts_data,
                       keep_alive);
         return;
@@ -254,9 +255,7 @@ void Gateway::send_response(Connection& c, int status,
   head += "Content-Length: " + std::to_string(body.size()) + "\r\n";
   head += keep_alive ? "Connection: keep-alive\r\n" : "Connection: close\r\n";
   head += "\r\n";
-  bytes_served_ += head.size() + body.size();
-  metrics_.counter("gateway_http_bytes_total")
-      .add(static_cast<double>(head.size() + body.size()));
+  bytes_served_->add(static_cast<double>(head.size() + body.size()));
   if (!c.send(util::BufferSlice(to_bytes(head)))) return;
   if (!body.empty() && !c.send(std::move(body))) return;
   if (!keep_alive) c.close_after_flush();

@@ -96,11 +96,11 @@ class Gateway {
   service::ApiServer* api() { return api_.get(); }
   util::BufferArena& arena() { return arena_; }
 
-  std::uint64_t http_requests() const { return http_requests_; }
-  std::uint64_t segments_served() const { return segments_served_; }
-  std::uint64_t bytes_served() const { return bytes_served_; }
-  std::uint64_t rtmp_accepted() const { return rtmp_accepted_; }
-  std::uint64_t http_accepted() const { return http_accepted_; }
+  std::uint64_t http_requests() const { return count(http_requests_); }
+  std::uint64_t segments_served() const { return count(segments_served_); }
+  std::uint64_t bytes_served() const { return count(bytes_served_); }
+  std::uint64_t rtmp_accepted() const { return count(rtmp_accepted_); }
+  std::uint64_t http_accepted() const { return count(http_accepted_); }
 
  private:
   struct HttpConn {
@@ -121,6 +121,9 @@ class Gateway {
   void handle_http(Connection& c, const http::Request& req);
   void send_response(Connection& c, int status, const std::string& content_type,
                      util::BufferSlice body, bool keep_alive);
+  static std::uint64_t count(const obs::Counter* c) {
+    return static_cast<std::uint64_t>(c->value());
+  }
 
   GatewayConfig cfg_;
   sim::Simulation sim_;
@@ -144,11 +147,12 @@ class Gateway {
   std::uint16_t http_port_ = 0;
   bool shutdown_ = false;
 
-  std::uint64_t http_requests_ = 0;
-  std::uint64_t segments_served_ = 0;
-  std::uint64_t bytes_served_ = 0;
-  std::uint64_t rtmp_accepted_ = 0;
-  std::uint64_t http_accepted_ = 0;
+  // Registry series, looked up once (std::map nodes are stable).
+  obs::Counter* http_requests_;
+  obs::Counter* segments_served_;
+  obs::Counter* bytes_served_;
+  obs::Counter* rtmp_accepted_;
+  obs::Counter* http_accepted_;
 };
 
 }  // namespace psc::gateway

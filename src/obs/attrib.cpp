@@ -1,7 +1,5 @@
 #include "obs/attrib.h"
 
-#if PSC_OBS
-
 #include <algorithm>
 
 #include "obs/bundle.h"
@@ -269,5 +267,3 @@ std::vector<std::pair<std::string, double>> top_causes(
 }
 
 }  // namespace psc::obs
-
-#endif  // PSC_OBS

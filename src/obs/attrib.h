@@ -27,16 +27,12 @@
 // recorded series merge like any other Registry series (in shard order).
 #pragma once
 
-#include "obs/obs.h"
-
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/eventlog.h"
-
-#if PSC_OBS
 
 namespace psc::obs {
 
@@ -138,85 +134,3 @@ std::vector<std::pair<std::string, double>> top_causes(
     const Registry& metrics, std::size_t n);
 
 }  // namespace psc::obs
-
-#else  // !PSC_OBS
-
-namespace psc::obs {
-
-struct Obs;
-
-enum class Cause : std::uint8_t {
-  RadioBlackout,
-  RateCollapse,
-  HandoverGap,
-  EdgeOutage,
-  OriginRestart,
-  ApiFault,
-  EdgeMiss,
-  OriginLoad,
-  AbrDownSwitch,
-  ChunkPacing,
-  Unattributed,
-};
-
-inline constexpr std::size_t kCauseCount = 11;
-
-inline const char* cause_name(Cause) { return ""; }
-
-struct EvidenceWindow {
-  Cause cause = Cause::Unattributed;
-  double start_s = 0;
-  double end_s = 0;
-};
-
-struct SessionEvidence {
-  std::vector<EvidenceWindow> episodes;
-  double load_penalty_s = 0;
-};
-
-struct AttribConfig {
-  double load_penalty_floor_s = 0.05;
-  double slow_join_s = 5.0;
-  double fetch_lookback_s = 2.0;
-  double abr_lookback_s = 4.0;
-};
-
-struct StallAttribution {
-  double start_s = 0;
-  double end_s = 0;
-  double dur_s = 0;
-  Cause cause = Cause::Unattributed;
-};
-
-struct SessionAttribution {
-  std::vector<StallAttribution> stalls;
-  double stall_s = 0;
-  bool slow_join = false;
-  double join_s = 0;
-  Cause join_cause = Cause::Unattributed;
-};
-
-inline SessionAttribution attribute_session(const std::vector<LogEvent>&,
-                                            const SessionEvidence&,
-                                            const AttribConfig& = {}) {
-  return {};
-}
-
-inline void record_attribution(Obs&, const SessionAttribution&,
-                               std::uint64_t) {}
-
-class Registry;
-
-inline std::string attribution_json(const Registry&) {
-  return "{\"total_stall_s\":0,\"attributed_s\":0,\"causes\":[],"
-         "\"slow_joins\":[]}";
-}
-
-inline std::vector<std::pair<std::string, double>> top_causes(
-    const Registry&, std::size_t) {
-  return {};
-}
-
-}  // namespace psc::obs
-
-#endif  // PSC_OBS

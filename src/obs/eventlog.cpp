@@ -1,7 +1,5 @@
 #include "obs/eventlog.h"
 
-#if PSC_OBS
-
 #include <cstdio>
 
 #include "obs/metrics.h"
@@ -126,5 +124,3 @@ std::string event_log_json(const std::vector<LogEvent>& events) {
 }
 
 }  // namespace psc::obs
-
-#endif  // PSC_OBS

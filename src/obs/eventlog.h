@@ -18,13 +18,9 @@
 // is one struct append, no allocation on the hot path.
 #pragma once
 
-#include "obs/obs.h"
-
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#if PSC_OBS
 
 namespace psc::obs {
 
@@ -110,56 +106,3 @@ class EventLog {
 std::string event_log_json(const std::vector<LogEvent>& events);
 
 }  // namespace psc::obs
-
-#else  // !PSC_OBS
-
-namespace psc::obs {
-
-enum class EventKind : std::uint8_t {
-  SessionBegin,
-  SessionEnd,
-  JoinDone,
-  StallStart,
-  StallEnd,
-  Reconnect,
-  Retry,
-  FetchOutcome,
-  AbrSwitch,
-  GaveUp,
-  Media,
-};
-
-inline const char* event_kind_name(EventKind) { return ""; }
-
-struct LogEvent {
-  std::uint64_t session = 0;
-  double t_s = 0;
-  double a = 0;
-  double b = 0;
-  EventKind kind = EventKind::SessionBegin;
-  const char* proto = "";
-  const char* detail = "";
-};
-
-class EventLog {
- public:
-  explicit EventLog(std::size_t = 0) {}
-  bool enabled() const { return false; }
-  void set_enabled(bool) {}
-  void begin_session(std::uint64_t, const char*, double, double = 1) {}
-  void end_session(double, double, double) {}
-  void set_proto(const char*) {}
-  void log(EventKind, double, double = 0, double = 0, const char* = "") {}
-  std::vector<LogEvent> current_session_events() const { return {}; }
-  std::vector<LogEvent> take_events() { return {}; }
-  std::uint64_t dropped() const { return 0; }
-  std::size_t size() const { return 0; }
-};
-
-inline std::string event_log_json(const std::vector<LogEvent>&) {
-  return "[]";
-}
-
-}  // namespace psc::obs
-
-#endif  // PSC_OBS

@@ -19,14 +19,10 @@ bool env_nonempty(const char* name) {
   return v != nullptr && v[0] != '\0';
 }
 
-#if PSC_OBS
 bool g_metrics = env_truthy("PSC_METRICS");
 bool g_trace = env_nonempty("PSC_TRACE_OUT");
-#endif
 
 }  // namespace
-
-#if PSC_OBS
 
 bool metrics_enabled() { return g_metrics; }
 void set_metrics_enabled(bool on) { g_metrics = on; }
@@ -337,14 +333,5 @@ void process_reset() {
   std::lock_guard<std::mutex> lock(process_mu());
   process_reg() = Registry();
 }
-
-#else  // !PSC_OBS
-
-bool metrics_enabled() { return false; }
-void set_metrics_enabled(bool) {}
-bool trace_enabled() { return false; }
-void set_trace_enabled(bool) {}
-
-#endif  // PSC_OBS
 
 }  // namespace psc::obs

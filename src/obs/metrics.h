@@ -14,10 +14,6 @@
 // the raw samples, so p50/p90/p99 cannot depend on floating-point
 // summation order. Bucket resolution is 16 linear sub-buckets per power of
 // two (< 4.5% relative error), which is plenty for latency distributions.
-//
-// When the observability subsystem is compiled out (PSC_OBS=0, see
-// obs/obs.h) this header provides inert stand-ins with the same API so
-// call sites compile to nothing.
 #pragma once
 
 #include "obs/obs.h"
@@ -25,8 +21,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-
-#if PSC_OBS
 
 namespace psc::obs {
 
@@ -196,72 +190,3 @@ std::string process_to_json();
 void process_reset();
 
 }  // namespace psc::obs
-
-#else  // !PSC_OBS — inert stand-ins; every call site folds to nothing.
-
-namespace psc::obs {
-
-class Counter {
- public:
-  void add(double = 1) {}
-  double value() const { return 0; }
-  void merge(const Counter&) {}
-};
-
-class Gauge {
- public:
-  void set(double) {}
-  void set_max(double) {}
-  double value() const { return 0; }
-  void merge(const Gauge&) {}
-};
-
-struct Exemplar {
-  double value = 0;
-  double t_s = 0;
-  std::uint64_t session = 0;
-};
-
-class Histogram {
- public:
-  void record(double) {}
-  void record(double, double, std::uint64_t) {}
-  std::uint64_t count() const { return 0; }
-  double sum() const { return 0; }
-  double min() const { return 0; }
-  double max() const { return 0; }
-  double mean() const { return 0; }
-  double quantile(double) const { return 0; }
-  void merge(const Histogram&) {}
-  const std::map<std::size_t, Exemplar>& exemplars() const {
-    static const std::map<std::size_t, Exemplar> kEmpty;
-    return kEmpty;
-  }
-};
-
-class Registry {
- public:
-  Counter& counter(const std::string&) { return counter_; }
-  Gauge& gauge(const std::string&) { return gauge_; }
-  Histogram& histogram(const std::string&) { return histogram_; }
-  bool empty() const { return true; }
-  std::size_t series() const { return 0; }
-  void merge(const Registry&) {}
-  std::string to_json() const { return "{}"; }
-  std::string to_prometheus() const { return ""; }
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;
-};
-
-inline void process_counter_add(const std::string&, double) {}
-inline void process_gauge_max(const std::string&, double) {}
-inline void process_hist_record(const std::string&, double) {}
-inline std::string process_to_json() { return "{}"; }
-inline void process_reset() {}
-
-}  // namespace psc::obs
-
-#endif  // PSC_OBS

@@ -1,18 +1,13 @@
 // Observability switchboard.
 //
-// Two independent switches control the subsystem:
-//
-//  * Compile time: build with PSC_OBS=0 (cmake -DPSC_OBS=OFF) and every
-//    metric/trace type in obs/ becomes an inert stand-in whose inline
-//    methods do nothing — instrumentation call sites compile away
-//    entirely. The default is PSC_OBS=1.
-//
-//  * Run time: metrics_enabled() / trace_enabled() gate whether a Study
-//    actually hands its Obs bundle to the components it builds. They
-//    initialise from the environment (PSC_METRICS truthy; PSC_TRACE_OUT
-//    non-empty) and benches override them from --metrics-out/--trace-out
-//    flags before any campaign starts. Flip them only while no campaign
-//    is running: shards read them concurrently.
+// Collection is switched at run time: metrics_enabled() / trace_enabled()
+// gate whether a Study actually hands its Obs bundle to the components it
+// builds. They initialise from the environment (PSC_METRICS truthy;
+// PSC_TRACE_OUT non-empty) and benches override them from
+// --metrics-out/--trace-out flags before any campaign starts. Flip them
+// only while no campaign is running: shards read them concurrently. With
+// both off, components hold a null Obs* and every instrumentation site is
+// a single pointer test.
 //
 // The unit of collection is the Obs bundle: one Registry + one Tracer,
 // owned by exactly one single-threaded writer (a Study — i.e. a shard),
@@ -21,19 +16,15 @@
 // for any PSC_THREADS.
 #pragma once
 
-#ifndef PSC_OBS
-#define PSC_OBS 1
-#endif
-
 namespace psc::obs {
 
 /// Runtime switch for metric collection (default: PSC_METRICS env var is
-/// set to something other than "" or "0"). Always false when PSC_OBS=0.
+/// set to something other than "" or "0").
 bool metrics_enabled();
 void set_metrics_enabled(bool on);
 
 /// Runtime switch for trace collection (default: PSC_TRACE_OUT env var is
-/// non-empty). Always false when PSC_OBS=0.
+/// non-empty).
 bool trace_enabled();
 void set_trace_enabled(bool on);
 

@@ -1,12 +1,11 @@
 #include "obs/slo.h"
 
-#if PSC_OBS
-
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 
+#include "util/records.h"
 #include "util/units.h"
 
 namespace psc::obs {
@@ -48,10 +47,12 @@ bool parse_slo_config(const std::string& text, SloConfig* out,
     if (!(toks >> obj.name >> quant >> obj.metric)) {
       return fail("expected: slo <name> p<Q> <metric> ...");
     }
-    if (quant.size() < 2 || quant[0] != 'p') {
+    double percent = 0;
+    if (quant[0] != 'p' ||
+        !parse_number(std::string_view(quant).substr(1), &percent)) {
       return fail("bad quantile '" + quant + "' (want e.g. p99)");
     }
-    obj.quantile = std::strtod(quant.c_str() + 1, nullptr) / 100.0;
+    obj.quantile = percent / 100.0;
     if (!(obj.quantile > 0) || obj.quantile > 1) {
       return fail("quantile out of range in '" + quant + "'");
     }
@@ -62,11 +63,18 @@ bool parse_slo_config(const std::string& text, SloConfig* out,
       if (tok.rfind("proto=", 0) == 0) {
         obj.proto = tok.substr(6);
       } else if (tok.rfind("burn_window=", 0) == 0) {
-        obj.burn_window = std::atoi(tok.c_str() + 12);
-        if (obj.burn_window < 1) return fail("burn_window must be >= 1");
+        double window = 0;
+        if (!parse_number(std::string_view(tok).substr(12), &window) ||
+            window != std::floor(window) || window > 1e6) {
+          return fail("bad burn_window '" + tok.substr(12) + "'");
+        }
+        if (window < 1) return fail("burn_window must be >= 1");
+        obj.burn_window = static_cast<int>(window);
       } else if (tok == "<") {
         if (!(toks >> thresh)) return fail("missing threshold after '<'");
-        obj.threshold = std::strtod(thresh.c_str(), nullptr);
+        if (!parse_number(thresh, &obj.threshold)) {
+          return fail("bad threshold '" + thresh + "'");
+        }
         have_threshold = true;
       } else {
         return fail("unexpected token '" + tok + "'");
@@ -251,5 +259,3 @@ void emit_violation_instants(Tracer& trace, const SloTrack& track,
 }
 
 }  // namespace psc::obs
-
-#endif  // PSC_OBS

@@ -26,8 +26,6 @@
 // and psc_report's pass/fail table.
 #pragma once
 
-#include "obs/obs.h"
-
 #include <cstdint>
 #include <map>
 #include <string>
@@ -35,8 +33,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-
-#if PSC_OBS
 
 namespace psc::obs {
 
@@ -117,66 +113,3 @@ void emit_violation_instants(Tracer& trace, const SloTrack& track,
                              const SloConfig& cfg, double epoch_len_s);
 
 }  // namespace psc::obs
-
-#else  // !PSC_OBS
-
-namespace psc::obs {
-
-struct SloObjective {
-  std::string name;
-  std::string metric;
-  std::string proto;
-  double quantile = 0.99;
-  double threshold = 0;
-  int burn_window = 3;
-};
-
-struct SloConfig {
-  std::vector<SloObjective> objectives;
-};
-
-inline SloConfig default_slo_config() { return {}; }
-inline bool parse_slo_config(const std::string&, SloConfig*, std::string*) {
-  return true;
-}
-inline std::string slo_config_to_text(const SloConfig&) { return ""; }
-inline const SloConfig& active_slo_config() {
-  static const SloConfig kEmpty;
-  return kEmpty;
-}
-
-class SloTrack {
- public:
-  void observe(const char*, const char*, std::uint64_t, double) {}
-  void merge(const SloTrack&) {}
-  bool empty() const { return true; }
-};
-
-struct SloEpochResult {
-  std::uint64_t epoch = 0;
-  std::uint64_t count = 0;
-  double value = 0;
-  bool pass = true;
-};
-
-struct SloResult {
-  SloObjective objective;
-  std::vector<SloEpochResult> epochs;
-  std::uint64_t violations = 0;
-  double worst_burn = 0;
-  bool pass = true;
-};
-
-inline std::vector<SloResult> evaluate_slo(const SloTrack&,
-                                           const SloConfig&) {
-  return {};
-}
-inline std::string slo_json(const SloTrack&, const SloConfig&) {
-  return "{\"config\":[],\"results\":[]}";
-}
-inline void emit_violation_instants(Tracer&, const SloTrack&,
-                                    const SloConfig&, double) {}
-
-}  // namespace psc::obs
-
-#endif  // PSC_OBS

@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#if PSC_OBS
-
 namespace psc::obs {
 
 void Tracer::push(TraceEvent ev) {
@@ -104,5 +102,3 @@ std::string chrome_trace_json(
 }
 
 }  // namespace psc::obs
-
-#endif  // PSC_OBS

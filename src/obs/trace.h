@@ -15,15 +15,11 @@
 // deterministic.
 #pragma once
 
-#include "obs/obs.h"
-
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "util/units.h"
-
-#if PSC_OBS
 
 namespace psc::obs {
 
@@ -88,30 +84,3 @@ std::string chrome_trace_json(
     const std::vector<std::vector<TraceEvent>>& shards);
 
 }  // namespace psc::obs
-
-#else  // !PSC_OBS
-
-namespace psc::obs {
-
-struct TraceEvent {};
-
-class Tracer {
- public:
-  explicit Tracer(std::size_t = 0) {}
-  bool enabled() const { return false; }
-  void set_enabled(bool) {}
-  void complete(const char*, std::string, TimePoint, TimePoint) {}
-  void instant(const char*, std::string, TimePoint) {}
-  std::vector<TraceEvent> take_events() { return {}; }
-  std::uint64_t dropped() const { return 0; }
-  std::size_t size() const { return 0; }
-};
-
-inline std::string chrome_trace_json(
-    const std::vector<std::vector<TraceEvent>>&) {
-  return "{\"traceEvents\":[]}\n";
-}
-
-}  // namespace psc::obs
-
-#endif  // PSC_OBS

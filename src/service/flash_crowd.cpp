@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
+#include "util/records.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -34,21 +34,22 @@ constexpr ShapeTraits kShapes[kSpikeShapeCount] = {
 /// form recovers the exact double on parse — same trick as fault::Plan.
 double snap(double v, double scale) { return std::round(v * scale) / scale; }
 
-Error schedule_error(std::size_t line, std::string message) {
-  return make_error("flashcrowd",
-                    strf("line %zu: %s", line, message.c_str()));
-}
+enum SpikeKey : std::size_t { kStart, kPeak, kRise, kHold, kTau, kRank };
+constexpr RecordKey kSpikeKeys[] = {
+    {"start", 0, false, true}, {"peak", 0, false, true},
+    {"rise"}, {"hold"}, {"tau"}, {"rank", 0, true},
+};
 
-bool parse_number(std::string_view s, double* out) {
-  if (s.empty()) return false;
-  const std::string buf(s);
-  char* end = nullptr;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return false;
-  if (!std::isfinite(v)) return false;
-  *out = v;
+bool shape_index(std::string_view name, int* out) {
+  SpikeShape shape;
+  if (!spike_shape_from_name(name, &shape)) return false;
+  *out = static_cast<int>(shape);
   return true;
 }
+
+constexpr RecordFormat kScheduleFormat{"flashcrowd", kHeader,  "spike",
+                                       "shape",      "spikes", shape_index,
+                                       kSpikeKeys};
 
 }  // namespace
 
@@ -130,105 +131,21 @@ FlashCrowdSchedule FlashCrowdSchedule::generate(
 }
 
 Result<FlashCrowdSchedule> FlashCrowdSchedule::parse(std::string_view text) {
-  // Hard cap so a pathological (fuzzed) input cannot balloon memory.
-  constexpr std::size_t kMaxSpikes = 100000;
+  auto records = read_records(text, kScheduleFormat);
+  if (!records) return records.error();
   std::vector<Spike> spikes;
-  std::size_t line_no = 0;
-  bool saw_header = false;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    std::string_view line = text.substr(
-        pos, nl == std::string_view::npos ? text.size() - pos : nl - pos);
-    pos = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (!saw_header) {
-      if (line != kHeader) {
-        return schedule_error(line_no,
-                              strf("expected header '%s'", kHeader));
-      }
-      saw_header = true;
-      continue;
-    }
-    if (line.empty() || line[0] == '#') continue;
-
-    // spike <shape> key=value...
-    std::vector<std::string_view> tokens;
-    std::size_t i = 0;
-    while (i < line.size()) {
-      while (i < line.size() && line[i] == ' ') ++i;
-      std::size_t j = i;
-      while (j < line.size() && line[j] != ' ') ++j;
-      if (j > i) tokens.push_back(line.substr(i, j - i));
-      i = j;
-    }
-    if (tokens.empty()) continue;
-    if (tokens[0] != "spike") {
-      return schedule_error(line_no, strf("unknown directive '%.*s'",
-                                          static_cast<int>(tokens[0].size()),
-                                          tokens[0].data()));
-    }
-    if (tokens.size() < 2) {
-      return schedule_error(line_no, "spike needs a shape");
-    }
+  spikes.reserve(records.value().size());
+  for (const Record& r : records.value()) {
     Spike s;
-    if (!spike_shape_from_name(tokens[1], &s.shape)) {
-      return schedule_error(line_no, strf("unknown spike shape '%.*s'",
-                                          static_cast<int>(tokens[1].size()),
-                                          tokens[1].data()));
-    }
-    bool have_start = false, have_peak = false;
-    for (std::size_t k = 2; k < tokens.size(); ++k) {
-      const std::string_view tok = tokens[k];
-      const std::size_t eq = tok.find('=');
-      if (eq == std::string_view::npos) {
-        return schedule_error(line_no, "expected key=value");
-      }
-      const std::string_view key = tok.substr(0, eq);
-      double v = 0;
-      if (!parse_number(tok.substr(eq + 1), &v)) {
-        return schedule_error(line_no, strf("bad number for '%.*s'",
-                                            static_cast<int>(key.size()),
-                                            key.data()));
-      }
-      if (key == "start") {
-        if (v < 0) return schedule_error(line_no, "start must be >= 0");
-        s.start = time_at(v);
-        have_start = true;
-      } else if (key == "peak") {
-        if (v < 0) return schedule_error(line_no, "peak must be >= 0");
-        s.peak_viewers = v;
-        have_peak = true;
-      } else if (key == "rise") {
-        if (v < 0) return schedule_error(line_no, "rise must be >= 0");
-        s.rise = seconds(v);
-      } else if (key == "hold") {
-        if (v < 0) return schedule_error(line_no, "hold must be >= 0");
-        s.hold = seconds(v);
-      } else if (key == "tau") {
-        if (v < 0) return schedule_error(line_no, "tau must be >= 0");
-        s.decay_tau = seconds(v);
-      } else if (key == "rank") {
-        if (v != std::floor(v) || v < 0 || v > 1e6) {
-          return schedule_error(line_no, "rank must be an integer >= 0");
-        }
-        s.channel_rank = static_cast<int>(v);
-      } else {
-        return schedule_error(line_no, strf("unknown key '%.*s'",
-                                            static_cast<int>(key.size()),
-                                            key.data()));
-      }
-    }
-    if (!have_start || !have_peak) {
-      return schedule_error(line_no, "spike needs start= and peak=");
-    }
-    if (spikes.size() >= kMaxSpikes) {
-      return schedule_error(line_no, "too many spikes");
-    }
+    s.shape = static_cast<SpikeShape>(r.name);
+    s.start = time_at(r.get(kStart, 0));
+    s.peak_viewers = r.get(kPeak, 0);
+    s.rise = seconds(r.get(kRise, 0));
+    s.hold = seconds(r.get(kHold, 0));
+    s.decay_tau = seconds(r.get(kTau, 0));
+    s.channel_rank = static_cast<int>(r.get(kRank, 0));
     spikes.push_back(s);
   }
-  if (!saw_header) return make_error("flashcrowd", "empty schedule text");
   return FlashCrowdSchedule(std::move(spikes));
 }
 

@@ -19,8 +19,6 @@
 namespace psc::obs {
 namespace {
 
-#if PSC_OBS
-
 // --- EventLog ring -------------------------------------------------------
 
 TEST(EventLog, RecordsSessionContextAndPayloads) {
@@ -447,17 +445,6 @@ TEST(Attrib, TopCausesRankWorstFirst) {
   EXPECT_EQ(top[0].first, "radio_blackout");
   EXPECT_EQ(top[1].first, "chunk_pacing");
 }
-
-#else  // !PSC_OBS
-
-TEST(AttribStub, InertWhenCompiledOut) {
-  const SessionAttribution att =
-      attribute_session({}, SessionEvidence{});
-  EXPECT_TRUE(att.stalls.empty());
-  EXPECT_EQ(top_causes(Registry{}, 3).size(), 0u);
-}
-
-#endif  // PSC_OBS
 
 }  // namespace
 }  // namespace psc::obs

@@ -1,10 +1,6 @@
 // Observability subsystem: histogram bucket/quantile edge cases, registry
 // merge + snapshot determinism, exporter schemas (JSON, Prometheus, Chrome
 // trace_event), and the tracer ring buffer.
-//
-// Everything but the stub smoke test is compiled only when PSC_OBS=1; a
-// -DPSC_OBS=OFF build still compiles this file and checks that the inert
-// stand-ins really are inert.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,8 +14,6 @@
 
 namespace psc::obs {
 namespace {
-
-#if PSC_OBS
 
 // --- Histogram -----------------------------------------------------------
 
@@ -299,29 +293,6 @@ TEST(ProcessRegistry, ResetClearsAndSnapshotParses) {
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty.value()["counters"].as_object().empty());
 }
-
-#else  // !PSC_OBS
-
-TEST(ObsStubs, EverythingIsInert) {
-  Registry reg;
-  reg.counter("x").add(5);
-  reg.gauge("y").set_max(5);
-  reg.histogram("z").record(5);
-  EXPECT_TRUE(reg.empty());
-  EXPECT_EQ(reg.series(), 0u);
-  EXPECT_EQ(reg.to_json(), "{}");
-  EXPECT_EQ(reg.to_prometheus(), "");
-  EXPECT_FALSE(metrics_enabled());
-  EXPECT_FALSE(trace_enabled());
-  set_metrics_enabled(true);  // must stay off when compiled out
-  EXPECT_FALSE(metrics_enabled());
-  Tracer t;
-  t.complete("kernel", "span", time_at(0), time_at(1));
-  EXPECT_EQ(t.size(), 0u);
-  EXPECT_EQ(chrome_trace_json({}), "{\"traceEvents\":[]}\n");
-}
-
-#endif  // PSC_OBS
 
 }  // namespace
 }  // namespace psc::obs

@@ -71,7 +71,6 @@ ShardedCampaign shared_campaign(std::uint64_t seed, int sessions) {
   return c;
 }
 
-#if PSC_OBS
 /// The observability side of the determinism contract, serialised: SLO
 /// evaluation, the merged event log and the attribution section must be
 /// byte-identical across thread counts just like the metrics.
@@ -99,7 +98,6 @@ class ScopedObsEnabled {
   bool metrics_;
   bool trace_;
 };
-#endif
 
 // The headline guarantee: the merged campaign result is byte-identical
 // whether shards run inline (threads=1, the sequential reference path) or
@@ -108,11 +106,9 @@ class ScopedObsEnabled {
 // where epoch barriers, overrunning sessions and cross-shard load merges
 // actually interleave.
 TEST(ShardedRunner, DeterministicAcrossThreadCounts) {
-#if PSC_OBS
   // The determinism contract extends to observability: metric snapshots
   // and Chrome traces must be byte-identical across thread counts too.
   ScopedObsEnabled obs_on;
-#endif
   const ShardedCampaign campaign = small_campaign(77, 12);
   const CampaignResult r1 = ShardedRunner(1).run(campaign);
   const CampaignResult r2 = ShardedRunner(2).run(campaign);
@@ -121,7 +117,6 @@ TEST(ShardedRunner, DeterministicAcrossThreadCounts) {
   EXPECT_FALSE(seq.empty());
   EXPECT_EQ(fingerprint(r2), seq);
   EXPECT_EQ(fingerprint(r8), seq);
-#if PSC_OBS
   EXPECT_FALSE(r1.metrics.empty());
   EXPECT_EQ(r2.metrics.to_json(), r1.metrics.to_json());
   EXPECT_EQ(r8.metrics.to_json(), r1.metrics.to_json());
@@ -132,7 +127,6 @@ TEST(ShardedRunner, DeterministicAcrossThreadCounts) {
   EXPECT_FALSE(r1.events.empty());
   EXPECT_EQ(obs_fingerprint(r2), obs_fingerprint(r1));
   EXPECT_EQ(obs_fingerprint(r8), obs_fingerprint(r1));
-#endif
 
   // Full paper-bench scale (480 sessions, 40 shards): epoch barriers,
   // overrunning sessions and cross-shard load merges all interleave.
@@ -144,7 +138,6 @@ TEST(ShardedRunner, DeterministicAcrossThreadCounts) {
   EXPECT_FALSE(shared_seq.empty());
   EXPECT_EQ(fingerprint(s2), shared_seq);
   EXPECT_EQ(fingerprint(s8), shared_seq);
-#if PSC_OBS
   EXPECT_FALSE(s1.metrics.empty());
   EXPECT_EQ(s2.metrics.to_json(), s1.metrics.to_json());
   EXPECT_EQ(s8.metrics.to_json(), s1.metrics.to_json());
@@ -154,7 +147,6 @@ TEST(ShardedRunner, DeterministicAcrossThreadCounts) {
   EXPECT_FALSE(s1.events.empty());
   EXPECT_EQ(obs_fingerprint(s2), obs_fingerprint(s1));
   EXPECT_EQ(obs_fingerprint(s8), obs_fingerprint(s1));
-#endif
 }
 
 /// The cohort fields ride on top of the core QoE fingerprint: serialised

@@ -66,7 +66,6 @@ TEST(Reporter, EarlyExitStillFlushesSnapshot) {
   }
 
   const std::string snapshot = read_file(path);
-#if PSC_OBS
   ASSERT_FALSE(snapshot.empty());
   const auto parsed = json::parse(snapshot);
   ASSERT_TRUE(parsed.ok()) << snapshot.substr(0, 200);
@@ -78,15 +77,8 @@ TEST(Reporter, EarlyExitStillFlushesSnapshot) {
   EXPECT_TRUE(root.has("process"));
   EXPECT_TRUE(root["attribution"].has("total_stall_s"));
   EXPECT_TRUE(root["slo"].has("results"));
-#else
-  // Compiled out: the toggles are inert, so nothing is written — but the
-  // whole path must still compile and run.
-  EXPECT_TRUE(snapshot.empty());
-#endif
   std::remove(path.c_str());
 }
-
-#if PSC_OBS
 
 TEST(Reporter, FinishWritesTheSameSectionsOnce) {
   ScopedToggles restore;
@@ -132,8 +124,6 @@ TEST(Reporter, SnapshotIsDeterministicAcrossThreadCounts) {
   EXPECT_EQ(obs::slo_json(r1.slo, obs::active_slo_config()),
             obs::slo_json(r8.slo, obs::active_slo_config()));
 }
-
-#endif  // PSC_OBS
 
 }  // namespace
 }  // namespace psc::bench

@@ -11,8 +11,6 @@
 namespace psc::obs {
 namespace {
 
-#if PSC_OBS
-
 TEST(SloConfigText, DefaultsRoundTripThroughText) {
   const SloConfig defaults = default_slo_config();
   ASSERT_FALSE(defaults.objectives.empty());
@@ -66,6 +64,15 @@ TEST(SloConfigText, RejectsMalformedLinesWithLineNumbers) {
   EXPECT_FALSE(
       parse_slo_config("slo x p99 join_s < 5 burn_window=0\n", &cfg, &err));
   EXPECT_FALSE(parse_slo_config("slo x p0 join_s < 5\n", &cfg, &err));
+  // Numbers are strict: trailing junk, words and non-finite values fail
+  // instead of reading as a prefix (or as 0).
+  EXPECT_FALSE(parse_slo_config("slo x p99x join_s < 5\n", &cfg, &err));
+  EXPECT_FALSE(
+      parse_slo_config("slo x p99 join_s < 5 burn_window=3x\n", &cfg, &err));
+  EXPECT_FALSE(parse_slo_config("slo x p99 join_s < abc\n", &cfg, &err));
+  EXPECT_FALSE(parse_slo_config("slo x p99 join_s < nan\n", &cfg, &err));
+  EXPECT_FALSE(parse_slo_config("slo x p99 join_s < inf\n", &cfg, &err));
+  EXPECT_NE(err.find("line 1"), std::string::npos);
 }
 
 SloConfig single(const char* metric, const char* proto, double q,
@@ -180,19 +187,6 @@ TEST(SloTrace, ViolationInstantsLandAtEpochEnd) {
   EXPECT_EQ(events[0].phase, 'i');
   EXPECT_DOUBLE_EQ(events[0].ts_us, 120e6);  // end of epoch 1
 }
-
-#else  // !PSC_OBS
-
-TEST(SloStub, InertWhenCompiledOut) {
-  SloTrack track;
-  track.observe("join_s", "rtmp", 0, 9.0);
-  EXPECT_TRUE(track.empty());
-  EXPECT_TRUE(evaluate_slo(track, default_slo_config()).empty());
-  EXPECT_EQ(slo_json(track, default_slo_config()),
-            "{\"config\":[],\"results\":[]}");
-}
-
-#endif  // PSC_OBS
 
 }  // namespace
 }  // namespace psc::obs
