@@ -25,15 +25,6 @@ using namespace psc;
 
 namespace {
 
-Duration derived_shared_horizon(const core::StudyConfig& cfg,
-                                int shard_size) {
-  // Mirrors ShardedRunner::run_shared's default so gen.horizon == the
-  // recorded-world horizon in shared mode (and defines the fluid horizon
-  // outright in independent mode).
-  const double span_s = to_s(cfg.preroll) + to_s(cfg.watch_time) + 10.0;
-  return seconds(30 + span_s * (shard_size + 1) + 120);
-}
-
 struct Cohort {
   std::vector<double> join, stall, weights;
   double weight_total = 0;
@@ -73,8 +64,10 @@ int main(int argc, char** argv) {
        {std::pair<int, double>{n_coarse, rate_coarse},
         std::pair<int, double>{n_fine, rate_fine}}) {
     core::ShardedCampaign c = bench::sharded_campaign(seed, n);
+    // The fluid horizon is the recorded-world horizon of one shard, so
+    // the audience and the world cover the same span in both modes.
     bench::configure_aggregate(
-        c.base, derived_shared_horizon(c.base, c.shard_size), rate);
+        c.base, core::world_horizon(c.base, c.shard_size), rate);
     campaigns.push_back(std::move(c));
   }
   const core::StudyConfig& base = campaigns[0].base;

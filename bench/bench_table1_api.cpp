@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
       "descriptions incl. viewers; playbackMeta(stats)->nothing");
 
   const bench::WallTimer timer;
-  core::Study study(bench::default_study_config());
-  study.world().start();
+  const core::StudyConfig cfg = bench::default_study_config();
+  core::Study study(cfg, core::own_world(cfg, 1));
   study.sim().run_until(study.sim().now() + seconds(30));
   service::ApiServer& api = study.api();
   const TimePoint now = study.sim().now();

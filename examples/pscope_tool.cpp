@@ -32,7 +32,7 @@ int cmd_campaign(int argc, char** argv) {
   const std::string csv = argc > 2 ? argv[2] : "sessions.csv";
   core::StudyConfig cfg;
   cfg.world.target_concurrent = 400;
-  core::Study study(cfg);
+  core::Study study(cfg, core::own_world(cfg, n));
   std::printf("running %d sessions at %s...\n", n,
               mbps > 0 ? strf("%g Mbps", mbps).c_str() : "unlimited");
   const core::CampaignResult result =
@@ -59,14 +59,13 @@ int cmd_record(int argc, char** argv) {
   core::StudyConfig cfg;
   cfg.world.target_concurrent = 200;
   cfg.api.hls_viewer_threshold = 1 << 30;  // force RTMP
-  core::Study study(cfg);
+  core::Study study(cfg, core::own_world(cfg, /*sessions=*/1));
   // One session, keep the capture by re-running a raw session: the Study
   // retires captures, so drive the pieces directly.
-  study.world().start();
   study.sim().run_until(study.sim().now() + seconds(30));
   Rng rng(7);
   const service::BroadcastInfo* b =
-      study.world().teleport(rng, seconds(90));
+      study.world_view().teleport(rng, seconds(90));
   if (b == nullptr) {
     std::printf("no broadcast available\n");
     return 1;

@@ -15,15 +15,17 @@ int main() {
   core::StudyConfig cfg;
   cfg.seed = 77;
   cfg.world.target_concurrent = 500;
-  core::Study study(cfg);
-
   const double limits_mbps[] = {0, 2.0, 0.5};
+  const int sessions_per_limit = 20;
+  // One world recording covers all three sweeps.
+  core::Study study(cfg, core::own_world(cfg, 3 * sessions_per_limit));
+
   std::vector<core::SessionRecord> all_sessions;
   std::printf("%-9s %-5s %4s %8s %9s %9s %9s\n", "limit", "proto", "n",
               "join s", "stall s", "stall>0", "latency s");
   for (double mbps : limits_mbps) {
     const core::CampaignResult result = study.run_two_device_campaign(
-        20, mbps * 1e6, /*analyze=*/false);
+        sessions_per_limit, mbps * 1e6, /*analyze=*/false);
     for (const core::SessionRecord& r : result.sessions) {
       all_sessions.push_back(r);
     }

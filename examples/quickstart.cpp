@@ -14,7 +14,7 @@ int main() {
   cfg.seed = 2016;
   cfg.world.target_concurrent = 300;
 
-  core::Study study(cfg);
+  core::Study study(cfg, core::own_world(cfg, /*sessions=*/5));
   std::printf("running 5 automated viewing sessions (60 s each)...\n\n");
   const core::CampaignResult result =
       study.run_campaign(5, /*bandwidth_limit=*/0, core::Study::galaxy_s4());
@@ -31,6 +31,6 @@ int main() {
                 rec.analysis.fps());
   }
   std::printf("\n%zu sessions; world had %zu live broadcasts at the end\n",
-              result.sessions.size(), study.world().live_count());
+              result.sessions.size(), study.world_view().live_count());
   return 0;
 }

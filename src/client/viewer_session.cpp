@@ -68,12 +68,9 @@ RtmpViewerSession::~RtmpViewerSession() {
 }
 
 void RtmpViewerSession::make_connection() {
-  // The first connection (conn_gen_ == 0) uses exactly the historical
-  // seeds, so a fault-free run is bit-identical to the pre-resilience
-  // client; reconnects mix the generation in so each handshake's jitter
-  // stream is fresh but fully determined by (seed, generation).
-  const std::uint64_t mix =
-      conn_gen_ == 0 ? 0 : 0x9E3779B97F4A7C15ull * conn_gen_;
+  // Each reconnect gets a fresh handshake jitter stream, fully determined
+  // by (seed, generation); generation 0 mixes in nothing.
+  const std::uint64_t mix = 0x9E3779B97F4A7C15ull * conn_gen_;
   server_ =
       std::make_unique<rtmp::ServerSession>((seed_ ^ 0x5EED) ^ mix);
   rtmp::ClientSession::Callbacks cbs;

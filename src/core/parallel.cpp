@@ -146,7 +146,7 @@ std::vector<CampaignResult> ShardedRunner::run_many(
       StudyConfig cfg = c.base;
       cfg.seed = shard_seed(c.base.seed, job.shard);
       cfg.shard_index = job.shard;
-      Study study(cfg);
+      Study study(cfg, own_world(cfg, job.sessions));
       CampaignResult r =
           c.two_device
               ? study.run_two_device_campaign(job.sessions,
@@ -205,28 +205,16 @@ CampaignResult ShardedRunner::run_shared(const ShardedCampaign& c) {
   CampaignResult merged;
   if (n_shards == 0) return merged;
 
-  // Record the campaign world once. The horizon must outlast the slowest
-  // shard; a session cycle is preroll + watch + close/home pacing, plus
-  // slack for join time and no-broadcast retries.
-  Duration horizon = c.timeline_horizon;
-  if (to_s(horizon) <= 0) {
-    const double span_s =
-        to_s(c.base.preroll) + to_s(c.base.watch_time) + 10.0;
-    horizon = seconds(30 + span_s * (shard_size + 1) + 120);
-    // The fluid audience integrates over the recorded timeline, so the
-    // recording must cover the flash-crowd horizon too.
-    if (c.base.aggregate.enabled && c.base.aggregate.gen.horizon > horizon) {
-      horizon = c.base.aggregate.gen.horizon;
-    }
-  }
+  // Record the campaign world once, long enough for the slowest shard.
   const auto timeline = service::WorldTimeline::record(
-      c.base.world, c.base.seed ^ 0x0170BB57ull, horizon,
-      c.base.load.epoch_length);
+      c.base.world, c.base.seed ^ 0x0170BB57ull,
+      world_horizon(c.base, shard_size), c.base.load.epoch_length);
 
-  service::EpochLoadBoard board(c.base.load.epoch_length);
-  SharedWorldContext shared;
+  const auto board =
+      std::make_shared<service::EpochLoadBoard>(c.base.load.epoch_length);
+  WorldContext shared;
   shared.timeline = timeline;
-  shared.load_board = &board;
+  shared.load_board = board;
   shared.campaign_seed = c.base.seed;
   if (c.base.aggregate.enabled) {
     // One fluid audience for the whole campaign, integrated up front
@@ -289,10 +277,10 @@ CampaignResult ShardedRunner::run_shared(const ShardedCampaign& c) {
     // shards run, never read while it is written). The fixed fold order
     // keeps the board byte-identical for any thread count.
     if (shared.aggregate != nullptr) {
-      board.merge_epoch(epoch, shared.aggregate->ledger());
+      board->merge_epoch(epoch, shared.aggregate->ledger());
     }
     for (std::size_t i = 0; i < n_shards; ++i) {
-      board.merge_epoch(epoch, studies[i]->servers().load_ledger());
+      board->merge_epoch(epoch, studies[i]->servers().load_ledger());
     }
     bool all_done = true;
     for (std::size_t i = 0; i < n_shards; ++i) {

@@ -3,12 +3,12 @@
 // A paper-scale reproduction replays thousands of viewing sessions
 // (PSC_SESSIONS=3382 in §5) and each session is an independent experiment,
 // so the campaign splits into shards that run on a thread pool. Each shard
-// owns a fully independent Study — its own Simulation, World and RNG —
-// seeded from a SplitMix64-derived per-shard seed that depends only on the
-// campaign seed and the shard index. Shard results are merged in shard
-// order, so the merged CampaignResult is deterministic and byte-identical
-// for a given seed regardless of the thread count (1 thread == the
-// sequential path). See docs/PERFORMANCE.md.
+// owns a fully independent Study — its own Simulation, recorded world and
+// RNG — seeded from a SplitMix64-derived per-shard seed that depends only
+// on the campaign seed and the shard index. Shard results are merged in
+// shard order, so the merged CampaignResult is deterministic and
+// byte-identical for a given seed regardless of the thread count
+// (1 thread == the sequential path). See docs/PERFORMANCE.md.
 #pragma once
 
 #include <cstdint>
@@ -40,10 +40,6 @@ struct ShardedCampaign {
   /// changes the result (different per-shard worlds), changing the thread
   /// count does not.
   int shard_size = 12;
-  /// shared_world only: how much world history to record up front.
-  /// Zero (default) derives a horizon generously covering the slowest
-  /// shard: 30 s warmup + (shard_size + 1) session spans + slack.
-  Duration timeline_horizon{0};
 };
 
 class ShardedRunner {
@@ -71,12 +67,13 @@ class ShardedRunner {
       const std::vector<ShardedCampaign>& campaigns);
 
  private:
-  /// Shared-world schedule: record the WorldTimeline once, then advance
-  /// all shards epoch by epoch — parallel_invoke runs every shard up to
-  /// the epoch deadline, then (at the barrier, in shard order) each
-  /// shard's load ledger merges into the campaign EpochLoadBoard, so the
-  /// next epoch's sessions see the previous epoch's total load. Merging
-  /// in shard order keeps the result byte-identical for any thread count.
+  /// Shared-world schedule: record the WorldTimeline once (horizon:
+  /// world_horizon(base, shard_size)), then advance all shards epoch by
+  /// epoch — parallel_invoke runs every shard up to the epoch deadline,
+  /// then (at the barrier, in shard order) each shard's load ledger
+  /// merges into the campaign EpochLoadBoard, so the next epoch's
+  /// sessions see the previous epoch's total load. Merging in shard order
+  /// keeps the result byte-identical for any thread count.
   CampaignResult run_shared(const ShardedCampaign& campaign);
 
   int threads_;

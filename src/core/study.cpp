@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 
 #include "obs/attrib.h"
 #include "obs/slo.h"
@@ -48,37 +49,66 @@ client::DeviceConfig Study::galaxy_s4() {
   return d;
 }
 
-Study::Study(const StudyConfig& cfg)
-    : cfg_(cfg),
-      rng_(cfg.seed),
-      own_world_(std::make_unique<service::World>(sim_, cfg.world,
-                                                  cfg.seed ^ 0x0170BB57ull)),
-      world_view_(own_world_.get()),
-      servers_(cfg.seed ^ 0x5EEDull),
-      api_(*world_view_, servers_, cfg.api) {
-  servers_.load_ledger().set_epoch_length(cfg_.load.epoch_length);
-  obs_.trace.set_enabled(obs::trace_enabled());
-  obs_.log.set_enabled(obs::metrics_enabled());
-  api_.set_obs(obs_ptr());
-  init_faults();
-  init_aggregate(nullptr);
+Duration world_horizon(const StudyConfig& cfg, int sessions) {
+  const double span_s = to_s(cfg.preroll) + to_s(cfg.watch_time) + 10.0;
+  Duration horizon = seconds(30 + span_s * (sessions + 1) + 120);
+  if (cfg.aggregate.enabled && cfg.aggregate.gen.horizon > horizon) {
+    horizon = cfg.aggregate.gen.horizon;
+  }
+  return horizon;
 }
 
-Study::Study(const StudyConfig& cfg, const SharedWorldContext& shared)
+WorldContext own_world(const StudyConfig& cfg, int sessions) {
+  WorldContext ctx;
+  const std::uint64_t world_seed = cfg.seed ^ 0x0170BB57ull;
+  const Duration horizon = world_horizon(cfg, sessions);
+  ctx.timeline = service::WorldTimeline::record(cfg.world, world_seed,
+                                                horizon,
+                                                cfg.load.epoch_length);
+  ctx.campaign_seed = cfg.seed;
+  if (!cfg.aggregate.enabled) return ctx;
+  // The private audience integrates up to its recording's horizon, which
+  // must stay the flash-crowd horizon; a longer world needs a second,
+  // longer recording of the same process.
+  const auto audience_timeline =
+      cfg.aggregate.gen.horizon == horizon
+          ? ctx.timeline
+          : service::WorldTimeline::record(cfg.world, world_seed,
+                                           cfg.aggregate.gen.horizon,
+                                           cfg.load.epoch_length);
+  const service::MediaServerPool pool(cfg.seed ^ 0x5EEDull);
+  ctx.aggregate = std::make_shared<service::AggregateAudience>(
+      audience_timeline, service::make_flash_crowd_schedule(cfg.aggregate),
+      pool, cfg.aggregate, cfg.load.epoch_length);
+  auto board =
+      std::make_shared<service::EpochLoadBoard>(cfg.load.epoch_length);
+  for (std::size_t e = 0; e < ctx.aggregate->ledger().epoch_count(); ++e) {
+    board->merge_epoch(e, ctx.aggregate->ledger());
+  }
+  ctx.load_board = std::move(board);
+  return ctx;
+}
+
+Study::Study(const StudyConfig& cfg, WorldContext world)
     : cfg_(cfg),
       rng_(cfg.seed),
-      replay_world_(
-          std::make_unique<service::ReplayWorld>(sim_, shared.timeline)),
-      world_view_(replay_world_.get()),
-      load_board_(shared.load_board),
-      servers_(shared.campaign_seed ^ 0x5EEDull),
-      api_(*world_view_, servers_, cfg.api) {
+      world_(sim_, std::move(world.timeline)),
+      load_board_(std::move(world.load_board)),
+      aggregate_(std::move(world.aggregate)),
+      servers_(world.campaign_seed ^ 0x5EEDull),
+      api_(world_, servers_, cfg.api) {
   servers_.load_ledger().set_epoch_length(cfg_.load.epoch_length);
   obs_.trace.set_enabled(obs::trace_enabled());
   obs_.log.set_enabled(obs::metrics_enabled());
   api_.set_obs(obs_ptr());
   init_faults();
-  init_aggregate(&shared);
+  if (aggregate_ != nullptr) {
+    api_.set_viewer_overlay(
+        [agg = aggregate_.get()](const service::BroadcastInfo& b,
+                                 TimePoint t) {
+          return agg->extra_viewers_at(b, t);
+        });
+  }
 }
 
 void Study::init_faults() {
@@ -111,39 +141,6 @@ void Study::init_faults() {
                         fault::kind_name(e.kind)))
           .add(1);
     }
-  }
-}
-
-void Study::init_aggregate(const SharedWorldContext* shared) {
-  if (!cfg_.aggregate.enabled) return;
-  if (shared != nullptr) {
-    aggregate_ = shared->aggregate;
-  } else {
-    // Independent mode: every shard freezes its *own* world process (the
-    // exact process own_world_ runs live — same config, same seed
-    // derivation) and integrates a private fluid audience over it. All
-    // fluid epochs pre-merge into a study-local board, so sessions pay
-    // the aggregate load penalties from epoch 1 on even without the
-    // shared-world barrier schedule.
-    const auto tl = service::WorldTimeline::record(
-        cfg_.world, cfg_.seed ^ 0x0170BB57ull, cfg_.aggregate.gen.horizon,
-        cfg_.load.epoch_length);
-    aggregate_ = std::make_shared<service::AggregateAudience>(
-        tl, service::make_flash_crowd_schedule(cfg_.aggregate), servers_,
-        cfg_.aggregate, cfg_.load.epoch_length);
-    own_board_ =
-        std::make_unique<service::EpochLoadBoard>(cfg_.load.epoch_length);
-    for (std::size_t e = 0; e < aggregate_->ledger().epoch_count(); ++e) {
-      own_board_->merge_epoch(e, aggregate_->ledger());
-    }
-    load_board_ = own_board_.get();
-  }
-  if (aggregate_ != nullptr) {
-    api_.set_viewer_overlay(
-        [agg = aggregate_.get()](const service::BroadcastInfo& b,
-                                 TimePoint t) {
-          return agg->extra_viewers_at(b, t);
-        });
   }
 }
 
@@ -201,7 +198,16 @@ void Study::report_playback_meta(const client::SessionStats& st) {
 std::optional<SessionRecord> Study::run_one_session(client::Device& device,
                                                     bool analyze) {
   const Duration need = cfg_.preroll + cfg_.watch_time + seconds(5);
-  const service::BroadcastInfo* b = world_view_->teleport(rng_, need);
+  // Past its recorded horizon the timeline is frozen (no arrivals, no
+  // departures): a session there would silently watch a dead world.
+  const Duration horizon = world_.timeline().horizon();
+  if (to_s(sim_.now() + need) > to_s(horizon)) {
+    throw std::logic_error(
+        strf("Study: session at t=%.3f s needs the world until t=%.3f s, "
+             "past the recorded horizon of %.3f s",
+             to_s(sim_.now()), to_s(sim_.now() + need), to_s(horizon)));
+  }
+  const service::BroadcastInfo* b = world_.teleport(rng_, need);
   if (b == nullptr) return std::nullopt;
   const TimePoint session_begin = sim_.now();
 
@@ -530,9 +536,8 @@ void Study::purge_retired() {
 CampaignResult Study::run_campaign(int n, BitRate bandwidth_limit,
                                    const client::DeviceConfig& device_cfg,
                                    bool analyze) {
-  if (!world_started_) {
-    if (own_world_) own_world_->start();
-    world_started_ = true;
+  if (!warmed_up_) {
+    warmed_up_ = true;
     sim_.run_until(sim_.now() + seconds(30));
   }
   devices_.push_back(
@@ -555,9 +560,8 @@ void Study::begin_campaign(BitRate bandwidth_limit, bool two_device,
                            const client::DeviceConfig& device_cfg) {
   if (campaign_begun_) return;
   campaign_begun_ = true;
-  if (!world_started_) {
-    if (own_world_) own_world_->start();
-    world_started_ = true;
+  if (!warmed_up_) {
+    warmed_up_ = true;
     sim_.run_until(sim_.now() + seconds(30));
   }
   if (two_device) {

@@ -1,7 +1,8 @@
 // Study: the top-level facade tying the whole reproduction together.
 //
-// A Study owns one simulation, one world, the API server and the media
-// server pools, and can run:
+// A Study owns one simulation, one replayed world (a recorded
+// WorldTimeline, see WorldContext), the API server and the media server
+// pools, and can run:
 //   * automated viewing campaigns (the paper's adb Teleport script:
 //     teleport -> watch 60 s -> close -> repeat, with tcpdump capture and
 //     a mitmproxy logging playbackMeta) — the data of §5;
@@ -26,18 +27,18 @@
 #include "service/load.h"
 #include "service/pipeline.h"
 #include "service/servers.h"
-#include "service/world.h"
 #include "service/world_timeline.h"
 #include "sim/simulation.h"
 #include "util/buffer.h"
 
 namespace psc::core {
 
-/// How a sharded campaign treats the world and the servers.
-///  * independent_worlds — each shard simulates its own World and its own
-///    unloaded servers (PR-1 behaviour, the default). Fastest; sessions in
-///    different shards can never interact.
-///  * shared_world — every shard replays one recorded WorldTimeline and
+/// How a sharded campaign treats the world and the servers. Every shard
+/// replays a recorded WorldTimeline either way; the modes differ in whose.
+///  * independent_worlds — each shard records and replays its own world
+///    (own_world()) and runs against its own unloaded servers (the
+///    default). Fastest; sessions in different shards can never interact.
+///  * shared_world — every shard replays one campaign-wide timeline and
 ///    contends for one set of servers via epoch-reconciled load. Sessions
 ///    in different shards observe the same broadcasts and each other's
 ///    server load (one epoch late).
@@ -68,7 +69,8 @@ struct StudyConfig {
   /// been running for a while when a viewer joins).
   Duration preroll = seconds(16);
   /// Campaign mode (see CampaignMode). Only consulted by the sharded
-  /// runner; a standalone Study always behaves like independent_worlds.
+  /// runner; a standalone Study runs on whatever WorldContext it is given
+  /// (usually own_world(), i.e. independent_worlds).
   CampaignMode mode = CampaignMode::independent_worlds;
   /// Epoch length + load->latency model for shared_world campaigns.
   service::EpochLoadConfig load;
@@ -82,20 +84,39 @@ struct StudyConfig {
   service::AggregateConfig aggregate;
 };
 
-/// Everything a shard of a shared-world campaign shares with its
-/// siblings: the recorded world and the merged load of past epochs.
-struct SharedWorldContext {
+/// The world a Study runs in: the recorded timeline it replays, the
+/// merged load it prices sessions against and the fluid audience on top.
+/// A shared-world shard gets the campaign's context from the runner; an
+/// independent shard builds its own with own_world().
+struct WorldContext {
   std::shared_ptr<const service::WorldTimeline> timeline;
-  /// Campaign-global merged load; may be nullptr (load feedback off).
-  /// Only epochs the scheduler has already merged are ever read.
-  const service::EpochLoadBoard* load_board = nullptr;
-  /// The *campaign* seed (not the shard seed): server pools must be
-  /// identical in every shard so load accounts key to the same ips.
+  /// Merged load of past epochs; may be nullptr (load feedback off).
+  /// Only epochs the owner has already merged are ever read.
+  std::shared_ptr<const service::EpochLoadBoard> load_board;
+  /// Seeds the server pool (`campaign_seed ^ 0x5EED`). In a shared-world
+  /// campaign this is the *campaign* seed, so every shard's pool is
+  /// identical and load accounts key to the same ips.
   std::uint64_t campaign_seed = 0;
-  /// Fluid audience over the campaign timeline, built once by the runner
-  /// (immutable, read lock-free by all shards); nullptr = tier off.
+  /// Fluid audience over the timeline (immutable, read lock-free by all
+  /// shards); nullptr = tier off.
   std::shared_ptr<const service::AggregateAudience> aggregate;
 };
+
+/// How much world history a Study running `sessions` teleport-watch-close
+/// cycles needs recorded: the 30 s warmup, one cycle (preroll + watch +
+/// close/home pacing) per session plus a spare one, and slack for join
+/// time and no-broadcast retries — raised to the flash-crowd horizon when
+/// the fluid tier is on, since a shared-world campaign's audience
+/// integrates over the same recording. A session that would outrun the
+/// recorded horizon throws std::logic_error.
+Duration world_horizon(const StudyConfig& cfg, int sessions);
+
+/// An independent shard's context: its own world (seed `cfg.seed ^
+/// 0x0170BB57`) recorded over world_horizon(cfg, sessions), its own server
+/// seed and, with the fluid tier on, a private audience whose load is
+/// pre-merged into a private board, so sessions pay the aggregate load
+/// penalties from epoch 1 on without the shared-world barrier schedule.
+WorldContext own_world(const StudyConfig& cfg, int sessions);
 
 /// One completed viewing session: the app-reported stats plus the offline
 /// capture reconstruction.
@@ -169,13 +190,10 @@ struct CampaignResult {
 
 class Study {
  public:
-  explicit Study(const StudyConfig& cfg);
-
-  /// A shared-world shard: the world is a ReplayWorld over
-  /// `shared.timeline`, the server pool is seeded from the campaign seed
-  /// (identical in every shard), and sessions run against the load in
-  /// `shared.load_board` while contributing to this shard's ledger.
-  Study(const StudyConfig& cfg, const SharedWorldContext& shared);
+  /// The world is a ReplayWorld over `world.timeline`, the server pool is
+  /// seeded from `world.campaign_seed`, and sessions run against the load
+  /// in `world.load_board` while contributing to this shard's ledger.
+  Study(const StudyConfig& cfg, WorldContext world);
 
   /// Run `n` sequential Teleport sessions on `device_cfg` with the given
   /// downlink cap (0 => unlimited). Captures are reconstructed when
@@ -190,9 +208,8 @@ class Study {
                                          bool analyze = true);
 
   /// --- Epoch-stepped driving (shared-world campaigns) ---
-  /// Start the world (independent mode), run the 30 s warmup and create
-  /// the campaign devices (S3+S4 alternating when `two_device`, else
-  /// `device_cfg`). Idempotent.
+  /// Run the 30 s warmup and create the campaign devices (S3+S4
+  /// alternating when `two_device`, else `device_cfg`). Idempotent.
   void begin_campaign(BitRate bandwidth_limit, bool two_device,
                       const client::DeviceConfig& device_cfg);
   /// Run whole sessions — teleport, watch, close — while the sim clock is
@@ -229,10 +246,7 @@ class Study {
   }
 
   sim::Simulation& sim() { return sim_; }
-  /// The live world — only valid in independent mode (a shared-world
-  /// shard has a ReplayWorld instead; use world_view()).
-  service::World& world() { return *own_world_; }
-  service::WorldView& world_view() { return *world_view_; }
+  service::WorldView& world_view() { return world_; }
   service::ApiServer& api() { return api_; }
   service::MediaServerPool& servers() { return servers_; }
   const StudyConfig& config() const { return cfg_; }
@@ -247,14 +261,8 @@ class Study {
       client::Device& device, bool analyze);
 
   /// Build the fault plan + injector from cfg_.fault and hook the API
-  /// server. Called from both constructors; no-op when faults are off.
+  /// server. No-op when faults are off.
   void init_faults();
-  /// Attach the aggregate audience tier (no-op when off): take the
-  /// campaign's shared audience, or — independent mode — record this
-  /// shard's own world process and integrate a private one, pre-merging
-  /// its fluid load into a study-local board. Hooks the API viewer
-  /// overlay either way.
-  void init_aggregate(const SharedWorldContext* shared);
   /// accessVideo with the client's API retry ladder (5xx under injected
   /// faults -> capped exponential backoff). Returns the response, or
   /// nullopt when the retry budget is exhausted.
@@ -287,17 +295,9 @@ class Study {
   /// Single-writer observability bundle, owned like the RNG and the sim:
   /// one per shard, merged in shard order by the runner.
   obs::Obs obs_;
-  /// Exactly one of own_world_/replay_world_ is set; world_view_ points
-  /// at whichever it is.
-  std::unique_ptr<service::World> own_world_;
-  std::unique_ptr<service::ReplayWorld> replay_world_;
-  service::WorldView* world_view_ = nullptr;
-  const service::EpochLoadBoard* load_board_ = nullptr;
-  /// Fluid audience (shared from the runner, or privately built in
-  /// independent mode); own_board_ holds the pre-merged fluid load in
-  /// the latter case and load_board_ points at it.
+  service::ReplayWorld world_;
+  std::shared_ptr<const service::EpochLoadBoard> load_board_;
   std::shared_ptr<const service::AggregateAudience> aggregate_;
-  std::unique_ptr<service::EpochLoadBoard> own_board_;
   service::MediaServerPool servers_;
   service::ApiServer api_;
   /// Fault subsystem (set iff cfg_.fault.enabled): one immutable plan +
@@ -308,7 +308,7 @@ class Study {
   /// Destroy retired objects whose event horizon has passed.
   void purge_retired();
 
-  bool world_started_ = false;
+  bool warmed_up_ = false;
   bool campaign_begun_ = false;
   int epoch_attempted_ = 0;
   std::size_t session_counter_ = 0;

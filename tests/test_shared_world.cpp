@@ -163,6 +163,59 @@ TEST_F(ReplayEquivalenceTest, GcBoundaryReplaysExactly) {
   EXPECT_GT(probed, 0u) << "no GC'd replayable broadcast in the horizon";
 }
 
+// ---------------- Recording prefix ----------------
+
+TEST(WorldTimelinePrefix, LongerRecordingAgreesBeforeTheShorterHorizon) {
+  // Recordings of one world are sized to their consumer (a shard's
+  // sessions, a fluid audience's horizon), so the same (cfg, seed) is
+  // recorded to different horizons. That is sound only if everything a
+  // client observes before the shorter horizon is independent of how far
+  // past it the recording ran.
+  constexpr std::uint64_t kSeed = 523;
+  constexpr double kShortS = 600;
+  WorldConfig cfg = small_world();
+  cfg.target_concurrent = 300;
+  const auto short_tl =
+      WorldTimeline::record(cfg, kSeed, seconds(kShortS), seconds(120));
+  const auto long_tl =
+      WorldTimeline::record(cfg, kSeed, seconds(2 * kShortS), seconds(120));
+  sim::Simulation short_sim;
+  sim::Simulation long_sim;
+  const ReplayWorld short_world(short_sim, short_tl);
+  const ReplayWorld long_world(long_sim, long_tl);
+  const geo::GeoRect probes[] = {geo::GeoRect::world(), {30, 60, -10, 40}};
+  Rng rng_short(91);
+  Rng rng_long(91);
+  int probed = 0;
+  for (double t = 0; t < kShortS; t += 37, ++probed) {
+    short_sim.run_until(time_at(t));
+    long_sim.run_until(time_at(t));
+    ASSERT_EQ(short_world.live_count(), long_world.live_count()) << t;
+    for (const geo::GeoRect& rect : probes) {
+      for (bool include_replays : {false, true}) {
+        const auto a = short_world.query_rect(rect, include_replays);
+        const auto b = long_world.query_rect(rect, include_replays);
+        ASSERT_EQ(a.size(), b.size()) << "t=" << t;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          ASSERT_EQ(a[i]->id, b[i]->id) << "t=" << t;
+          const BroadcastInfo* found = long_world.find(a[i]->id);
+          ASSERT_NE(found, nullptr) << a[i]->id;
+          EXPECT_EQ(found->start_time, a[i]->start_time);
+        }
+      }
+    }
+    for (int i = 0; i < 4; ++i) {
+      const BroadcastInfo* a = short_world.teleport(rng_short, seconds(81));
+      const BroadcastInfo* b = long_world.teleport(rng_long, seconds(81));
+      ASSERT_EQ(a == nullptr, b == nullptr) << "t=" << t;
+      if (a != nullptr) {
+        EXPECT_EQ(a->id, b->id) << "t=" << t;
+      }
+    }
+  }
+  EXPECT_GT(probed, 15);
+}
+
 // ---------------- Epoch load accounts ----------------
 
 TEST(EpochLoadLedger, SessionSplitsAcrossEpochsProportionally) {

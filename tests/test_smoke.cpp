@@ -16,7 +16,8 @@ core::StudyConfig small_config() {
 }
 
 TEST(Smoke, CampaignProducesSessions) {
-  core::Study study(small_config());
+  const core::StudyConfig cfg = small_config();
+  core::Study study(cfg, core::own_world(cfg, 3));
   const core::CampaignResult result =
       study.run_campaign(3, /*bandwidth_limit=*/0, core::Study::galaxy_s4());
   ASSERT_GE(result.sessions.size(), 2u);
@@ -41,7 +42,7 @@ TEST(Smoke, HlsSessionWorks) {
   core::StudyConfig cfg = small_config();
   // Force HLS by lowering the fallback threshold to zero viewers.
   cfg.api.hls_viewer_threshold = 0;
-  core::Study study(cfg);
+  core::Study study(cfg, core::own_world(cfg, 2));
   const core::CampaignResult result =
       study.run_campaign(2, 0, core::Study::galaxy_s4());
   ASSERT_GE(result.sessions.size(), 1u);

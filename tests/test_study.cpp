@@ -1,6 +1,10 @@
 // Study-level integration tests: protocol selection under Teleport,
-// bandwidth sweeps, the S3-vs-S4 Welch comparison, playbackMeta quirks.
+// bandwidth sweeps, the S3-vs-S4 Welch comparison, playbackMeta quirks,
+// and the one world path (own_world, world_horizon, horizon overrun).
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
 
 #include "analysis/stats.h"
 #include "core/study.h"
@@ -16,8 +20,13 @@ StudyConfig medium_config(std::uint64_t seed = 99) {
   return cfg;
 }
 
+/// A standalone Study over its own world, recorded for `sessions` cycles.
+Study study_of(const StudyConfig& cfg, int sessions) {
+  return Study(cfg, own_world(cfg, sessions));
+}
+
 TEST(Study, TeleportCampaignMixesProtocols) {
-  Study study(medium_config(1));
+  Study study = study_of(medium_config(1), 16);
   const CampaignResult result =
       study.run_campaign(16, 0, Study::galaxy_s4(), /*analyze=*/false);
   ASSERT_GE(result.sessions.size(), 12u);
@@ -29,7 +38,7 @@ TEST(Study, TeleportCampaignMixesProtocols) {
 }
 
 TEST(Study, HlsOnlyForPopularBroadcasts) {
-  Study study(medium_config(2));
+  Study study = study_of(medium_config(2), 14);
   const CampaignResult result =
       study.run_campaign(14, 0, Study::galaxy_s4(), false);
   for (const SessionRecord& r : result.sessions) {
@@ -42,7 +51,7 @@ TEST(Study, HlsOnlyForPopularBroadcasts) {
 }
 
 TEST(Study, PlaybackMetaReportedPerSession) {
-  Study study(medium_config(3));
+  Study study = study_of(medium_config(3), 6);
   const CampaignResult result =
       study.run_campaign(6, 0, Study::galaxy_s4(), false);
   const auto& metas = study.api().playback_metas();
@@ -61,7 +70,7 @@ TEST(Study, PlaybackMetaReportedPerSession) {
 }
 
 TEST(Study, BandwidthLimitDegradesQoE) {
-  Study study(medium_config(4));
+  Study study = study_of(medium_config(4), 16);
   const CampaignResult unlimited =
       study.run_campaign(8, 0, Study::galaxy_s4(), false);
   const CampaignResult limited =
@@ -84,7 +93,7 @@ TEST(Study, BandwidthLimitDegradesQoE) {
 TEST(Study, TwoDeviceFrameRatesDifferButStallsDoNot) {
   // The paper's Welch t-tests: frame rate differs significantly between
   // S3 and S4; stalling and latency do not.
-  Study study(medium_config(5));
+  Study study = study_of(medium_config(5), 20);
   const CampaignResult s3 =
       study.run_campaign(10, 0, Study::galaxy_s3(), false);
   const CampaignResult s4 =
@@ -105,7 +114,7 @@ TEST(Study, TwoDeviceFrameRatesDifferButStallsDoNot) {
 }
 
 TEST(Study, SessionsWatchSixtySeconds) {
-  Study study(medium_config(6));
+  Study study = study_of(medium_config(6), 4);
   const CampaignResult result =
       study.run_campaign(4, 0, Study::galaxy_s4(), false);
   for (const SessionRecord& r : result.sessions) {
@@ -117,8 +126,8 @@ TEST(Study, SessionsWatchSixtySeconds) {
 }
 
 TEST(Study, DeterministicForSeed) {
-  Study a(medium_config(7));
-  Study b(medium_config(7));
+  Study a = study_of(medium_config(7), 3);
+  Study b = study_of(medium_config(7), 3);
   const CampaignResult ra = a.run_campaign(3, 0, Study::galaxy_s4(), false);
   const CampaignResult rb = b.run_campaign(3, 0, Study::galaxy_s4(), false);
   ASSERT_EQ(ra.sessions.size(), rb.sessions.size());
@@ -133,7 +142,7 @@ TEST(Study, DeterministicForSeed) {
 }
 
 TEST(Study, RtmpServersVaryHlsEdgesDoNot) {
-  Study study(medium_config(8));
+  Study study = study_of(medium_config(8), 14);
   const CampaignResult result =
       study.run_campaign(14, 0, Study::galaxy_s4(), false);
   std::set<std::string> rtmp_ips, hls_ips;
@@ -152,7 +161,7 @@ TEST(Study, RtmpServersVaryHlsEdgesDoNot) {
 TEST(Study, AdaptiveHlsCampaignRidesLadderWhenLimited) {
   StudyConfig cfg = medium_config(9);
   cfg.hls_adaptive = true;
-  Study study(cfg);
+  Study study = study_of(cfg, 18);
   // 0.3 Mbps: the source rendition does not fit; adaptive HLS sessions
   // should still play most of the minute.
   const CampaignResult result =
@@ -169,6 +178,72 @@ TEST(Study, AdaptiveHlsCampaignRidesLadderWhenLimited) {
     }
   }
   EXPECT_GT(hls_sessions, 0);
+}
+
+// ---------------- One world path ----------------
+
+TEST(WorldHorizon, PinsTheDefaultTwelveSessionShard) {
+  // 30 s warmup + 13 cycles of (16 s preroll + 60 s watch + 10 s) + 120 s.
+  // bench/suite keeps a copy of this rule (campaign_horizon) to rebuild
+  // independent shards' fluid audiences; a change here must reach it.
+  EXPECT_DOUBLE_EQ(to_s(world_horizon(StudyConfig{}, 12)), 1268.0);
+}
+
+TEST(WorldHorizon, RaisedToTheFluidHorizonOnlyWhenTheTierIsOn) {
+  StudyConfig cfg;
+  cfg.aggregate.gen.horizon = seconds(5000);
+  EXPECT_DOUBLE_EQ(to_s(world_horizon(cfg, 2)), 30 + 3 * 86 + 120);
+  cfg.aggregate.enabled = true;
+  EXPECT_DOUBLE_EQ(to_s(world_horizon(cfg, 2)), 5000.0);
+  EXPECT_DOUBLE_EQ(to_s(world_horizon(cfg, 100)), 30 + 101 * 86 + 120);
+}
+
+TEST(OwnWorld, RecordsOnceWhenWorldAndAudienceHorizonsMatch) {
+  StudyConfig cfg = medium_config(11);
+  WorldContext plain = own_world(cfg, 3);
+  EXPECT_DOUBLE_EQ(to_s(plain.timeline->horizon()),
+                   to_s(world_horizon(cfg, 3)));
+  EXPECT_EQ(plain.campaign_seed, cfg.seed);
+  EXPECT_EQ(plain.aggregate, nullptr);
+  EXPECT_EQ(plain.load_board, nullptr);
+
+  cfg.aggregate.gen.horizon = world_horizon(cfg, 3);
+  cfg.aggregate.enabled = true;
+  const WorldContext same = own_world(cfg, 3);
+  ASSERT_NE(same.aggregate, nullptr);
+  ASSERT_NE(same.load_board, nullptr);
+  // The audience shares the world's recording.
+  EXPECT_GT(same.timeline.use_count(), 1);
+
+  // More sessions need a longer world than the fluid horizon: the
+  // audience keeps its own, shorter recording.
+  const WorldContext longer = own_world(cfg, 6);
+  ASSERT_NE(longer.aggregate, nullptr);
+  EXPECT_EQ(longer.timeline.use_count(), 1);
+  EXPECT_DOUBLE_EQ(to_s(longer.timeline->horizon()),
+                   to_s(world_horizon(cfg, 6)));
+}
+
+TEST(OwnWorld, OutrunningTheRecordedHorizonThrows) {
+  // Past its horizon a timeline is frozen; a session there must fail
+  // loudly instead of watching a world with no arrivals or departures.
+  const StudyConfig cfg = medium_config(12);
+  WorldContext world;
+  world.timeline = service::WorldTimeline::record(
+      cfg.world, cfg.seed ^ 0x0170BB57ull, seconds(200),
+      cfg.load.epoch_length);
+  world.campaign_seed = cfg.seed;
+  Study study(cfg, world);
+  // Warmup to 30 s, then two 81 s cycles end at 192 s: still inside.
+  EXPECT_NO_THROW(study.run_campaign(2, 0, Study::galaxy_s4(), false));
+  try {
+    study.run_campaign(1, 0, Study::galaxy_s4(), false);
+    FAIL() << "a session past the recorded horizon ran silently";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("273.000"), std::string::npos) << what;
+    EXPECT_NE(what.find("200.000"), std::string::npos) << what;
+  }
 }
 
 }  // namespace
