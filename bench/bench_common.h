@@ -125,7 +125,9 @@ inline void set_fault_fields(const std::string& plan, std::uint64_t seed) {
 }
 
 /// Turn the PSC_FAULT_SEED / PSC_FAULT_PLAN env knobs into StudyConfig
-/// fault settings. No-op when neither is set.
+/// fault settings. No-op when neither is set. An unreadable plan file
+/// exits the process (status 2): a run must never report a plan it did
+/// not replay. A malformed one makes the Study constructor throw.
 inline void apply_fault_env(core::StudyConfig& cfg) {
   if (!fault_env_enabled()) return;
   cfg.fault.enabled = true;
@@ -142,6 +144,7 @@ inline void apply_fault_env(core::StudyConfig& cfg) {
     } else {
       std::fprintf(stderr, "psc: cannot read PSC_FAULT_PLAN %s\n",
                    path.c_str());
+      std::exit(2);
     }
   }
 }

@@ -78,10 +78,8 @@ int main(int argc, char** argv) {
   const auto timeline = service::WorldTimeline::record(
       base.world, seed ^ 0x0170BB57ull, base.aggregate.gen.horizon,
       base.load.epoch_length);
-  service::MediaServerPool pool(seed ^ 0x5EEDull);
-  const service::AggregateAudience audience(
-      timeline, service::make_flash_crowd_schedule(base.aggregate), pool,
-      base.aggregate, base.load.epoch_length);
+  const auto probe = core::campaign_audience(base, timeline);
+  const service::AggregateAudience& audience = *probe;
 
   std::printf("\nflash-crowd schedule (seed %llu, %zu spikes):\n",
               static_cast<unsigned long long>(base.aggregate.schedule_seed),

@@ -45,17 +45,21 @@ RtmpViewerSession::RtmpViewerSession(sim::Simulation& sim,
                                      const PlayerConfig& player_cfg,
                                      std::uint64_t seed,
                                      Duration extra_origin_latency,
-                                     obs::Obs* obs)
+                                     obs::Obs* obs,
+                                     const fault::Plan& faults,
+                                     const fault::ResilienceConfig& policy)
     : sim_(sim),
       pipe_(pipe),
       device_(device),
       obs_(obs),
       origin_(origin),
+      plan_(faults),
       up_link_(sim, device.config().up_rate,
                path_latency(device.config().location, origin.location)),
       origin_link_(sim, kOriginEgressRate,
                    path_latency(origin.location, device.config().location) +
                        extra_origin_latency),
+      reconnect_backoff_(policy.rtmp_reconnect, Rng(seed ^ 0xFA017u)),
       seed_(seed),
       max_decode_fps_(device.config().max_decode_fps *
                       Rng(seed).uniform(0.94, 1.0)) {
@@ -90,20 +94,16 @@ void RtmpViewerSession::start(Duration watch_time) {
   player_.emplace(player_cfg_, session_start_, pipe_.epoch_s(), obs_,
                   "rtmp");
   sim_.schedule_after(watch_time, [this] { finish(); });
-  if (faults_ != nullptr && faults_->injector != nullptr) {
-    const fault::Injector& inj = *faults_->injector;
-    inj.arm_access_link(up_link_, session_start_, stop_at_);
-    inj.arm_access_link(device_.downlink(), session_start_, stop_at_);
-    // An origin restart resets the TCP connection at the episode start;
-    // the client notices and runs its reconnect ladder.
-    for (const fault::Episode& e : inj.plan().episodes()) {
-      if (e.kind != fault::Kind::OriginRestart) continue;
-      if (e.end() <= session_start_ || e.start >= stop_at_) continue;
-      sim_.schedule_at(std::max(session_start_, e.start),
-                       [this] { drop_connection(); });
-    }
-    reconnect_backoff_.emplace(faults_->policy.rtmp_reconnect,
-                               Rng(seed_ ^ 0xFA017u));
+  fault::arm_access_link(sim_, up_link_, plan_, session_start_, stop_at_);
+  fault::arm_access_link(sim_, device_.downlink(), plan_, session_start_,
+                         stop_at_);
+  // An origin restart resets the TCP connection at the episode start;
+  // the client notices and runs its reconnect ladder.
+  for (const fault::Episode& e : plan_.episodes()) {
+    if (e.kind != fault::Kind::OriginRestart) continue;
+    if (e.end() <= session_start_ || e.start >= stop_at_) continue;
+    sim_.schedule_at(std::max(session_start_, e.start),
+                     [this] { drop_connection(); });
   }
   pump();
 }
@@ -168,7 +168,7 @@ void RtmpViewerSession::drop_connection() {
 
 void RtmpViewerSession::schedule_reconnect() {
   if (finished_) return;
-  if (!reconnect_backoff_ || reconnect_backoff_->exhausted()) {
+  if (reconnect_backoff_.exhausted()) {
     give_up();
     return;
   }
@@ -177,7 +177,7 @@ void RtmpViewerSession::schedule_reconnect() {
     obs_->log.log(obs::EventKind::Retry, to_s(sim_.now()),
                   static_cast<double>(retry_attempts_), 0, "rtmp");
   }
-  const Duration delay = reconnect_backoff_->next();
+  const Duration delay = reconnect_backoff_.next();
   sim_.schedule_after(delay, [this, gen = conn_gen_] {
     // A newer drop supersedes this attempt (its own ladder is running).
     if (finished_ || gen != conn_gen_) return;
@@ -186,14 +186,13 @@ void RtmpViewerSession::schedule_reconnect() {
 }
 
 void RtmpViewerSession::attempt_reconnect() {
-  const fault::Injector& inj = *faults_->injector;
-  if (inj.origin_restarting(sim_.now())) {
+  if (plan_.origin_restarting(sim_.now())) {
     // Still down: connection refused, keep climbing the ladder.
     schedule_reconnect();
     return;
   }
   ++reconnects_;
-  reconnect_backoff_->reset();
+  reconnect_backoff_.reset();
   if (obs_ != nullptr) {
     obs_->metrics.counter("rtmp_reconnects_total").add(1);
     obs_->trace.instant("fault", "rtmp reconnect", sim_.now());
@@ -255,12 +254,16 @@ HlsViewerSession::HlsViewerSession(sim::Simulation& sim,
                                    const PlayerConfig& player_cfg,
                                    std::uint64_t seed, Mode mode,
                                    bool adaptive, Duration extra_a_latency,
-                                   Duration extra_b_latency, obs::Obs* obs)
+                                   Duration extra_b_latency, obs::Obs* obs,
+                                   const fault::Plan& faults,
+                                   const fault::ResilienceConfig* resilience)
     : sim_(sim),
       pipe_(pipe),
       device_(device),
       obs_(obs),
-      edge_server_("fastly.periscope.tv"),
+      plan_(faults),
+      resilience_(resilience),
+      edge_server_("fastly.periscope.tv", faults),
       edge_a_link_(sim, 400e6,
                    path_latency(edge_a.location, device.config().location) +
                        extra_a_latency),
@@ -287,15 +290,9 @@ void HlsViewerSession::start(Duration watch_time) {
   player_.emplace(player_cfg_, session_start_, pipe_.epoch_s(), obs_,
                   "hls");
   sim_.schedule_at(stop_at_, [this] { finish(); });
-  if (faults_ != nullptr && faults_->injector != nullptr) {
-    const fault::Injector& inj = *faults_->injector;
-    inj.arm_access_link(up_link_, session_start_, stop_at_);
-    inj.arm_access_link(device_.downlink(), session_start_, stop_at_);
-    // Whole-CDN outages 503 every request (playlists included); per-edge
-    // outages are checked per segment fetch so the client can fail over
-    // to the other edge.
-    edge_server_.set_fault_hook(inj.edge_hook());
-  }
+  fault::arm_access_link(sim_, up_link_, plan_, session_start_, stop_at_);
+  fault::arm_access_link(sim_, device_.downlink(), plan_, session_start_,
+                         stop_at_);
   if (adaptive_ && pipe_.rendition_count() > 1) {
     // Fetch the master playlist first; start at the lowest rendition and
     // let the throughput estimator ramp up.
@@ -470,11 +467,11 @@ void HlsViewerSession::issue_fetch(std::uint64_t seq, std::size_t rendition,
   const TimePoint fetch_start = sim_.now();
   const std::uint64_t fid = ++fetch_counter_;
   live_fetches_.insert(fid);
-  if (faults_ != nullptr) {
+  if (resilience_ != nullptr) {
     // Abandon the attempt if nothing came back within the fetch timeout
     // (e.g. the radio blacked out mid-download) and run the retry ladder.
     fetch_timeouts_[fid] = sim_.schedule_after(
-        faults_->policy.hls_fetch_timeout,
+        resilience_->hls_fetch_timeout,
         [this, fid, seq, rendition, attempt, edge_idx] {
           if (live_fetches_.erase(fid) == 0) return;  // already settled
           fetch_timeouts_.erase(fid);
@@ -504,17 +501,18 @@ void HlsViewerSession::issue_fetch(std::uint64_t seq, std::size_t rendition,
       return;
     }
     http::Response resp = edge_server_.handle(seg_req, t_edge);
-    if (resp.status == 200 && faults_ != nullptr &&
-        faults_->injector->edge_down(edge_idx, t_edge)) {
+    if (resp.status == 200 && plan_.edge_down(edge_idx, t_edge)) {
       // This PoP (only) is down; the edge frontend object serves both
-      // logical edges, so the single-edge outage is applied here.
+      // logical edges and 503s only whole-CDN outages (playlists
+      // included), so the single-edge outage is applied here and the
+      // client can fail over to the other edge.
       resp = http::Response();
       resp.status = 503;
       resp.reason = http::reason_for(503);
     }
     if (resp.status != 200) {
       // 404: not on the edge (yet); the client backs off and re-polls.
-      // 5xx under faults: retry with backoff on the other edge.
+      // 5xx under faults: retry with backoff on the other edge (or drop).
       if (obs_ != nullptr) {
         obs_->log.log(obs::EventKind::FetchOutcome, to_s(sim_.now()),
                       resp.status, edge_idx);
@@ -576,13 +574,13 @@ void HlsViewerSession::settle_fetch(std::uint64_t fid) {
 void HlsViewerSession::handle_fetch_failure(std::uint64_t seq,
                                             std::size_t rendition,
                                             int attempt, int edge_idx) {
-  if (faults_ == nullptr || finished_) {
-    // Legacy behaviour: drop the fetch silently; the slot frees and the
-    // next playlist poll moves the client past the hole.
+  if (resilience_ == nullptr || finished_) {
+    // No resilience: drop the fetch; the slot frees and the next
+    // playlist poll moves the client past the hole.
     --in_flight_;
     return;
   }
-  const fault::BackoffConfig& pol = faults_->policy.hls_retry;
+  const fault::BackoffConfig& pol = resilience_->hls_retry;
   if (pol.max_attempts > 0 && attempt + 1 >= pol.max_attempts) {
     // Retry budget exhausted: abandon this segment. Enough abandoned
     // segments in a row and the player gives up entirely.
@@ -591,7 +589,7 @@ void HlsViewerSession::handle_fetch_failure(std::uint64_t seq,
     if (obs_ != nullptr) {
       obs_->metrics.counter("hls_segments_abandoned_total").add(1);
     }
-    if (consecutive_failures_ >= faults_->policy.hls_give_up_after) {
+    if (consecutive_failures_ >= resilience_->hls_give_up_after) {
       give_up();
     }
     return;

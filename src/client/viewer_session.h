@@ -7,13 +7,16 @@
 // rtmp::ServerSession fed by the broadcast pipeline. HlsViewerSession
 // polls the edge playlist and fetches MPEG-TS segments over HTTP.
 //
-// With a fault bundle attached (set_faults, see fault/injector.h) both
-// sessions gain real resilience: the RTMP client reconnects after origin
-// restarts with capped exponential backoff + deterministic jitter, the
-// HLS client refetches timed-out or 5xx'd segments with failover to the
-// other edge, and both give up — ending the session in a defined state —
-// once their retry budgets are exhausted. Without the bundle the legacy
-// (fail-silent) behaviour is preserved bit for bit.
+// Both sessions run under a fault::Plan (the empty plan unless one is
+// given): its radio episodes are armed on the session's access links,
+// origin restarts drop the RTMP connection and edge outages 503 HLS
+// requests. The RTMP client reconnects with capped exponential backoff +
+// deterministic jitter; the HLS client refetches timed-out or 5xx'd
+// segments with failover to the other edge when given a resilience
+// policy, and otherwise drops a failed fetch (the next playlist poll
+// moves past the hole). Both give up — ending the session in a defined
+// state — once their retry budgets are exhausted. Under the empty plan
+// nothing is armed, dropped or refused.
 #pragma once
 
 #include <map>
@@ -24,7 +27,7 @@
 
 #include "client/device.h"
 #include "client/player.h"
-#include "fault/injector.h"
+#include "fault/plan.h"
 #include "http/http.h"
 #include "obs/bundle.h"
 #include "net/capture.h"
@@ -80,7 +83,7 @@ struct SessionStats {
   /// from).
   double server_load_at_join = 0;
 
-  /// Resilience outcome (always Completed when faults are off).
+  /// Resilience outcome (always Completed under the empty plan).
   Outcome outcome = Outcome::Completed;
   /// RTMP: successful reconnects after a dropped connection.
   int reconnects = 0;
@@ -92,9 +95,6 @@ struct SessionStats {
 class ViewerSession {
  public:
   virtual ~ViewerSession() = default;
-  /// Attach the fault bundle (injector + resilience policy). Must be
-  /// called before start(); nullptr (the default) = faults off.
-  virtual void set_faults(const fault::SessionFaults* faults) = 0;
   /// Begin the session at the current sim time; ends after `watch_time`.
   virtual void start(Duration watch_time) = 0;
   virtual bool finished() const = 0;
@@ -113,16 +113,17 @@ class RtmpViewerSession : public ViewerSession {
  public:
   /// `extra_origin_latency` is added to the origin->device path latency —
   /// the shared-world campaign passes the origin's load penalty here.
+  /// `faults` must outlive the session; a connection it drops reconnects
+  /// on `policy`'s ladder.
   RtmpViewerSession(sim::Simulation& sim, service::LiveBroadcastPipeline& pipe,
                     Device& device, const service::MediaServer& origin,
                     const PlayerConfig& player_cfg, std::uint64_t seed,
                     Duration extra_origin_latency = Duration{0},
-                    obs::Obs* obs = nullptr);
+                    obs::Obs* obs = nullptr,
+                    const fault::Plan& faults = fault::Plan::none(),
+                    const fault::ResilienceConfig& policy = {});
   ~RtmpViewerSession() override;
 
-  void set_faults(const fault::SessionFaults* faults) override {
-    faults_ = faults;
-  }
   void start(Duration watch_time) override;
   bool finished() const override { return finished_; }
   SessionStats stats() const override;
@@ -158,7 +159,7 @@ class RtmpViewerSession : public ViewerSession {
   Device& device_;
   obs::Obs* obs_ = nullptr;
   const service::MediaServer& origin_;
-  const fault::SessionFaults* faults_ = nullptr;
+  const fault::Plan& plan_;
   net::Link up_link_;      // client -> origin
   net::Link origin_link_;  // origin -> device access link
   net::Capture capture_;
@@ -166,7 +167,7 @@ class RtmpViewerSession : public ViewerSession {
   std::unique_ptr<rtmp::ClientSession> client_;
   PlayerConfig player_cfg_;
   std::optional<Player> player_;
-  std::optional<fault::Backoff> reconnect_backoff_;
+  fault::Backoff reconnect_backoff_;
   TimePoint session_start_{};
   TimePoint stop_at_{};
   std::uint64_t seed_ = 0;
@@ -194,7 +195,9 @@ class HlsViewerSession : public ViewerSession {
   enum class Mode { Live, Replay };
 
   /// `extra_a_latency`/`extra_b_latency` are added to the respective
-  /// edge->device path latency (shared-world load penalties).
+  /// edge->device path latency (shared-world load penalties). `faults`
+  /// must outlive the session, and so must `resilience` when set: the
+  /// fetch timeout and retry ladder, or nullptr to drop failed fetches.
   HlsViewerSession(sim::Simulation& sim, service::LiveBroadcastPipeline& pipe,
                    Device& device, const service::MediaServer& edge_a,
                    const service::MediaServer& edge_b,
@@ -202,11 +205,10 @@ class HlsViewerSession : public ViewerSession {
                    Mode mode = Mode::Live, bool adaptive = false,
                    Duration extra_a_latency = Duration{0},
                    Duration extra_b_latency = Duration{0},
-                   obs::Obs* obs = nullptr);
+                   obs::Obs* obs = nullptr,
+                   const fault::Plan& faults = fault::Plan::none(),
+                   const fault::ResilienceConfig* resilience = nullptr);
 
-  void set_faults(const fault::SessionFaults* faults) override {
-    faults_ = faults;
-  }
   void start(Duration watch_time) override;
   bool finished() const override { return finished_; }
   SessionStats stats() const override;
@@ -252,7 +254,7 @@ class HlsViewerSession : public ViewerSession {
   /// fetch failed definitively).
   void settle_fetch(std::uint64_t fid);
   /// A fetch came back non-200 or timed out: retry with backoff on the
-  /// other edge (faults on) or drop it silently (legacy behaviour).
+  /// other edge (resilience on) or drop it.
   void handle_fetch_failure(std::uint64_t seq, std::size_t rendition,
                             int attempt, int edge_idx);
   void on_segment(TimePoint t, const service::LiveBroadcastPipeline::
@@ -271,7 +273,8 @@ class HlsViewerSession : public ViewerSession {
   service::LiveBroadcastPipeline& pipe_;
   Device& device_;
   obs::Obs* obs_ = nullptr;
-  const fault::SessionFaults* faults_ = nullptr;
+  const fault::Plan& plan_;
+  const fault::ResilienceConfig* resilience_;
   service::CdnEdge edge_server_;  // HTTP frontend over the edge content
   net::Link edge_a_link_;  // edge A -> device
   net::Link edge_b_link_;  // edge B -> device

@@ -221,10 +221,7 @@ CampaignResult ShardedRunner::run_shared(const ShardedCampaign& c) {
     // over the campaign timeline with the campaign-seed server pool
     // (identical ip space in every shard). Immutable afterwards: shards
     // read it lock-free via the context.
-    service::MediaServerPool campaign_pool(c.base.seed ^ 0x5EEDull);
-    shared.aggregate = std::make_shared<service::AggregateAudience>(
-        timeline, service::make_flash_crowd_schedule(c.base.aggregate),
-        campaign_pool, c.base.aggregate, c.base.load.epoch_length);
+    shared.aggregate = campaign_audience(c.base, timeline);
   }
 
   std::vector<std::unique_ptr<Study>> studies;

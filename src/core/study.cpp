@@ -1,7 +1,6 @@
 #include "core/study.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 
 #include "obs/attrib.h"
@@ -70,16 +69,12 @@ WorldContext own_world(const StudyConfig& cfg, int sessions) {
   // The private audience integrates up to its recording's horizon, which
   // must stay the flash-crowd horizon; a longer world needs a second,
   // longer recording of the same process.
-  const auto audience_timeline =
-      cfg.aggregate.gen.horizon == horizon
-          ? ctx.timeline
-          : service::WorldTimeline::record(cfg.world, world_seed,
-                                           cfg.aggregate.gen.horizon,
-                                           cfg.load.epoch_length);
-  const service::MediaServerPool pool(cfg.seed ^ 0x5EEDull);
-  ctx.aggregate = std::make_shared<service::AggregateAudience>(
-      audience_timeline, service::make_flash_crowd_schedule(cfg.aggregate),
-      pool, cfg.aggregate, cfg.load.epoch_length);
+  ctx.aggregate = campaign_audience(
+      cfg, cfg.aggregate.gen.horizon == horizon
+               ? ctx.timeline
+               : service::WorldTimeline::record(cfg.world, world_seed,
+                                                cfg.aggregate.gen.horizon,
+                                                cfg.load.epoch_length));
   auto board =
       std::make_shared<service::EpochLoadBoard>(cfg.load.epoch_length);
   for (std::size_t e = 0; e < ctx.aggregate->ledger().epoch_count(); ++e) {
@@ -89,53 +84,48 @@ WorldContext own_world(const StudyConfig& cfg, int sessions) {
   return ctx;
 }
 
+std::shared_ptr<const service::AggregateAudience> campaign_audience(
+    const StudyConfig& cfg,
+    std::shared_ptr<const service::WorldTimeline> timeline) {
+  const service::MediaServerPool pool(cfg.seed ^ 0x5EEDull);
+  return std::make_shared<service::AggregateAudience>(
+      std::move(timeline), service::make_flash_crowd_schedule(cfg.aggregate),
+      pool, cfg.aggregate, cfg.load.epoch_length);
+}
+
+namespace {
+
+/// Faults off is the empty plan; on, the plan text when there is one
+/// (a malformed one throws), else the plan generated from the seed.
+fault::Plan make_fault_plan(const fault::FaultConfig& cfg) {
+  if (!cfg.enabled) return fault::Plan();
+  if (cfg.plan_text.empty()) return fault::Plan::generate(cfg.seed, cfg.gen);
+  auto parsed = fault::Plan::parse(cfg.plan_text);
+  if (!parsed) {
+    throw std::invalid_argument("fault plan rejected: " +
+                                parsed.error().message);
+  }
+  return std::move(parsed).value();
+}
+
+}  // namespace
+
 Study::Study(const StudyConfig& cfg, WorldContext world)
     : cfg_(cfg),
+      fault_plan_(make_fault_plan(cfg.fault)),
       rng_(cfg.seed),
       world_(sim_, std::move(world.timeline)),
       load_board_(std::move(world.load_board)),
       aggregate_(std::move(world.aggregate)),
       servers_(world.campaign_seed ^ 0x5EEDull),
-      api_(world_, servers_, cfg.api) {
+      api_(world_, servers_, cfg.api, fault_plan_) {
   servers_.load_ledger().set_epoch_length(cfg_.load.epoch_length);
   obs_.trace.set_enabled(obs::trace_enabled());
   obs_.log.set_enabled(obs::metrics_enabled());
   api_.set_obs(obs_ptr());
-  init_faults();
-  if (aggregate_ != nullptr) {
-    api_.set_viewer_overlay(
-        [agg = aggregate_.get()](const service::BroadcastInfo& b,
-                                 TimePoint t) {
-          return agg->extra_viewers_at(b, t);
-        });
-  }
-}
-
-void Study::init_faults() {
-  if (!cfg_.fault.enabled) return;
-  if (!cfg_.fault.plan_text.empty()) {
-    auto parsed = fault::Plan::parse(cfg_.fault.plan_text);
-    if (parsed) {
-      fault_plan_ =
-          std::make_unique<fault::Plan>(std::move(parsed).value());
-    } else {
-      std::fprintf(stderr,
-                   "psc: fault plan rejected (%s); generating from seed "
-                   "%llu instead\n",
-                   parsed.error().message.c_str(),
-                   static_cast<unsigned long long>(cfg_.fault.seed));
-    }
-  }
-  if (!fault_plan_) {
-    fault_plan_ = std::make_unique<fault::Plan>(
-        fault::Plan::generate(cfg_.fault.seed, cfg_.fault.gen));
-  }
-  injector_ = std::make_unique<fault::Injector>(sim_, *fault_plan_);
-  session_faults_ =
-      fault::SessionFaults{injector_.get(), cfg_.fault.policy};
-  api_.set_fault_hook(injector_->api_hook());
+  api_.set_viewer_overlay(aggregate_.get());
   if (obs::Obs* o = obs_ptr()) {
-    for (const fault::Episode& e : fault_plan_->episodes()) {
+    for (const fault::Episode& e : fault_plan_.episodes()) {
       o->metrics
           .counter(strf("fault_episodes_total{kind=\"%s\"}",
                         fault::kind_name(e.kind)))
@@ -144,10 +134,15 @@ void Study::init_faults() {
   }
 }
 
-std::optional<json::Value> Study::access_video_with_retry(
+std::optional<json::Value> Study::access_video(
     const std::string& broadcast_id, std::size_t session_idx) {
-  fault::Backoff backoff(session_faults_->policy.api_retry,
-                         Rng(rng_.engine()()));
+  // The retry ladder is seeded from one study-RNG draw, so a study
+  // without resilience must not build one: the draw would move every
+  // later record.
+  std::optional<fault::Backoff> backoff;
+  if (const fault::ResilienceConfig* r = resilience()) {
+    backoff.emplace(r->api_retry, Rng(rng_.engine()()));
+  }
   int attempt = 0;
   for (;;) {
     json::Object req;
@@ -161,14 +156,14 @@ std::optional<json::Value> Study::access_video_with_retry(
     const Duration extra = api_.last_injected_latency();
     if (extra > Duration{0}) sim_.run_until(sim_.now() + extra);
     if (status < 500) return access;
-    if (backoff.exhausted()) {
+    if (!backoff || backoff->exhausted()) {
       if (obs::Obs* o = obs_ptr()) {
         o->metrics.counter("api_gave_up_total").add(1);
         o->log.log(obs::EventKind::GaveUp, to_s(sim_.now()), 0, 0, "api");
       }
       return std::nullopt;
     }
-    const Duration delay = backoff.next();
+    const Duration delay = backoff->next();
     ++attempt;
     if (obs::Obs* o = obs_ptr()) {
       o->metrics.counter("api_retries_total").add(1);
@@ -239,33 +234,23 @@ std::optional<SessionRecord> Study::run_one_session(client::Device& device,
     // events recorded before then carry an empty proto.
     o->log.begin_session(session_uid, "", to_s(sim_.now()));
   }
-  json::Value access;
-  if (session_faults_) {
-    auto a = access_video_with_retry(b->id, session_idx);
-    if (!a) {
-      // The API never recovered within the retry budget: the app drops
-      // back to the channel list without ever opening a player. The
-      // pipeline still gets an orderly retirement.
-      if (obs::Obs* o = obs_ptr()) {
-        o->log.end_session(to_s(sim_.now()), 0, 0);
-        attribute_current_session(o, session_uid, session_begin, sim_.now(),
-                                  Duration{0});
-      }
-      pipeline.stop();
-      pipeline.retire();
-      retired_pipelines_.emplace_back(pipeline.safe_destroy_at(),
-                                      std::move(pipeline_ptr));
-      return std::nullopt;
+  const std::optional<json::Value> access = access_video(b->id, session_idx);
+  if (!access) {
+    // The API never recovered within the retry budget: the app drops
+    // back to the channel list without ever opening a player. The
+    // pipeline still gets an orderly retirement.
+    if (obs::Obs* o = obs_ptr()) {
+      o->log.end_session(to_s(sim_.now()), 0, 0);
+      attribute_current_session(o, session_uid, session_begin, sim_.now(),
+                                Duration{0});
     }
-    access = std::move(*a);
-  } else {
-    json::Object req;
-    req["cookie"] = strf("viewer-%zu", session_idx);
-    req["broadcast_id"] = b->id;
-    access =
-        api_.call("accessVideo", json::Value(std::move(req)), sim_.now());
+    pipeline.stop();
+    pipeline.retire();
+    retired_pipelines_.emplace_back(pipeline.safe_destroy_at(),
+                                    std::move(pipeline_ptr));
+    return std::nullopt;
   }
-  const bool use_hls = access["protocol"].as_string() == "hls";
+  const bool use_hls = (*access)["protocol"].as_string() == "hls";
   if (obs::Obs* o = obs_ptr()) {
     o->log.set_proto(use_hls ? "hls" : "rtmp");
   }
@@ -290,9 +275,7 @@ std::optional<SessionRecord> Study::run_one_session(client::Device& device,
   // reads the merged load of epoch e-1" (load.h), and the start is the
   // teleport.
   const auto penalty = [&](const std::string& ip) {
-    return load_board_ == nullptr
-               ? Duration{0}
-               : load_board_->penalty(ip, session_begin, cfg_.load);
+    return load_board_->penalty(ip, session_begin, cfg_.load);
   };
   if (use_hls) {
     client::PlayerConfig pc = cfg_.hls_player;
@@ -308,7 +291,7 @@ std::optional<SessionRecord> Study::run_one_session(client::Device& device,
     session = std::make_unique<client::HlsViewerSession>(
         sim_, pipeline, device, edge_a, edge_b, pc, rng_.engine()(),
         client::HlsViewerSession::Mode::Live, cfg_.hls_adaptive, pen_a,
-        pen_b, obs_ptr());
+        pen_b, obs_ptr(), fault_plan_, resilience());
   } else {
     client::PlayerConfig pc = cfg_.rtmp_player;
     pc.start_threshold = seconds(to_s(pc.start_threshold) * jitter);
@@ -319,9 +302,8 @@ std::optional<SessionRecord> Study::run_one_session(client::Device& device,
     penalty_paid = penalty(origin.ip);
     session = std::make_unique<client::RtmpViewerSession>(
         sim_, pipeline, device, origin, pc, rng_.engine()(), penalty_paid,
-        obs_ptr());
+        obs_ptr(), fault_plan_, cfg_.fault.policy);
   }
-  if (session_faults_) session->set_faults(&*session_faults_);
   const TimePoint watch_begin = sim_.now();
   session->start(cfg_.watch_time);
   sim_.run_until(sim_.now() + cfg_.watch_time + seconds(2));
@@ -337,10 +319,8 @@ std::optional<SessionRecord> Study::run_one_session(client::Device& device,
                                   : 1.0;
     rec.stats.agg_viewers_at_join =
         aggregate_->viewers_at(b->id, watch_begin);
-    if (load_board_ != nullptr) {
-      rec.stats.server_load_at_join =
-          load_board_->previous_epoch_concurrent(load_ip_a, session_begin);
-    }
+    rec.stats.server_load_at_join =
+        load_board_->previous_epoch_concurrent(load_ip_a, session_begin);
   }
 
   // Book this session into the pool's per-epoch load account.
@@ -372,7 +352,7 @@ std::optional<SessionRecord> Study::run_one_session(client::Device& device,
     o->trace.complete("kernel",
                       strf("session %zu %s", session_idx, proto),
                       session_begin, watch_end);
-    if (session_faults_) {
+    if (resilience() != nullptr) {
       o->metrics.counter("session_reconnects_total")
           .add(rec.stats.reconnects);
       o->metrics.counter("session_retries_total").add(rec.stats.retries);
@@ -436,17 +416,14 @@ void Study::attribute_current_session(obs::Obs* o, std::uint64_t uid,
   if (!o->log.enabled()) return;
   obs::SessionEvidence evidence;
   evidence.load_penalty_s = to_s(penalty_paid);
-  if (fault_plan_ != nullptr) {
-    const double lo = to_s(begin);
-    const double hi = to_s(end);
-    for (const fault::Episode& e : fault_plan_->episodes()) {
-      const double es = to_s(e.start);
-      const double ee = to_s(e.end());
-      if (ee <= lo) continue;
-      if (es >= hi) break;  // episodes are sorted by start
-      evidence.episodes.push_back(
-          {cause_from_fault_kind(e.kind), es, ee});
-    }
+  const double lo = to_s(begin);
+  const double hi = to_s(end);
+  for (const fault::Episode& e : fault_plan_.episodes()) {
+    const double es = to_s(e.start);
+    const double ee = to_s(e.end());
+    if (ee <= lo) continue;
+    if (es >= hi) break;  // episodes are sorted by start
+    evidence.episodes.push_back({cause_from_fault_kind(e.kind), es, ee});
   }
   const obs::SessionAttribution att =
       obs::attribute_session(o->log.current_session_events(), evidence);

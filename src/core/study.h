@@ -19,7 +19,7 @@
 #include "analysis/reconstruct.h"
 #include "client/device.h"
 #include "client/viewer_session.h"
-#include "fault/injector.h"
+#include "fault/plan.h"
 #include "obs/bundle.h"
 #include "service/aggregate_audience.h"
 #include "service/api.h"
@@ -75,12 +75,17 @@ struct StudyConfig {
   /// Epoch length + load->latency model for shared_world campaigns.
   service::EpochLoadConfig load;
   /// Fault injection + client resilience (docs/ROBUSTNESS.md). Off by
-  /// default; when enabled, the plan seed is used verbatim (never mixed
-  /// with the shard seed) so every shard replays the same fault timeline.
+  /// default: the study runs the same code over an empty plan. When
+  /// enabled, the plan seed is used verbatim (never mixed with the shard
+  /// seed) so every shard replays the same fault timeline, and client
+  /// resilience turns on. Resilience is the one remaining switch: its
+  /// API retry ladder takes a draw from the study RNG (moving every later
+  /// record) and its HLS fetch timeouts schedule kernel events, so
+  /// turning it on for clean runs would change them.
   fault::FaultConfig fault;
   /// Hybrid-fidelity aggregate audience tier (flash crowds + fluid load;
-  /// service/aggregate_audience.h). Off by default — campaigns without
-  /// it are bit-identical to builds that predate the tier.
+  /// service/aggregate_audience.h). Off by default; off, the study prices
+  /// load against an empty board (a zero penalty).
   service::AggregateConfig aggregate;
 };
 
@@ -90,9 +95,11 @@ struct StudyConfig {
 /// independent shard builds its own with own_world().
 struct WorldContext {
   std::shared_ptr<const service::WorldTimeline> timeline;
-  /// Merged load of past epochs; may be nullptr (load feedback off).
-  /// Only epochs the owner has already merged are ever read.
-  std::shared_ptr<const service::EpochLoadBoard> load_board;
+  /// Merged load of past epochs, never null: empty (every penalty 0)
+  /// unless a shared-world runner or the fluid tier fills it. Only
+  /// epochs the owner has already merged are ever read.
+  std::shared_ptr<const service::EpochLoadBoard> load_board =
+      std::make_shared<const service::EpochLoadBoard>();
   /// Seeds the server pool (`campaign_seed ^ 0x5EED`). In a shared-world
   /// campaign this is the *campaign* seed, so every shard's pool is
   /// identical and load accounts key to the same ips.
@@ -117,6 +124,13 @@ Duration world_horizon(const StudyConfig& cfg, int sessions);
 /// pre-merged into a private board, so sessions pay the aggregate load
 /// penalties from epoch 1 on without the shared-world barrier schedule.
 WorldContext own_world(const StudyConfig& cfg, int sessions);
+
+/// The fluid audience of the campaign seeded `cfg.seed` over `timeline`,
+/// routed through the campaign's server pool (seed `cfg.seed ^ 0x5EED`,
+/// the pool every Study of that campaign builds).
+std::shared_ptr<const service::AggregateAudience> campaign_audience(
+    const StudyConfig& cfg,
+    std::shared_ptr<const service::WorldTimeline> timeline);
 
 /// One completed viewing session: the app-reported stats plus the offline
 /// capture reconstruction.
@@ -193,6 +207,8 @@ class Study {
   /// The world is a ReplayWorld over `world.timeline`, the server pool is
   /// seeded from `world.campaign_seed`, and sessions run against the load
   /// in `world.load_board` while contributing to this shard's ledger.
+  /// Throws std::invalid_argument when faults are on and
+  /// `cfg.fault.plan_text` does not parse.
   Study(const StudyConfig& cfg, WorldContext world);
 
   /// Run `n` sequential Teleport sessions on `device_cfg` with the given
@@ -236,9 +252,8 @@ class Study {
   /// Raw kernel + arena counters of this shard so far (no obs needed).
   KernelTotals kernel_totals() const;
 
-  /// The campaign's fault timeline, or nullptr when faults are off.
-  const fault::Plan* fault_plan() const { return fault_plan_.get(); }
-  const fault::Injector* injector() const { return injector_.get(); }
+  /// The campaign's fault timeline; empty when faults are off.
+  const fault::Plan& fault_plan() const { return fault_plan_; }
 
   /// The fluid audience this study runs under, or nullptr (tier off).
   const service::AggregateAudience* aggregate() const {
@@ -260,14 +275,15 @@ class Study {
   std::optional<SessionRecord> run_one_session(
       client::Device& device, bool analyze);
 
-  /// Build the fault plan + injector from cfg_.fault and hook the API
-  /// server. No-op when faults are off.
-  void init_faults();
-  /// accessVideo with the client's API retry ladder (5xx under injected
-  /// faults -> capped exponential backoff). Returns the response, or
-  /// nullopt when the retry budget is exhausted.
-  std::optional<json::Value> access_video_with_retry(
-      const std::string& broadcast_id, std::size_t session_idx);
+  /// The client resilience policy, or nullptr when faults are off.
+  const fault::ResilienceConfig* resilience() const {
+    return cfg_.fault.enabled ? &cfg_.fault.policy : nullptr;
+  }
+  /// accessVideo, retried on 5xx with the resilience policy's API ladder
+  /// when resilience is on. Returns the response, or nullopt when a 5xx
+  /// exhausts the retry budget (or there is none).
+  std::optional<json::Value> access_video(const std::string& broadcast_id,
+                                          std::size_t session_idx);
 
   /// Replay the just-ended session's event log against the fault-plan
   /// windows and the load penalty it paid, then record per-cause
@@ -284,6 +300,9 @@ class Study {
   void report_playback_meta(const client::SessionStats& st);
 
   StudyConfig cfg_;
+  /// One immutable fault timeline per shard, derived from campaign-level
+  /// config only; the API server, the CDN edges and the sessions read it.
+  const fault::Plan fault_plan_;
   sim::Simulation sim_;
   Rng rng_;
   /// Media-path buffer recycler, one per shard (deterministic). Declared
@@ -300,11 +319,6 @@ class Study {
   std::shared_ptr<const service::AggregateAudience> aggregate_;
   service::MediaServerPool servers_;
   service::ApiServer api_;
-  /// Fault subsystem (set iff cfg_.fault.enabled): one immutable plan +
-  /// one injector per shard, both derived from campaign-level config only.
-  std::unique_ptr<fault::Plan> fault_plan_;
-  std::unique_ptr<fault::Injector> injector_;
-  std::optional<fault::SessionFaults> session_faults_;
   /// Destroy retired objects whose event horizon has passed.
   void purge_retired();
 

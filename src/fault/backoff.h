@@ -56,15 +56,6 @@ class Backoff {
   int attempts_ = 0;
 };
 
-/// What the API fault hook injects into one request: a non-zero status
-/// overrides the response (the app sees 5xx), extra_latency is added to
-/// the request's service time. Lives here (not injector.h) so service/
-/// headers only pull in this leaf.
-struct ApiFault {
-  int status = 0;
-  Duration extra_latency{0};
-};
-
 /// Client-side resilience knobs, grouped so a Study hands one object to
 /// every session. Defaults follow mobile-app practice: sub-second first
 /// retries, ~6 attempts before giving up.

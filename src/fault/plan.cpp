@@ -5,6 +5,8 @@
 #include <map>
 #include <utility>
 
+#include "net/link.h"
+#include "sim/simulation.h"
 #include "util/records.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -61,6 +63,11 @@ constexpr RecordFormat kPlanFormat{"fault_plan", kHeader,  "episode",
                                    kPlanKeys};
 
 }  // namespace
+
+const Plan& Plan::none() {
+  static const Plan empty;
+  return empty;
+}
 
 const char* kind_name(Kind k) {
   return kTraits[static_cast<int>(k)].name;
@@ -167,11 +174,57 @@ const Episode* Plan::active(Kind kind, TimePoint t, int target) const {
   return nullptr;
 }
 
-const Episode* Plan::next_after(Kind kind, TimePoint t) const {
+bool Plan::all_edges_down(TimePoint t) const {
   for (const Episode& e : episodes_) {
-    if (e.kind == kind && e.start >= t) return &e;
+    if (e.start > t) break;
+    if (e.kind == Kind::EdgeOutage && e.target == -1 && e.end() > t) {
+      return true;
+    }
   }
-  return nullptr;
+  return false;
+}
+
+ApiFault Plan::api_at(TimePoint t) const {
+  ApiFault f;
+  if (active(Kind::ApiErrorBurst, t) != nullptr) f.status = 503;
+  if (const Episode* e = active(Kind::ApiLatencyBurst, t)) {
+    f.extra_latency = seconds(e->severity);
+  }
+  return f;
+}
+
+void arm_access_link(sim::Simulation& sim, net::Link& link, const Plan& plan,
+                     TimePoint from, TimePoint until) {
+  for (const Episode& e : plan.episodes()) {
+    if (e.start >= until) break;
+    if (e.end() <= from) continue;
+    const bool freeze =
+        e.kind == Kind::LinkBlackout || e.kind == Kind::HandoverGap;
+    const bool collapse = e.kind == Kind::RateCollapse;
+    if (!freeze && !collapse) continue;
+    // Events are clamped into [from, until]: the session owning the link
+    // is guaranteed alive through `until`; episode *ends* are values, so
+    // they may lie beyond it.
+    const TimePoint at = std::max(from, e.start);
+    if (freeze) {
+      const TimePoint hold = e.end();
+      if (at <= sim.now()) {
+        link.freeze_until(hold);
+      } else {
+        sim.schedule_at(at, [&link, hold] { link.freeze_until(hold); });
+      }
+    } else {
+      const double factor = std::clamp(e.severity, 0.001, 1.0);
+      if (at <= sim.now()) {
+        link.set_fault_factor(factor);
+      } else {
+        sim.schedule_at(at,
+                        [&link, factor] { link.set_fault_factor(factor); });
+      }
+      const TimePoint clear = std::min(e.end(), until);
+      sim.schedule_at(clear, [&link] { link.set_fault_factor(1.0); });
+    }
+  }
 }
 
 }  // namespace psc::fault

@@ -5,9 +5,11 @@
 // generated from a SplitMix64 seed (or parsed from a small text format)
 // *before* any simulation runs, so every shard of a campaign sees the
 // same timeline regardless of thread count — episodes are part of the
-// frozen world, like the shared-world WorldTimeline. The Injector
-// (injector.h) arms a Plan against links and servers; the Plan itself
-// never touches the simulation. Format and taxonomy: docs/ROBUSTNESS.md.
+// frozen world, like the shared-world WorldTimeline. Faults off is the
+// empty plan: every consumer (API server, CDN edge, viewer sessions)
+// queries its plan directly, and an empty one answers every query false
+// or zero. arm_access_link() is the one function that touches the
+// simulation. Format and taxonomy: docs/ROBUSTNESS.md.
 #pragma once
 
 #include <cstdint>
@@ -15,8 +17,16 @@
 #include <string_view>
 #include <vector>
 
+#include "fault/backoff.h"
 #include "util/result.h"
 #include "util/units.h"
+
+namespace psc::net {
+class Link;
+}
+namespace psc::sim {
+class Simulation;
+}
 
 namespace psc::fault {
 
@@ -72,9 +82,20 @@ struct GenConfig {
   double intensity = 1.0;
 };
 
+/// What the plan injects into one API request: a non-zero status
+/// overrides the response (the app sees 5xx), extra_latency is added to
+/// the request's service time.
+struct ApiFault {
+  int status = 0;
+  Duration extra_latency{0};
+};
+
 class Plan {
  public:
   Plan() = default;
+
+  /// The shared empty plan standalone servers and sessions run under.
+  static const Plan& none();
 
   /// Deterministic timeline from `seed`: same seed + config => identical
   /// plan, on every shard and every machine.
@@ -98,13 +119,44 @@ class Plan {
   /// (episode.target == -1, target == -1, or equal), or nullptr.
   const Episode* active(Kind kind, TimePoint t, int target = -1) const;
 
-  /// The first episode of `kind` starting at or after `t`, or nullptr.
-  const Episode* next_after(Kind kind, TimePoint t) const;
+  bool origin_restarting(TimePoint t) const {
+    return active(Kind::OriginRestart, t) != nullptr;
+  }
+  /// True when `edge_index`'s edge (or all edges) is out at `t`.
+  bool edge_down(int edge_index, TimePoint t) const {
+    return active(Kind::EdgeOutage, t, edge_index) != nullptr;
+  }
+  /// True only for an all-edges (target == -1) outage.
+  bool all_edges_down(TimePoint t) const;
+  ApiFault api_at(TimePoint t) const;
 
  private:
   explicit Plan(std::vector<Episode> episodes);  // sorts + canonicalises
 
   std::vector<Episode> episodes_;  // sorted by (start, kind, target)
+};
+
+/// Schedule `plan`'s radio episodes intersecting [from, until) onto an
+/// access link: blackouts and handover gaps freeze the link for the
+/// episode, rate collapses multiply its rate by the severity. An episode
+/// already under way at `from` applies at once. Every scheduled event
+/// fires at or before `until`, so a session-owned link may be destroyed
+/// once its owner's event horizon passes `until` (freeze ends beyond
+/// `until` are applied as values, not events).
+void arm_access_link(sim::Simulation& sim, net::Link& link, const Plan& plan,
+                     TimePoint from, TimePoint until);
+
+/// Study-level fault switch. Off means the empty plan and no client
+/// resilience. On, `plan_text` is parsed when non-empty (malformed text
+/// is an error, never a silent fallback); otherwise a plan is generated
+/// from `seed` + `gen`. The seed is used verbatim — not shard-mixed — so
+/// every shard of a campaign replays the same timeline.
+struct FaultConfig {
+  bool enabled = false;
+  std::uint64_t seed = 1;
+  std::string plan_text;
+  GenConfig gen;
+  ResilienceConfig policy;
 };
 
 }  // namespace psc::fault

@@ -2,19 +2,21 @@
 
 #include <cmath>
 
+#include "service/aggregate_audience.h"
 #include "util/strings.h"
 
 namespace psc::service {
 
 ApiServer::ApiServer(WorldView& world, MediaServerPool& servers,
-                     const ApiConfig& cfg)
+                     const ApiConfig& cfg, const fault::Plan& faults)
     : world_(world), servers_(servers), cfg_(cfg),
-      limiter_(cfg.rate_limit) {}
+      limiter_(cfg.rate_limit), plan_(faults) {}
 
 int ApiServer::watching_at(const BroadcastInfo& b, TimePoint now) const {
   int watching = b.viewers_at(now);
-  if (viewer_overlay_) {
-    watching += static_cast<int>(std::lround(viewer_overlay_(b, now)));
+  if (overlay_ != nullptr) {
+    watching +=
+        static_cast<int>(std::lround(overlay_->extra_viewers_at(b, now)));
   }
   return watching;
 }
@@ -151,22 +153,18 @@ json::Value ApiServer::handle_ranked_feed(TimePoint now) {
 json::Value ApiServer::call(const std::string& api_request,
                             const json::Value& body, TimePoint now,
                             int* status_out) {
-  last_injected_latency_ = Duration{0};
-  if (fault_hook_) {
-    const fault::ApiFault f = fault_hook_(now);
-    last_injected_latency_ = f.extra_latency;
-    if (f.status != 0) {
-      ++faulted_;
-      if (obs_ != nullptr) {
-        obs_->metrics.counter("api_faulted_total").add(1);
-        obs_->trace.instant("fault",
-                            strf("api %d %s", f.status, api_request.c_str()),
-                            now);
-      }
-      if (status_out != nullptr) *status_out = f.status;
-      return json::Value(
-          json::Object{{"error", json::Value("service unavailable")}});
+  const fault::ApiFault f = plan_.api_at(now);
+  last_injected_latency_ = f.extra_latency;
+  if (f.status != 0) {
+    if (obs_ != nullptr) {
+      obs_->metrics.counter("api_faulted_total").add(1);
+      obs_->trace.instant("fault",
+                          strf("api %d %s", f.status, api_request.c_str()),
+                          now);
     }
+    if (status_out != nullptr) *status_out = f.status;
+    return json::Value(
+        json::Object{{"error", json::Value("service unavailable")}});
   }
   const std::string account = body["cookie"].as_string();
   if (!limiter_.allow(account.empty() ? "anonymous" : account, now)) {

@@ -19,10 +19,9 @@
 // limiter answers 429 per account, as the paper observed.
 #pragma once
 
-#include <functional>
 #include <vector>
 
-#include "fault/backoff.h"
+#include "fault/plan.h"
 #include "http/http.h"
 #include "json/json.h"
 #include "obs/bundle.h"
@@ -31,6 +30,8 @@
 #include "service/world_view.h"
 
 namespace psc::service {
+
+class AggregateAudience;
 
 struct ApiConfig {
   RateLimitConfig rate_limit;
@@ -42,8 +43,12 @@ class ApiServer {
  public:
   /// The API only reads the world, so any WorldView works: the live
   /// World of an independent-worlds study, or a shared-world campaign's
-  /// ReplayWorld.
-  ApiServer(WorldView& world, MediaServerPool& servers, const ApiConfig& cfg);
+  /// ReplayWorld. Every call() consults `faults` (the empty plan by
+  /// default): an API error burst turns the response into a 503, a
+  /// latency burst is recorded for the caller to apply. The plan must
+  /// outlive the server.
+  ApiServer(WorldView& world, MediaServerPool& servers, const ApiConfig& cfg,
+            const fault::Plan& faults = fault::Plan::none());
 
   /// Handle a POST /api/v2/<name>. `now` is the (simulated) server time.
   http::Response handle(const http::Request& req, TimePoint now);
@@ -65,27 +70,20 @@ class ApiServer {
   /// instant per request on the shard lane.
   void set_obs(obs::Obs* obs) { obs_ = obs; }
 
-  /// Fault injection: consulted once per call(). A non-zero status in
-  /// the returned ApiFault turns the response into a 5xx error; any
-  /// extra_latency is recorded for the caller to apply to the request's
-  /// service time (the in-process call path has no transport to delay).
-  void set_fault_hook(std::function<fault::ApiFault(TimePoint)> hook) {
-    fault_hook_ = std::move(hook);
-  }
-  /// Extra latency injected into the most recent call() (zero when the
-  /// hook is unset or no latency burst is active).
+  /// Extra latency the fault plan injected into the most recent call()
+  /// (the in-process call path has no transport to delay, so the caller
+  /// applies it to the request's service time).
   Duration last_injected_latency() const { return last_injected_latency_; }
-  std::size_t requests_faulted() const { return faulted_; }
 
-  /// Aggregate-audience overlay (hybrid-fidelity campaigns): extra
-  /// concurrent viewers on top of a broadcast's native count. Raises
-  /// n_watching in responses and the accessVideo HLS switch — so a
-  /// flash-crowded broadcast serves its cohort over HLS exactly as the
-  /// real service sheds load — but never feeds back into the world
-  /// process itself. nullptr = off (bit-identical to pre-overlay builds).
-  void set_viewer_overlay(
-      std::function<double(const BroadcastInfo&, TimePoint)> fn) {
-    viewer_overlay_ = std::move(fn);
+  /// Aggregate-audience overlay (hybrid-fidelity campaigns): the fluid
+  /// audience's extra concurrent viewers on top of a broadcast's native
+  /// count. Raises n_watching in responses and the accessVideo HLS
+  /// switch — so a flash-crowded broadcast serves its cohort over HLS
+  /// exactly as the real service sheds load — but never feeds back into
+  /// the world process itself. nullptr = no fluid tier. The audience
+  /// must outlive the server.
+  void set_viewer_overlay(const AggregateAudience* audience) {
+    overlay_ = audience;
   }
 
  private:
@@ -104,13 +102,12 @@ class ApiServer {
   ApiConfig cfg_;
   obs::Obs* obs_ = nullptr;
   RateLimiter limiter_;
-  std::function<fault::ApiFault(TimePoint)> fault_hook_;
-  std::function<double(const BroadcastInfo&, TimePoint)> viewer_overlay_;
+  const fault::Plan& plan_;
+  const AggregateAudience* overlay_ = nullptr;
   Duration last_injected_latency_{0};
   std::vector<json::Value> playback_metas_;
   std::size_t served_ = 0;
   std::size_t throttled_ = 0;
-  std::size_t faulted_ = 0;
   std::size_t access_counter_ = 0;
 };
 

@@ -28,7 +28,7 @@ http::Response CdnEdge::handle(const http::Request& req,
     }
     return r;
   };
-  if (fault_hook_ && fault_hook_(now)) {
+  if (plan_.all_edges_down(now)) {
     // Injected edge outage: the PoP is up enough to answer, but broken.
     http::Response r;
     r.status = 503;

@@ -6,10 +6,10 @@
 // behaviour that bounds HLS delivery latency in Fig. 5.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <string>
 
+#include "fault/plan.h"
 #include "http/http.h"
 #include "obs/bundle.h"
 #include "service/load.h"
@@ -19,7 +19,13 @@ namespace psc::service {
 
 class CdnEdge {
  public:
-  explicit CdnEdge(std::string host) : host_(std::move(host)) {}
+  /// The edge answers 503 to every request while `faults` has an
+  /// all-edges outage (the empty plan by default; per-edge outages are
+  /// the client's to apply, since one CdnEdge serves both logical edges).
+  /// The plan must outlive the edge.
+  explicit CdnEdge(std::string host,
+                   const fault::Plan& faults = fault::Plan::none())
+      : plan_(faults), host_(std::move(host)) {}
 
   /// Make a broadcast's content available at /hls/<broadcast_id>/...
   /// The pipeline must outlive its registration.
@@ -54,14 +60,8 @@ class CdnEdge {
   /// HLS delivery latency (Fig. 5), and are counted separately.
   void set_obs(obs::Obs* obs);
 
-  /// Fault injection: when the hook returns true for a request's time,
-  /// the edge answers 503 (an edge outage).
-  void set_fault_hook(std::function<bool(TimePoint)> hook) {
-    fault_hook_ = std::move(hook);
-  }
-
  private:
-  std::function<bool(TimePoint)> fault_hook_;
+  const fault::Plan& plan_;
   std::string host_;
   std::map<std::string, const LiveBroadcastPipeline*> pipelines_;
   mutable EpochLoadLedger ledger_;

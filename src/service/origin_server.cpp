@@ -116,12 +116,6 @@ void MediaOrigin::close_connection(int conn) {
 }
 
 Status MediaOrigin::on_input(int conn, BytesView data) {
-  if (fault_hook_ && fault_hook_(now_)) {
-    // Restarting: the process is not accepting bytes; the peer sees the
-    // connection reset and should reconnect with backoff.
-    close_connection(conn);
-    return Error{"origin_restarting", "origin server restarting"};
-  }
   auto it = connections_.find(conn);
   if (it == connections_.end()) {
     return Error{"origin", "unknown connection"};

@@ -56,13 +56,6 @@ class MediaOrigin {
   /// ingest/egress byte counters.
   void set_obs(obs::Obs* obs);
 
-  /// Fault injection: while the hook returns true for the server-local
-  /// clock, the origin is restarting — on_input refuses bytes with a
-  /// clean error, which drops the connection's protocol session.
-  void set_fault_hook(std::function<bool(TimePoint)> hook) {
-    fault_hook_ = std::move(hook);
-  }
-
   /// Published-stream observer: lets a co-located packager (the interop
   /// gateway's HLS segmenter) tap the ingest path without owning a player
   /// connection. on_sample sees the stream exactly as the fan-out path
@@ -99,7 +92,6 @@ class MediaOrigin {
   Stream& stream_of(const std::string& name) { return streams_[name]; }
 
   std::uint64_t seed_;
-  std::function<bool(TimePoint)> fault_hook_;
   StreamHooks stream_hooks_;
   int next_conn_ = 1;
   TimePoint now_{};

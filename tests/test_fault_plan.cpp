@@ -168,22 +168,6 @@ TEST(FaultPlan, ActiveFindsEpisodeByKindAndTarget) {
   EXPECT_NE(p.active(Kind::OriginRestart, time_at(19.9)), nullptr);
 }
 
-TEST(FaultPlan, NextAfterWalksForward) {
-  const auto parsed = Plan::parse(
-      "# psc-fault-plan v1\n"
-      "episode origin_restart start=30 dur=5\n"
-      "episode origin_restart start=90 dur=5\n");
-  ASSERT_TRUE(parsed.ok());
-  const Plan& p = parsed.value();
-  const Episode* e = p.next_after(Kind::OriginRestart, time_at(0));
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(to_s(e->start), 30.0);
-  e = p.next_after(Kind::OriginRestart, time_at(31));
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(to_s(e->start), 90.0);
-  EXPECT_EQ(p.next_after(Kind::OriginRestart, time_at(100)), nullptr);
-}
-
 // ---------------- Backoff ----------------
 
 TEST(Backoff, JitterFreeLadderIsExactAndDrawFree) {

@@ -1,17 +1,20 @@
 // Fault injection end-to-end: campaign determinism with faults enabled,
 // the client give-up paths (RTMP reconnect exhaustion, HLS abandonment),
-// bounded termination under an intense all-kinds plan, and the Injector's
-// point-in-time queries that service hooks consult.
+// bounded termination under an intense all-kinds plan, a malformed plan
+// failing the campaign, the Plan's point-in-time queries that the API
+// server, CDN edge and sessions consult, and arming radio episodes onto
+// access links.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/parallel.h"
 #include "core/study.h"
-#include "fault/injector.h"
 #include "fault/plan.h"
+#include "net/link.h"
 
 namespace psc::core {
 namespace {
@@ -158,54 +161,173 @@ TEST(Resilience, EverySessionTerminatesUnderIntenseFaults) {
   }
 }
 
-// ---------------- Injector point-in-time queries ----------------
+// A plan that does not parse must fail the campaign, in both modes (the
+// independent shards build their Study inside the worker pool, the
+// shared-world ones on the calling thread), instead of silently running
+// a plan generated from the seed.
+TEST(FaultCampaign, MalformedPlanTextThrows) {
+  for (const CampaignMode mode :
+       {CampaignMode::independent_worlds, CampaignMode::shared_world}) {
+    ShardedCampaign campaign = fault_campaign(9, 4);
+    campaign.base.mode = mode;
+    campaign.base.fault.plan_text =
+        "# psc-fault-plan v1\n"
+        "episode origin_restart start=abc dur=10\n";
+    try {
+      ShardedRunner(2).run(campaign);
+      FAIL() << "a malformed fault plan ran";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
+}
 
-TEST(Injector, ApiFaultWindows) {
+TEST(FaultCampaign, FaultsOffIsTheEmptyPlan) {
+  StudyConfig cfg;
+  cfg.world.target_concurrent = 250;
+  cfg.world.hotspot_count = 40;
+  cfg.fault.plan_text = "not a plan";  // only read when faults are on
+  const Study study(cfg, own_world(cfg, 1));
+  EXPECT_TRUE(study.fault_plan().empty());
+}
+
+// ---------------- Plan point-in-time queries ----------------
+
+TEST(PlanQuery, ApiFaultWindows) {
   const auto plan = fault::Plan::parse(
       "# psc-fault-plan v1\n"
       "episode api_error_burst start=10 dur=5\n"
       "episode api_latency_burst start=30 dur=5 severity=2\n");
   ASSERT_TRUE(plan.ok());
-  sim::Simulation sim;
-  const fault::Injector inj(sim, plan.value());
-  EXPECT_EQ(inj.api_at(time_at(12)).status, 503);
-  EXPECT_EQ(inj.api_at(time_at(20)).status, 0);
-  EXPECT_EQ(to_s(inj.api_at(time_at(31)).extra_latency), 2.0);
-  EXPECT_EQ(to_s(inj.api_at(time_at(12)).extra_latency), 0.0);
+  const fault::Plan& p = plan.value();
+  EXPECT_EQ(p.api_at(time_at(12)).status, 503);
+  EXPECT_EQ(p.api_at(time_at(20)).status, 0);
+  EXPECT_EQ(to_s(p.api_at(time_at(31)).extra_latency), 2.0);
+  EXPECT_EQ(to_s(p.api_at(time_at(12)).extra_latency), 0.0);
 }
 
-TEST(Injector, EdgeOutageTargeting) {
+TEST(PlanQuery, EdgeOutageTargeting) {
   const auto plan = fault::Plan::parse(
       "# psc-fault-plan v1\n"
       "episode edge_outage start=0 dur=10 target=0\n"
       "episode edge_outage start=20 dur=10 target=-1\n");
   ASSERT_TRUE(plan.ok());
-  sim::Simulation sim;
-  const fault::Injector inj(sim, plan.value());
+  const fault::Plan& p = plan.value();
   // Per-edge outage: only edge 0, and NOT an all-edges outage (playlists
   // keep flowing; the session fails over to edge 1).
-  EXPECT_TRUE(inj.edge_down(0, time_at(5)));
-  EXPECT_FALSE(inj.edge_down(1, time_at(5)));
-  EXPECT_FALSE(inj.all_edges_down(time_at(5)));
-  // target=-1 hits everything, including the edge hook.
-  EXPECT_TRUE(inj.edge_down(0, time_at(25)));
-  EXPECT_TRUE(inj.edge_down(1, time_at(25)));
-  EXPECT_TRUE(inj.all_edges_down(time_at(25)));
-  EXPECT_TRUE(inj.edge_hook()(time_at(25)));
-  EXPECT_FALSE(inj.edge_hook()(time_at(5)));
+  EXPECT_TRUE(p.edge_down(0, time_at(5)));
+  EXPECT_FALSE(p.edge_down(1, time_at(5)));
+  EXPECT_FALSE(p.all_edges_down(time_at(5)));
+  // target=-1 hits everything, including the CDN edge's own check.
+  EXPECT_TRUE(p.edge_down(0, time_at(25)));
+  EXPECT_TRUE(p.edge_down(1, time_at(25)));
+  EXPECT_TRUE(p.all_edges_down(time_at(25)));
 }
 
-TEST(Injector, OriginRestartWindow) {
+TEST(PlanQuery, OriginRestartWindow) {
   const auto plan = fault::Plan::parse(
       "# psc-fault-plan v1\n"
       "episode origin_restart start=50 dur=10\n");
   ASSERT_TRUE(plan.ok());
+  const fault::Plan& p = plan.value();
+  EXPECT_FALSE(p.origin_restarting(time_at(49)));
+  EXPECT_TRUE(p.origin_restarting(time_at(55)));
+  EXPECT_FALSE(p.origin_restarting(time_at(60)));  // end-exclusive
+}
+
+TEST(PlanQuery, EmptyPlanAnswersEveryQueryFalseOrZero) {
+  const fault::Plan& p = fault::Plan::none();
+  EXPECT_TRUE(p.empty());
+  for (const double t : {0.0, 12.0, 1e6}) {
+    EXPECT_FALSE(p.origin_restarting(time_at(t)));
+    EXPECT_FALSE(p.edge_down(0, time_at(t)));
+    EXPECT_FALSE(p.edge_down(-1, time_at(t)));
+    EXPECT_FALSE(p.all_edges_down(time_at(t)));
+    EXPECT_EQ(p.api_at(time_at(t)).status, 0);
+    EXPECT_EQ(to_s(p.api_at(time_at(t)).extra_latency), 0.0);
+    for (int k = 0; k < fault::kKindCount; ++k) {
+      EXPECT_EQ(p.active(static_cast<fault::Kind>(k), time_at(t)), nullptr);
+    }
+  }
+}
+
+// ---------------- Arming radio episodes onto an access link ----------------
+
+fault::Plan plan_of(const char* episodes) {
+  auto plan =
+      fault::Plan::parse(std::string("# psc-fault-plan v1\n") + episodes);
+  EXPECT_TRUE(plan.ok());
+  return plan.ok() ? std::move(plan).value() : fault::Plan();
+}
+
+/// Arrival time of a 1 Mbit transfer sent on `link` now (1 s of
+/// serialization at 1 Mbps, no latency).
+double arrival_of_one_second_send(sim::Simulation& sim, net::Link& link) {
+  TimePoint arrival{};
+  link.send(Bytes(125000, 0),
+            [&](TimePoint t, util::BufferSlice) { arrival = t; });
+  sim.run_all();
+  return to_s(arrival);
+}
+
+TEST(ArmAccessLink, BlackoutUnderWayAtFromFreezesImmediately) {
   sim::Simulation sim;
-  const fault::Injector inj(sim, plan.value());
-  EXPECT_FALSE(inj.origin_restarting(time_at(49)));
-  EXPECT_TRUE(inj.origin_restarting(time_at(55)));
-  EXPECT_FALSE(inj.origin_restarting(time_at(60)));  // end-exclusive
-  EXPECT_TRUE(inj.origin_hook()(time_at(55)));
+  net::Link link(sim, 1e6, Duration{0});
+  sim.run_until(time_at(10));
+  const fault::Plan plan =
+      plan_of("episode link_blackout start=5 dur=10\n");
+  const std::size_t before = sim.events_scheduled();
+  fault::arm_access_link(sim, link, plan, time_at(10), time_at(40));
+  // Applied as a value, with no event: the link is dead until 15 s.
+  EXPECT_EQ(sim.events_scheduled(), before);
+  EXPECT_NEAR(arrival_of_one_second_send(sim, link), 16.0, 1e-9);
+}
+
+TEST(ArmAccessLink, RateCollapseOutlivingUntilIsClearedAtUntil) {
+  sim::Simulation sim;
+  net::Link link(sim, 1e6, Duration{0});
+  const fault::Plan plan =
+      plan_of("episode rate_collapse start=5 dur=100 severity=0.1\n");
+  fault::arm_access_link(sim, link, plan, time_at(0), time_at(20));
+  sim.run_until(time_at(10));
+  EXPECT_DOUBLE_EQ(link.fault_factor(), 0.1);
+  sim.run_until(time_at(19.999));
+  EXPECT_DOUBLE_EQ(link.fault_factor(), 0.1);
+  // The owner may be gone after `until`, so the clear fires at `until`,
+  // not at the episode's end (105 s).
+  sim.run_until(time_at(20));
+  EXPECT_DOUBLE_EQ(link.fault_factor(), 1.0);
+  EXPECT_FALSE(sim.pending());
+}
+
+TEST(ArmAccessLink, EpisodesOutsideTheWindowScheduleNothing) {
+  sim::Simulation sim;
+  net::Link link(sim, 1e6, Duration{0});
+  sim.run_until(time_at(10));
+  // Ends exactly at `from`, starts exactly at `until`, server-side kinds.
+  const fault::Plan plan = plan_of(
+      "episode link_blackout start=2 dur=8\n"
+      "episode rate_collapse start=0 dur=10 severity=0.1\n"
+      "episode handover_gap start=40 dur=2\n"
+      "episode rate_collapse start=50 dur=5 severity=0.1\n"
+      "episode origin_restart start=12 dur=5\n"
+      "episode edge_outage start=12 dur=5\n");
+  const std::size_t before = sim.events_scheduled();
+  fault::arm_access_link(sim, link, plan, time_at(10), time_at(40));
+  EXPECT_EQ(sim.events_scheduled(), before);
+  EXPECT_DOUBLE_EQ(link.fault_factor(), 1.0);
+  EXPECT_NEAR(arrival_of_one_second_send(sim, link), 11.0, 1e-9);
+}
+
+TEST(ArmAccessLink, EmptyPlanArmsNothing) {
+  sim::Simulation sim;
+  net::Link link(sim, 1e6, Duration{0});
+  fault::arm_access_link(sim, link, fault::Plan::none(), time_at(0),
+                         time_at(1e6));
+  EXPECT_EQ(sim.events_scheduled(), 0u);
+  EXPECT_DOUBLE_EQ(link.fault_factor(), 1.0);
+  EXPECT_NEAR(arrival_of_one_second_send(sim, link), 1.0, 1e-9);
 }
 
 }  // namespace

@@ -205,7 +205,11 @@ TEST(OwnWorld, RecordsOnceWhenWorldAndAudienceHorizonsMatch) {
                    to_s(world_horizon(cfg, 3)));
   EXPECT_EQ(plain.campaign_seed, cfg.seed);
   EXPECT_EQ(plain.aggregate, nullptr);
-  EXPECT_EQ(plain.load_board, nullptr);
+  // No fluid tier: an empty board, which prices every penalty at zero.
+  ASSERT_NE(plain.load_board, nullptr);
+  EXPECT_EQ(plain.load_board->epochs_merged(), 0u);
+  EXPECT_EQ(to_s(plain.load_board->penalty("any", time_at(1e4), cfg.load)),
+            0.0);
 
   cfg.aggregate.gen.horizon = world_horizon(cfg, 3);
   cfg.aggregate.enabled = true;
