@@ -6,19 +6,43 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
+#include "heap_count.h"
 
 #include "amf/amf0.h"
 #include "analysis/reconstruct.h"
 #include "hls/playlist.h"
 #include "json/json.h"
+#include "media/aac.h"
 #include "media/encoder.h"
 #include "media/filler.h"
 #include "mpegts/mpegts.h"
 #include "rtmp/chunk.h"
+#include "rtmp/session.h"
 
 using namespace psc;
 
 namespace {
+
+using bench::heap_allocs;
+
+/// 20 s of one broadcast (video + audio, DTS order), the per-sample
+/// writers' input.
+const std::vector<media::MediaSample>& broadcast_samples() {
+  static const std::vector<media::MediaSample> samples = [] {
+    media::BroadcastSource src(media::VideoConfig{}, media::AudioConfig{},
+                               media::ContentModelConfig{}, 0.0, Rng(4));
+    std::vector<media::MediaSample> out;
+    for (int i = 0; i < 1460; ++i) out.push_back(src.next_sample());
+    return out;
+  }();
+  return samples;
+}
+
+/// Reports the heap allocations made inside the timed loop, per sample.
+void report_allocs(benchmark::State& state, std::uint64_t allocs) {
+  state.counters["allocs_per_sample"] =
+      static_cast<double>(allocs) / static_cast<double>(state.iterations());
+}
 
 media::MediaSample make_video_sample(std::size_t size) {
   media::MediaSample s;
@@ -85,6 +109,75 @@ void BM_TsMux(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_TsMux);
+
+// One sample of a broadcast through the origin's RTMP writer to one
+// player: FLV tag, AVCC re-framing and chunking fused, then the output
+// handed off as the link would take it. Bytes are wire bytes.
+void BM_RtmpSendSample(benchmark::State& state) {
+  const auto& samples = broadcast_samples();
+  rtmp::ClientSession client("live", "bench", 1, {});
+  rtmp::ServerSession server(2);
+  for (int i = 0; i < 16 && !server.playing(); ++i) {
+    if (client.has_output()) (void)server.on_input(client.take_output());
+    if (server.has_output()) (void)client.on_input(server.take_output());
+  }
+  for (const media::MediaSample& s : samples) {  // warm the scratch lists
+    server.send_sample(s);
+    (void)server.take_output();
+  }
+  std::size_t i = 0;
+  std::uint64_t bytes = 0;
+  const std::uint64_t before = heap_allocs();
+  for (auto _ : state) {
+    server.send_sample(samples[i++ % samples.size()]);
+    const Bytes out = server.take_output();
+    bytes += out.size();
+    benchmark::DoNotOptimize(out.data());
+  }
+  report_allocs(state, heap_allocs() - before);
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_RtmpSendSample);
+
+// One sample of a broadcast into the segmenter's open TS buffer (PES
+// header plus 188-byte packets). Bytes are TS bytes.
+void BM_TsMuxSample(benchmark::State& state) {
+  const auto& samples = broadcast_samples();
+  mpegts::TsMuxer mux;
+  ByteWriter out;
+  for (const media::MediaSample& s : samples) {  // size the buffer
+    out.clear();
+    mux.mux_sample_into(out, s);
+  }
+  std::size_t i = 0;
+  std::uint64_t bytes = 0;
+  const std::uint64_t before = heap_allocs();
+  for (auto _ : state) {
+    out.clear();
+    mux.mux_sample_into(out, samples[i++ % samples.size()]);
+    bytes += out.size();
+    benchmark::DoNotOptimize(out.bytes().data());
+    benchmark::ClobberMemory();
+  }
+  report_allocs(state, heap_allocs() - before);
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_TsMuxSample);
+
+// One AAC frame: VBR size draw, ADTS header and filler payload.
+void BM_AdtsFrame(benchmark::State& state) {
+  media::AacEncoder enc(media::AudioConfig{}, 6);
+  std::uint64_t bytes = 0;
+  const std::uint64_t before = heap_allocs();
+  for (auto _ : state) {
+    const media::MediaSample s = enc.next_frame();
+    bytes += s.data.size();
+    benchmark::DoNotOptimize(s.data.data());
+  }
+  report_allocs(state, heap_allocs() - before);
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_AdtsFrame);
 
 void BM_TsDemux(benchmark::State& state) {
   mpegts::TsMuxer mux;

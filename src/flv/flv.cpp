@@ -2,17 +2,33 @@
 
 namespace psc::flv {
 
-Bytes make_video_tag(bool keyframe, AvcPacketType pkt_type,
-                     std::int32_t composition_time_ms, BytesView data) {
-  ByteWriter w;
+std::array<std::uint8_t, 5> video_tag_header(
+    bool keyframe, AvcPacketType pkt_type, std::int32_t composition_time_ms) {
   const auto frame_flag = keyframe ? VideoFrameFlag::Keyframe
                                    : VideoFrameFlag::Interframe;
-  w.u8(static_cast<std::uint8_t>(
-      (static_cast<std::uint8_t>(frame_flag) << 4) | kCodecAvc));
-  w.u8(static_cast<std::uint8_t>(pkt_type));
-  w.u24be(static_cast<std::uint32_t>(composition_time_ms) & 0xFFFFFF);
-  w.raw(data);
-  return w.take();
+  const auto cts = static_cast<std::uint32_t>(composition_time_ms);
+  return {static_cast<std::uint8_t>(
+              (static_cast<std::uint8_t>(frame_flag) << 4) | kCodecAvc),
+          static_cast<std::uint8_t>(pkt_type),
+          static_cast<std::uint8_t>(cts >> 16),
+          static_cast<std::uint8_t>(cts >> 8), static_cast<std::uint8_t>(cts)};
+}
+
+std::array<std::uint8_t, 2> audio_tag_header(AacPacketType pkt_type) {
+  // SoundFormat=10 (AAC), SoundRate=3 (44kHz), SoundSize=1, SoundType=1.
+  return {static_cast<std::uint8_t>((kSoundFormatAac << 4) | 0x0F),
+          static_cast<std::uint8_t>(pkt_type)};
+}
+
+Bytes make_video_tag(bool keyframe, AvcPacketType pkt_type,
+                     std::int32_t composition_time_ms, BytesView data) {
+  const auto header =
+      video_tag_header(keyframe, pkt_type, composition_time_ms);
+  Bytes out;
+  out.reserve(header.size() + data.size());
+  out.insert(out.end(), header.begin(), header.end());
+  out.insert(out.end(), data.begin(), data.end());
+  return out;
 }
 
 Bytes make_avc_sequence_header(const media::Sps& sps, const media::Pps& pps) {
@@ -22,15 +38,21 @@ Bytes make_avc_sequence_header(const media::Sps& sps, const media::Pps& pps) {
 }
 
 Bytes make_audio_tag(AacPacketType pkt_type, BytesView data) {
-  ByteWriter w;
-  // SoundFormat=10 (AAC), SoundRate=3 (44kHz), SoundSize=1, SoundType=1.
-  w.u8(static_cast<std::uint8_t>((kSoundFormatAac << 4) | 0x0F));
-  w.u8(static_cast<std::uint8_t>(pkt_type));
-  w.raw(data);
-  return w.take();
+  const auto header = audio_tag_header(pkt_type);
+  Bytes out;
+  out.reserve(header.size() + data.size());
+  out.insert(out.end(), header.begin(), header.end());
+  out.insert(out.end(), data.begin(), data.end());
+  return out;
 }
 
-Result<VideoTag> parse_video_tag(BytesView body) {
+namespace {
+
+constexpr std::size_t kVideoTagHeaderSize = 5;
+constexpr std::size_t kAudioTagHeaderSize = 2;
+
+/// The header fields of a video tag body; `data` is left empty.
+Result<VideoTag> parse_video_tag_header(BytesView body) {
   ByteReader r(body);
   auto b0 = r.u8();
   if (!b0) return b0.error();
@@ -49,13 +71,11 @@ Result<VideoTag> parse_video_tag(BytesView body) {
   std::int32_t v = static_cast<std::int32_t>(cts.value());
   if (v & 0x800000) v |= static_cast<std::int32_t>(0xFF000000u);
   tag.composition_time_ms = v;
-  auto data = r.bytes(r.remaining());
-  if (!data) return data.error();
-  tag.data = std::move(data).value();
   return tag;
 }
 
-Result<AudioTag> parse_audio_tag(BytesView body) {
+/// The header fields of an audio tag body; `data` is left empty.
+Result<AudioTag> parse_audio_tag_header(BytesView body) {
   ByteReader r(body);
   auto b0 = r.u8();
   if (!b0) return b0.error();
@@ -66,9 +86,43 @@ Result<AudioTag> parse_audio_tag(BytesView body) {
   auto pt = r.u8();
   if (!pt) return pt.error();
   tag.packet_type = static_cast<AacPacketType>(pt.value());
-  auto data = r.bytes(r.remaining());
-  if (!data) return data.error();
-  tag.data = std::move(data).value();
+  return tag;
+}
+
+/// Moves `body` minus its first `header` bytes into `data`, shifting the
+/// payload down in place instead of copying it to a new buffer.
+void take_payload(Bytes& data, Bytes&& body, std::size_t header) {
+  body.erase(body.begin(), body.begin() + static_cast<std::ptrdiff_t>(header));
+  data = std::move(body);
+}
+
+}  // namespace
+
+Result<VideoTag> parse_video_tag(BytesView body) {
+  auto tag = parse_video_tag_header(body);
+  if (!tag) return tag;
+  tag.value().data.assign(body.begin() + kVideoTagHeaderSize, body.end());
+  return tag;
+}
+
+Result<VideoTag> parse_video_tag(Bytes&& body) {
+  auto tag = parse_video_tag_header(body);
+  if (!tag) return tag;
+  take_payload(tag.value().data, std::move(body), kVideoTagHeaderSize);
+  return tag;
+}
+
+Result<AudioTag> parse_audio_tag(BytesView body) {
+  auto tag = parse_audio_tag_header(body);
+  if (!tag) return tag;
+  tag.value().data.assign(body.begin() + kAudioTagHeaderSize, body.end());
+  return tag;
+}
+
+Result<AudioTag> parse_audio_tag(Bytes&& body) {
+  auto tag = parse_audio_tag_header(body);
+  if (!tag) return tag;
+  take_payload(tag.value().data, std::move(body), kAudioTagHeaderSize);
   return tag;
 }
 

@@ -8,6 +8,7 @@
 // meaning" — those bytes are precisely these tag headers.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 
@@ -25,7 +26,15 @@ enum class AacPacketType : std::uint8_t { SequenceHeader = 0, Raw = 1 };
 constexpr std::uint8_t kCodecAvc = 7;
 constexpr std::uint8_t kSoundFormatAac = 10;
 
-/// Video tag body: [frame_type|codec] [avc_packet_type] [cts24] [data].
+/// The 5 header bytes of a video tag body: [frame_type|codec]
+/// [avc_packet_type] [cts24].
+std::array<std::uint8_t, 5> video_tag_header(bool keyframe,
+                                             AvcPacketType pkt_type,
+                                             std::int32_t composition_time_ms);
+/// The 2 header bytes of an AAC audio tag body.
+std::array<std::uint8_t, 2> audio_tag_header(AacPacketType pkt_type);
+
+/// Video tag body: video_tag_header(...) followed by `data`.
 Bytes make_video_tag(bool keyframe, AvcPacketType pkt_type,
                      std::int32_t composition_time_ms, BytesView data);
 
@@ -49,5 +58,10 @@ struct AudioTag {
 
 Result<VideoTag> parse_video_tag(BytesView body);
 Result<AudioTag> parse_audio_tag(BytesView body);
+/// The same, taking over `body`: the tag's data is `body` with the header
+/// stripped in place, so no second buffer is allocated. `body` is left
+/// unspecified on success and untouched on error.
+Result<VideoTag> parse_video_tag(Bytes&& body);
+Result<AudioTag> parse_audio_tag(Bytes&& body);
 
 }  // namespace psc::flv

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace psc::media {
 
@@ -21,25 +23,29 @@ Result<int> adts_sampling_index(int sample_rate) {
 
 Bytes write_adts_frame(const AudioConfig& cfg, std::size_t payload_bytes,
                        std::uint64_t filler_seed) {
-  const int sf_index = adts_sampling_index(cfg.sample_rate).value_or(4);
+  const auto sf_index = adts_sampling_index(cfg.sample_rate);
+  if (!sf_index) {
+    throw std::invalid_argument("ADTS has no index for sample rate " +
+                                std::to_string(cfg.sample_rate));
+  }
   const std::size_t frame_len = kAdtsHeaderSize + payload_bytes;
-  ByteWriter w;
+  Bytes out(frame_len);
   // Header: syncword(12) ID(1)=0 layer(2)=0 protection_absent(1)=1
-  w.u8(0xFF);
-  w.u8(0xF1);
+  out[0] = 0xFF;
+  out[1] = 0xF1;
   // profile(2)=01 (AAC-LC), sf_index(4), private(1)=0, channel_cfg(3) hi bit
   const int channel_cfg = cfg.channels;
-  w.u8(static_cast<std::uint8_t>((1 << 6) | (sf_index << 2) |
-                                 ((channel_cfg >> 2) & 0x1)));
+  out[2] = static_cast<std::uint8_t>((1 << 6) | (sf_index.value() << 2) |
+                                     ((channel_cfg >> 2) & 0x1));
   // channel_cfg lo 2 bits, orig/copy, home, copyright id bit/start,
   // frame_length hi 2 bits
-  w.u8(static_cast<std::uint8_t>(((channel_cfg & 0x3) << 6) |
-                                 ((frame_len >> 11) & 0x3)));
-  w.u8(static_cast<std::uint8_t>((frame_len >> 3) & 0xFF));
+  out[3] = static_cast<std::uint8_t>(((channel_cfg & 0x3) << 6) |
+                                     ((frame_len >> 11) & 0x3));
+  out[4] = static_cast<std::uint8_t>((frame_len >> 3) & 0xFF);
   // frame_length lo 3 bits + buffer fullness hi 5 bits (0x7FF = VBR)
-  w.u8(static_cast<std::uint8_t>(((frame_len & 0x7) << 5) | 0x1F));
+  out[5] = static_cast<std::uint8_t>(((frame_len & 0x7) << 5) | 0x1F);
   // buffer fullness lo 6 bits + number_of_raw_data_blocks(2)=0
-  w.u8(0xFC);
+  out[6] = 0xFC;
 
   // Same 4-step LCG jump as the video slice filler (media/h264.cpp):
   // state_{n+k} = A^k * state_n + C_k breaks the serial multiply chain;
@@ -53,10 +59,7 @@ Bytes write_adts_frame(const AudioConfig& cfg, std::size_t payload_bytes,
   constexpr std::uint64_t kA4 = kA3 * kA;
   constexpr std::uint64_t kC4 = kA * kC3 + kC;
   std::uint64_t state = filler_seed * 0x9E3779B97F4A7C15ull + 0xA5;
-  Bytes out = w.take();
-  const std::size_t start = out.size();
-  out.resize(start + payload_bytes);
-  std::uint8_t* p = out.data() + start;
+  std::uint8_t* p = out.data() + kAdtsHeaderSize;
   std::uint8_t* const pe = out.data() + out.size();
   for (; pe - p >= 4; p += 4) {
     const std::uint64_t s1 = state * kA + kC;
@@ -99,7 +102,12 @@ Result<AdtsFrameInfo> parse_adts_header(BytesView data) {
 }
 
 AacEncoder::AacEncoder(const AudioConfig& cfg, std::uint64_t seed)
-    : cfg_(cfg), state_(seed) {}
+    : cfg_(cfg), state_(seed) {
+  if (!adts_sampling_index(cfg.sample_rate)) {
+    throw std::invalid_argument("AAC encoder: ADTS has no index for sample "
+                                "rate " + std::to_string(cfg.sample_rate));
+  }
+}
 
 MediaSample AacEncoder::next_frame() {
   // VBR: frame sizes fluctuate ~±30% around the mean implied by the

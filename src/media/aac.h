@@ -25,7 +25,9 @@ struct AdtsFrameInfo {
 Result<int> adts_sampling_index(int sample_rate);
 
 /// Serialise one ADTS frame (7-byte header, no CRC) with `payload_bytes`
-/// of deterministic filler.
+/// of deterministic filler, in one allocation. Throws
+/// std::invalid_argument when `cfg.sample_rate` has no ADTS index: the
+/// header cannot state it truthfully.
 Bytes write_adts_frame(const AudioConfig& cfg, std::size_t payload_bytes,
                        std::uint64_t filler_seed);
 
@@ -36,6 +38,8 @@ Result<AdtsFrameInfo> parse_adts_header(BytesView data);
 /// and emits timed ADTS samples.
 class AacEncoder {
  public:
+  /// Throws std::invalid_argument when `cfg.sample_rate` is not one of
+  /// the twelve ADTS sampling frequencies.
   AacEncoder(const AudioConfig& cfg, std::uint64_t seed);
 
   /// Next audio sample; PTS advances by samples_per_frame/sample_rate.

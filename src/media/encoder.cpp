@@ -15,6 +15,10 @@ VideoEncoder::VideoEncoder(const VideoConfig& cfg,
   sps_.width = cfg_.width;
   sps_.height = cfg_.height;
   pps_.pic_init_qp = 26;
+  append_annexb_nal(param_sets_,
+                    NalUnit{NalType::Sps, 3, write_sps_rbsp(sps_)});
+  append_annexb_nal(param_sets_,
+                    NalUnit{NalType::Pps, 3, write_pps_rbsp(pps_)});
 }
 
 FrameType VideoEncoder::frame_type_for(std::uint64_t gop_pos) const {
@@ -52,20 +56,17 @@ MediaSample VideoEncoder::encode_one(std::uint64_t display_idx,
   if (type != FrameType::B) ++frame_num_;
   hdr.qp = qp;
 
-  // Assemble the access unit directly into the sample buffer: small
-  // prefix NALs (SPS/PPS/SEI) via the per-NAL append, then the slice in
-  // fused streaming form — byte-identical to annexb_wrap over the
-  // equivalent NalUnit list, without materialising the slice RBSP/EBSP.
+  // Assemble the access unit directly into the sample buffer: the
+  // parameter sets written once at construction, the SEI and then the
+  // slice in fused streaming form — byte-identical to annexb_wrap over
+  // the equivalent NalUnit list, without materialising any NalUnit.
   const auto payload = static_cast<std::size_t>(std::max(40.0, bits / 8.0));
   Bytes data;
   data.reserve(payload + payload / 64 + 192);
-  if (idr) {
-    append_annexb_nal(data, NalUnit{NalType::Sps, 3, write_sps_rbsp(sps_)});
-    append_annexb_nal(data, NalUnit{NalType::Pps, 3, write_pps_rbsp(pps_)});
-  }
+  if (idr) data.insert(data.end(), param_sets_.begin(), param_sets_.end());
   const double pts_s = static_cast<double>(display_idx) * frame_period;
   if (pts_s >= next_sei_pts_s_) {
-    append_annexb_nal(data, make_ntp_sei(ntp_from_seconds(epoch_s_ + pts_s)));
+    append_annexb_ntp_sei(data, ntp_from_seconds(epoch_s_ + pts_s));
     next_sei_pts_s_ = pts_s + 1.0;
   }
   append_annexb_slice(data, hdr, sps_, pps_, payload, display_idx);

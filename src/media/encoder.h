@@ -46,6 +46,7 @@ class VideoEncoder {
   RateController rc_;
   Sps sps_;
   Pps pps_;
+  Bytes param_sets_;  // Annex-B SPS + PPS, prefixed to every IDR
   Rng rng_;
   double epoch_s_;
 

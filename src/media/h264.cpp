@@ -146,11 +146,10 @@ Result<NalUnit> parse_nal_bytes(BytesView raw) {
   return nal;
 }
 
-/// Start-code scan shared by split_annexb and annexb_to_avcc: fills
-/// (starts, code_pos) with the offset of each NAL's first byte and of its
-/// start code.
-void scan_annexb_start_codes(BytesView data, std::vector<std::size_t>* starts,
-                             std::vector<std::size_t>* code_pos) {
+}  // namespace
+
+Status annexb_nal_views(BytesView data, std::vector<BytesView>& nals) {
+  nals.clear();
   // Hunt for the 0x01 terminator of the 00 00 01 code and check the two
   // bytes before it — the slice filler is ~1/16 zero bytes but only
   // ~1/256 0x01 bytes, so keying the memchr on 0x01 stops 16x less
@@ -158,35 +157,45 @@ void scan_annexb_start_codes(BytesView data, std::vector<std::size_t>* starts,
   // directly after a matched code can never have two zeros before it.
   const std::uint8_t* d = data.data();
   const std::size_t n = data.size();
+  std::size_t start = 0;  // first byte of the open NAL; 0 = none yet
+  const auto close = [&](std::size_t end) -> Status {
+    if (end == start) return make_error("malformed", "empty NAL");
+    if (d[start] & 0x80) {
+      return make_error("malformed", "forbidden_zero_bit set");
+    }
+    nals.push_back(data.subspan(start, end - start));
+    return {};
+  };
   for (std::size_t i = 2; i < n;) {
     const void* z = std::memchr(d + i, 0x01, n - i);
     if (z == nullptr) break;
     const std::size_t j =
         static_cast<std::size_t>(static_cast<const std::uint8_t*>(z) - d);
     if (d[j - 1] == 0 && d[j - 2] == 0) {
-      starts->push_back(j + 1);
-      code_pos->push_back(j - 2);
+      if (start != 0) {
+        // A 4-byte start code shows up as a zero byte before the 3-byte
+        // code.
+        std::size_t end = j - 2;
+        if (end > start && d[end - 1] == 0) --end;
+        if (auto s = close(end); !s) return s;
+      }
+      start = j + 1;
     }
     i = j + 1;
   }
-}
-
-}  // namespace
-
-Result<std::vector<NalUnit>> split_annexb(BytesView data) {
-  std::vector<NalUnit> out;
-  // Find 3- or 4-byte start codes.
-  std::vector<std::size_t> starts;  // offset of first NAL byte
-  std::vector<std::size_t> code_pos;
-  scan_annexb_start_codes(data, &starts, &code_pos);
-  if (starts.empty()) {
+  if (start == 0) {
     return make_error("malformed", "no Annex-B start code found");
   }
-  for (std::size_t k = 0; k < starts.size(); ++k) {
-    std::size_t end = (k + 1 < starts.size()) ? code_pos[k + 1] : data.size();
-    // A 4-byte start code shows up as a zero byte before the 3-byte code.
-    if (k + 1 < starts.size() && end > starts[k] && data[end - 1] == 0) --end;
-    auto nal = parse_nal_bytes(data.subspan(starts[k], end - starts[k]));
+  return close(n);
+}
+
+Result<std::vector<NalUnit>> split_annexb(BytesView data) {
+  std::vector<BytesView> views;
+  if (auto s = annexb_nal_views(data, views); !s) return s.error();
+  std::vector<NalUnit> out;
+  out.reserve(views.size());
+  for (const BytesView v : views) {
+    auto nal = parse_nal_bytes(v);
     if (!nal) return nal.error();
     out.push_back(std::move(nal).value());
   }
@@ -213,27 +222,17 @@ Bytes avcc_wrap(const std::vector<NalUnit>& nals) {
 }
 
 Result<Bytes> annexb_to_avcc(BytesView data) {
-  std::vector<std::size_t> starts;
-  std::vector<std::size_t> code_pos;
-  scan_annexb_start_codes(data, &starts, &code_pos);
-  if (starts.empty()) {
-    return make_error("malformed", "no Annex-B start code found");
-  }
+  std::vector<BytesView> nals;
+  if (auto s = annexb_nal_views(data, nals); !s) return s.error();
   Bytes out;
-  out.reserve(data.size() + starts.size());
-  for (std::size_t k = 0; k < starts.size(); ++k) {
-    std::size_t end = (k + 1 < starts.size()) ? code_pos[k + 1] : data.size();
-    if (k + 1 < starts.size() && end > starts[k] && data[end - 1] == 0) --end;
-    const std::size_t len = end - starts[k];
-    if (len == 0) return make_error("malformed", "empty NAL");
-    if (data[starts[k]] & 0x80) {
-      return make_error("malformed", "forbidden_zero_bit set");
-    }
+  out.reserve(data.size() + nals.size());
+  for (const BytesView nal : nals) {
+    const std::size_t len = nal.size();
     out.push_back(static_cast<std::uint8_t>(len >> 24));
     out.push_back(static_cast<std::uint8_t>(len >> 16));
     out.push_back(static_cast<std::uint8_t>(len >> 8));
     out.push_back(static_cast<std::uint8_t>(len));
-    out.insert(out.end(), data.begin() + starts[k], data.begin() + end);
+    out.insert(out.end(), nal.begin(), nal.end());
   }
   return out;
 }
@@ -554,7 +553,7 @@ void append_annexb_slice(Bytes& out, const SliceHeader& hdr, const Sps& sps,
   // from the process-wide table.
   BitWriter w;
   const int nal_ref_idc = write_slice_header_bits(w, hdr, sps, pps);
-  const Bytes head = w.take();
+  const BytesView head = w.view();
   const std::size_t filler =
       head.size() < payload_bytes ? payload_bytes - head.size() : 0;
   out.reserve(out.size() + 5 + payload_bytes + payload_bytes / 64 + 16);
@@ -703,17 +702,35 @@ double seconds_from_ntp(std::uint64_t ntp) {
          static_cast<double>(ntp & 0xFFFFFFFFull) / 4294967296.0;
 }
 
-NalUnit make_ntp_sei(std::uint64_t ntp_timestamp) {
-  ByteWriter payload;
-  for (std::uint8_t b : kNtpSeiUuid) payload.u8(b);
-  payload.u64be(ntp_timestamp);
+namespace {
 
-  ByteWriter w;
-  w.u8(5);  // payloadType: user_data_unregistered
-  w.u8(static_cast<std::uint8_t>(payload.size()));
-  w.raw(payload.bytes());
-  w.u8(0x80);  // rbsp_trailing_bits
-  return NalUnit{NalType::Sei, 0, w.take()};
+/// RBSP of the NTP SEI: payloadType 5, payloadSize 24, the UUID, the
+/// timestamp, rbsp_trailing_bits.
+std::array<std::uint8_t, 27> ntp_sei_rbsp(std::uint64_t ntp_timestamp) {
+  std::array<std::uint8_t, 27> rbsp{};
+  rbsp[0] = 5;  // payloadType: user_data_unregistered
+  rbsp[1] = static_cast<std::uint8_t>(kNtpSeiUuid.size() + 8);
+  std::copy(kNtpSeiUuid.begin(), kNtpSeiUuid.end(), rbsp.begin() + 2);
+  for (int i = 0; i < 8; ++i) {
+    rbsp[18 + i] = static_cast<std::uint8_t>(ntp_timestamp >> (56 - 8 * i));
+  }
+  rbsp[26] = 0x80;  // rbsp_trailing_bits
+  return rbsp;
+}
+
+}  // namespace
+
+NalUnit make_ntp_sei(std::uint64_t ntp_timestamp) {
+  const auto rbsp = ntp_sei_rbsp(ntp_timestamp);
+  return NalUnit{NalType::Sei, 0, Bytes(rbsp.begin(), rbsp.end())};
+}
+
+void append_annexb_ntp_sei(Bytes& out, std::uint64_t ntp_timestamp) {
+  const auto rbsp = ntp_sei_rbsp(ntp_timestamp);
+  out.insert(out.end(), {0x00, 0x00, 0x00, 0x01,
+                         static_cast<std::uint8_t>(NalType::Sei)});
+  std::size_t zeros = 0;
+  escape_append(out, rbsp.data(), rbsp.size(), zeros);
 }
 
 std::optional<std::uint64_t> parse_ntp_sei(const NalUnit& nal) {

@@ -91,6 +91,13 @@ Result<std::vector<NalUnit>> split_annexb(BytesView data);
 Bytes avcc_wrap(const std::vector<NalUnit>& nals);
 Result<std::vector<NalUnit>> split_avcc(BytesView data);
 
+/// The NAL units of an Annex-B buffer as views into it (header byte plus
+/// escaped payload, start codes stripped), written over `nals` — a
+/// caller-kept vector, so a steady caller allocates nothing. Fails on the
+/// first empty or forbidden_zero_bit NAL, or when no start code is found;
+/// split_annexb and annexb_to_avcc report the same errors.
+Status annexb_nal_views(BytesView data, std::vector<BytesView>& nals);
+
 /// Direct re-framers for the fan-out hot path: switch between Annex-B and
 /// AVCC framing without materialising NalUnits or touching emulation
 /// prevention — NAL payload bytes are copied verbatim. For the canonical
@@ -151,6 +158,9 @@ double seconds_from_ntp(std::uint64_t ntp);
 /// 8-byte NTP timestamp — the paper found Periscope's broadcaster embeds
 /// these regularly into the video data.
 NalUnit make_ntp_sei(std::uint64_t ntp_timestamp);
+/// Append the Annex-B framing of make_ntp_sei(ntp_timestamp) to `out`,
+/// byte-identically, without building the NalUnit.
+void append_annexb_ntp_sei(Bytes& out, std::uint64_t ntp_timestamp);
 /// Returns the timestamp if this NAL is our NTP SEI.
 std::optional<std::uint64_t> parse_ntp_sei(const NalUnit& nal);
 

@@ -1,8 +1,10 @@
 #include "mpegts/mpegts.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 #include "util/crc32.h"
 
@@ -11,16 +13,6 @@ namespace psc::mpegts {
 namespace {
 
 constexpr std::uint64_t kPtsWrap = 1ull << 33;
-
-void write_ts_header(ByteWriter& w, std::uint16_t pid, bool pusi,
-                     bool has_adaptation, bool has_payload, std::uint8_t cc) {
-  w.u8(0x47);
-  w.u8(static_cast<std::uint8_t>((pusi ? 0x40 : 0x00) | ((pid >> 8) & 0x1F)));
-  w.u8(static_cast<std::uint8_t>(pid & 0xFF));
-  const std::uint8_t afc = static_cast<std::uint8_t>(
-      (has_adaptation ? 0x20 : 0x00) | (has_payload ? 0x10 : 0x00));
-  w.u8(static_cast<std::uint8_t>(afc | (cc & 0x0F)));
-}
 
 void write_pts_field(ByteWriter& w, std::uint8_t prefix, std::uint64_t v) {
   v %= kPtsWrap;
@@ -43,31 +35,35 @@ Result<std::uint64_t> read_pts_field(ByteReader& r) {
   return (hi << 30) | (mid << 15) | lo;
 }
 
+/// One PSI section (table_id, section_syntax + length, id, version,
+/// section numbers, `body`, CRC-32) in a single packet, stuffed with 0xFF.
 void write_psi_packet(ByteWriter& w, std::uint16_t pid, std::uint8_t table_id,
-                      const Bytes& table_body, std::uint8_t cc) {
-  // section: table_id, section_syntax(1)+len, id, version, section nums,
-  // body, crc32.
-  ByteWriter sec;
-  sec.u8(table_id);
-  const std::size_t section_length = 5 + table_body.size() + 4;
-  sec.u16be(static_cast<std::uint16_t>(0xB000 | (section_length & 0x3FF)));
-  sec.u16be(1);     // transport_stream_id / program_number context
-  sec.u8(0xC1);     // version 0, current_next 1
-  sec.u8(0);        // section_number
-  sec.u8(0);        // last_section_number
-  sec.raw(table_body);
-  const Bytes section = sec.take();
-  const std::uint32_t crc = crc32_mpeg(section);
-
-  const std::size_t start = w.size();
-  write_ts_header(w, pid, /*pusi=*/true, /*adaptation=*/false,
-                  /*payload=*/true, cc);
-  w.u8(0);  // pointer_field
-  w.raw(section);
-  w.u32be(crc);
-  // Stuff the remainder with 0xFF.
-  assert(w.size() - start <= kTsPacketSize);
-  w.fill(kTsPacketSize - (w.size() - start), 0xFF);
+                      BytesView body, std::uint8_t cc) {
+  std::uint8_t* p = w.extend(kTsPacketSize);
+  p[0] = 0x47;
+  p[1] = static_cast<std::uint8_t>(0x40 | ((pid >> 8) & 0x1F));  // PUSI
+  p[2] = static_cast<std::uint8_t>(pid & 0xFF);
+  p[3] = static_cast<std::uint8_t>(0x10 | (cc & 0x0F));  // payload only
+  p[4] = 0;  // pointer_field
+  std::uint8_t* const sec = p + 5;
+  const std::size_t section_length = 5 + body.size() + 4;
+  assert(5 + 3 + section_length <= kTsPacketSize);
+  sec[0] = table_id;
+  sec[1] = static_cast<std::uint8_t>(0xB0 | ((section_length >> 8) & 0x03));
+  sec[2] = static_cast<std::uint8_t>(section_length & 0xFF);
+  sec[3] = 0;     // transport_stream_id / program_number context (1)
+  sec[4] = 1;
+  sec[5] = 0xC1;  // version 0, current_next 1
+  sec[6] = 0;     // section_number
+  sec[7] = 0;     // last_section_number
+  std::memcpy(sec + 8, body.data(), body.size());
+  const std::size_t crc_at = 8 + body.size();
+  const std::uint32_t crc = crc32_mpeg(BytesView(sec, crc_at));
+  sec[crc_at] = static_cast<std::uint8_t>(crc >> 24);
+  sec[crc_at + 1] = static_cast<std::uint8_t>(crc >> 16);
+  sec[crc_at + 2] = static_cast<std::uint8_t>(crc >> 8);
+  sec[crc_at + 3] = static_cast<std::uint8_t>(crc);
+  std::fill(sec + crc_at + 4, p + kTsPacketSize, std::uint8_t{0xFF});
 }
 
 }  // namespace
@@ -99,23 +95,26 @@ Bytes TsMuxer::psi() {
 }
 
 void TsMuxer::psi_into(ByteWriter& out) {
+  // A PID field: 3 reserved bits then the 13-bit PID.
+  const auto pid_field = [](std::uint16_t pid) {
+    return std::array<std::uint8_t, 2>{
+        static_cast<std::uint8_t>(0xE0 | (pid >> 8)),
+        static_cast<std::uint8_t>(pid)};
+  };
   // PAT: program 1 -> PMT PID.
-  ByteWriter pat_body;
-  pat_body.u16be(1);  // program_number
-  pat_body.u16be(static_cast<std::uint16_t>(0xE000 | pmt_pid_));
-  write_psi_packet(out, kPatPid, 0x00, pat_body.take(), next_cc(kPatPid));
+  const auto pmt = pid_field(pmt_pid_);
+  const std::uint8_t pat_body[] = {0x00, 0x01, pmt[0], pmt[1]};
+  write_psi_packet(out, kPatPid, 0x00, pat_body, next_cc(kPatPid));
 
-  // PMT: PCR on video PID; AVC video + ADTS audio streams.
-  ByteWriter pmt_body;
-  pmt_body.u16be(static_cast<std::uint16_t>(0xE000 | video_pid_));  // PCR PID
-  pmt_body.u16be(0xF000);  // program_info_length = 0
-  pmt_body.u8(kStreamTypeAvc);
-  pmt_body.u16be(static_cast<std::uint16_t>(0xE000 | video_pid_));
-  pmt_body.u16be(0xF000);  // ES_info_length = 0
-  pmt_body.u8(kStreamTypeAac);
-  pmt_body.u16be(static_cast<std::uint16_t>(0xE000 | audio_pid_));
-  pmt_body.u16be(0xF000);
-  write_psi_packet(out, pmt_pid_, 0x02, pmt_body.take(), next_cc(pmt_pid_));
+  // PMT: PCR on video PID; AVC video + ADTS audio streams, no
+  // descriptors (program_info_length = ES_info_length = 0).
+  const auto video = pid_field(video_pid_);
+  const auto audio = pid_field(audio_pid_);
+  const std::uint8_t pmt_body[] = {
+      video[0],       video[1], 0xF0, 0x00,  // PCR PID, program_info_length
+      kStreamTypeAvc, video[0], video[1], 0xF0, 0x00,
+      kStreamTypeAac, audio[0], audio[1], 0xF0, 0x00};
+  write_psi_packet(out, pmt_pid_, 0x02, pmt_body, next_cc(pmt_pid_));
 }
 
 void TsMuxer::pes_header_into(ByteWriter& pes,
@@ -138,21 +137,30 @@ void TsMuxer::pes_header_into(ByteWriter& pes,
 void TsMuxer::write_payload(ByteWriter& out, std::uint16_t pid, BytesView head,
                             BytesView body, bool keyframe,
                             std::optional<Duration> pcr) {
+  constexpr std::size_t kRoom = kTsPacketSize - 4;  // payload of a bare packet
   const std::size_t total = head.size() + body.size();
+  // The first packet's adaptation field carries the flags (and PCR);
+  // every later packet is bare except the last, which stuffing shortens
+  // but never drops. So the packet count is fixed before any byte is
+  // written, and the whole PES is written into one block.
+  const bool want_flags = keyframe || pcr.has_value();
+  const std::size_t flags_af = want_flags ? 1 + (pcr ? 6 : 0) : 0;
+  const std::size_t first_room = kRoom - (flags_af > 0 ? flags_af + 1 : 0);
+  const std::size_t packets =
+      total == 0            ? 0
+      : total <= first_room ? 1
+                            : 1 + (total - first_room + kRoom - 1) / kRoom;
+  std::uint8_t* p = out.extend(packets * kTsPacketSize);
+  std::uint8_t& cc = continuity_[pid];
+
   std::size_t offset = 0;
   bool first = true;
   while (offset < total) {
     const std::size_t remaining = total - offset;
     // Compute adaptation field needs: PCR/random-access on first packet,
     // stuffing on the last.
-    const bool want_flags = first && (keyframe || pcr.has_value());
-    std::size_t af_len = 0;  // adaptation_field_length byte value
-    const std::size_t base_payload_room = kTsPacketSize - 4;
-    if (want_flags) {
-      af_len = 1 + (pcr ? 6 : 0);  // flags byte + optional PCR
-    }
-    std::size_t payload_room =
-        base_payload_room - (af_len > 0 ? af_len + 1 : 0);
+    std::size_t af_len = first ? flags_af : 0;  // adaptation_field_length
+    std::size_t payload_room = kRoom - (af_len > 0 ? af_len + 1 : 0);
     if (remaining < payload_room) {
       // Need stuffing: grow the adaptation field.
       const std::size_t deficit = payload_room - remaining;
@@ -169,39 +177,56 @@ void TsMuxer::write_payload(ByteWriter& out, std::uint16_t pid, BytesView head,
       }
       payload_room = remaining;
     }
-    const bool has_af = want_flags || payload_room < base_payload_room;
+    const bool has_af = (first && want_flags) || payload_room < kRoom;
 
-    write_ts_header(out, pid, first, has_af, true, next_cc(pid));
+    [[maybe_unused]] std::uint8_t* const packet_end = p + kTsPacketSize;
+    p[0] = 0x47;
+    p[1] = static_cast<std::uint8_t>((first ? 0x40 : 0x00) |
+                                     ((pid >> 8) & 0x1F));
+    p[2] = static_cast<std::uint8_t>(pid & 0xFF);
+    p[3] = static_cast<std::uint8_t>((has_af ? 0x30 : 0x10) | cc);
+    cc = static_cast<std::uint8_t>((cc + 1) & 0x0F);
+    p += 4;
     if (has_af) {
-      out.u8(static_cast<std::uint8_t>(af_len));
+      *p++ = static_cast<std::uint8_t>(af_len);
       if (af_len > 0) {
+        std::uint8_t* const af_end = p + af_len;
         std::uint8_t flags = 0;
         if (first && keyframe) flags |= 0x40;  // random_access_indicator
         if (first && pcr) flags |= 0x10;       // PCR_flag
-        out.u8(flags);
-        std::size_t used = 1;
+        *p++ = flags;
         if (first && pcr) {
           const std::uint64_t base = to_pts90k(*pcr);
-          out.u8(static_cast<std::uint8_t>(base >> 25));
-          out.u8(static_cast<std::uint8_t>(base >> 17));
-          out.u8(static_cast<std::uint8_t>(base >> 9));
-          out.u8(static_cast<std::uint8_t>(base >> 1));
-          out.u8(static_cast<std::uint8_t>(((base & 1) << 7) | 0x7E));
-          out.u8(0);
-          used += 6;
+          p[0] = static_cast<std::uint8_t>(base >> 25);
+          p[1] = static_cast<std::uint8_t>(base >> 17);
+          p[2] = static_cast<std::uint8_t>(base >> 9);
+          p[3] = static_cast<std::uint8_t>(base >> 1);
+          p[4] = static_cast<std::uint8_t>(((base & 1) << 7) | 0x7E);
+          p[5] = 0;
+          p += 6;
         }
-        if (af_len > used) out.fill(af_len - used, 0xFF);
+        std::fill(p, af_end, std::uint8_t{0xFF});
+        p = af_end;
       }
     }
+    // Payload: the rest of the head, then body bytes.
     std::size_t pos = offset;
     std::size_t left = payload_room;
     if (pos < head.size()) {
       const std::size_t take = std::min(left, head.size() - pos);
-      out.raw(head.subspan(pos, take));
+      // std::copy_n, not memcpy: GCC expands a memcpy this short into
+      // `rep movsq`, whose start-up cost doubled the time of a one-packet
+      // (audio) sample.
+      std::copy_n(head.data() + pos, take, p);
+      p += take;
       pos += take;
       left -= take;
     }
-    if (left > 0) out.raw(body.subspan(pos - head.size(), left));
+    if (left > 0) {
+      std::memcpy(p, body.data() + (pos - head.size()), left);
+      p += left;
+    }
+    assert(p == packet_end);
     offset += payload_room;
     first = false;
   }

@@ -1,6 +1,7 @@
 #include "net/link.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 namespace psc::net {
@@ -85,13 +86,25 @@ void Link::send_sized(util::BufferSlice data, std::size_t size,
 }
 
 void Link::complete(std::uint64_t id) {
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (it->id != id) continue;
+  for (std::size_t i = head_; i < pending_.size(); ++i) {
+    if (pending_[i].id != id) continue;
     // Detach before delivering: `deliver` may re-enter send() on this
     // same link (the pump chains do).
-    DeliveryFn deliver = std::move(it->deliver);
-    util::BufferSlice data = std::move(it->data);
-    pending_.erase(it);
+    DeliveryFn deliver = std::move(pending_[i].deliver);
+    util::BufferSlice data = std::move(pending_[i].data);
+    if (i == head_) {
+      ++head_;  // the usual case: transfers complete in FIFO order
+    } else {
+      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    if (head_ == pending_.size()) {
+      pending_.clear();  // keeps the capacity for the next sends
+      head_ = 0;
+    } else if (2 * head_ >= pending_.size()) {
+      pending_.erase(pending_.begin(),
+                     pending_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
     deliver(sim_.now(), std::move(data));
     return;
   }
@@ -115,8 +128,9 @@ void Link::freeze_until(TimePoint until) {
 
 void Link::repace() {
   const TimePoint now = sim_.now();
+  const auto live = std::span(pending_).subspan(head_);
   bool any_unfinished = false;
-  for (const Pending& p : pending_) {
+  for (const Pending& p : live) {
     if (p.end > now) {
       any_unfinished = true;
       break;
@@ -129,7 +143,7 @@ void Link::repace() {
 
   const BitRate eff = effective_rate();
   TimePoint cursor = std::max(now, frozen_until_);
-  for (Pending& p : pending_) {
+  for (Pending& p : live) {
     if (p.end <= now) continue;  // fully serialized; already on the wire
     // Remaining fraction by time ratio — rate-agnostic within the
     // constant-rate window the entry was last paced for.

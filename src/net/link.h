@@ -18,7 +18,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "sim/simulation.h"
 #include "util/buffer.h"
@@ -117,7 +117,11 @@ class Link {
   double fault_factor_ = 1.0;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t next_transfer_id_ = 1;
-  std::deque<Pending> pending_;
+  /// In-flight transfers in send order, from pending_[head_]. Completed
+  /// entries ahead of head_ are dropped in batches, so the vector's
+  /// storage is reused instead of allocated per transfer.
+  std::vector<Pending> pending_;
+  std::size_t head_ = 0;
 
   bool noise_enabled_ = false;
   Rng noise_rng_{0};

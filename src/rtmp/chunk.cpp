@@ -6,8 +6,14 @@
 namespace psc::rtmp {
 
 namespace {
+
 constexpr std::uint32_t kExtTimestampSentinel = 0xFFFFFF;
+
+std::size_t basic_header_size(std::uint32_t csid) {
+  return csid <= 63 ? 1 : csid <= 319 ? 2 : 3;
 }
+
+}  // namespace
 
 void ChunkWriter::write_basic_header(ByteWriter& out, int fmt,
                                      std::uint32_t csid) const {
@@ -27,14 +33,23 @@ void ChunkWriter::write_basic_header(ByteWriter& out, int fmt,
 
 void ChunkWriter::write(ByteWriter& out, std::uint32_t csid,
                         const Message& msg) {
+  const BytesView payload(msg.payload);
+  write(out, csid, msg.type, msg.timestamp_ms, msg.stream_id, {&payload, 1});
+}
+
+void ChunkWriter::write(ByteWriter& out, std::uint32_t csid, MessageType type,
+                        std::uint32_t timestamp_ms, std::uint32_t stream_id,
+                        std::span<const BytesView> payload) {
+  std::size_t length = 0;
+  for (const BytesView piece : payload) length += piece.size();
+
   auto it = prev_.find(csid);
   int fmt = 0;
   std::uint32_t delta = 0;
-  if (it != prev_.end() && msg.timestamp_ms >= it->second.timestamp &&
-      msg.stream_id == it->second.stream_id) {
-    delta = msg.timestamp_ms - it->second.timestamp;
-    if (msg.payload.size() == it->second.length &&
-        msg.type == it->second.type) {
+  if (it != prev_.end() && timestamp_ms >= it->second.timestamp &&
+      stream_id == it->second.stream_id) {
+    delta = timestamp_ms - it->second.timestamp;
+    if (length == it->second.length && type == it->second.type) {
       // fmt 3 message starts are legal but interact poorly with extended
       // timestamps across implementations; fmt 2 costs 3 bytes and is
       // unambiguous, so this writer stops there.
@@ -44,42 +59,51 @@ void ChunkWriter::write(ByteWriter& out, std::uint32_t csid,
     }
   }
 
-  const std::uint32_t hdr_ts = fmt == 0 ? msg.timestamp_ms : delta;
+  const std::uint32_t hdr_ts = fmt == 0 ? timestamp_ms : delta;
   const bool ext_ts = hdr_ts >= kExtTimestampSentinel;
 
-  std::size_t offset = 0;
-  bool first = true;
-  do {
-    const std::size_t n =
-        std::min<std::size_t>(chunk_size_, msg.payload.size() - offset);
-    if (first) {
-      write_basic_header(out, fmt, csid);
-      if (fmt <= 2) {
-        out.u24be(ext_ts ? kExtTimestampSentinel : hdr_ts);
-      }
-      if (fmt <= 1) {
-        out.u24be(static_cast<std::uint32_t>(msg.payload.size()));
-        out.u8(static_cast<std::uint8_t>(msg.type));
-      }
-      if (fmt == 0) {
-        out.u32le(msg.stream_id);  // message stream id is little-endian
-      }
-      if (ext_ts && fmt <= 2) out.u32be(hdr_ts);
-      first = false;
-    } else {
-      // Continuation chunks always use fmt 3.
-      write_basic_header(out, 3, csid);
-      if (ext_ts) out.u32be(hdr_ts);
-    }
-    out.raw(BytesView(msg.payload).subspan(offset, n));
-    offset += n;
-  } while (offset < msg.payload.size());
+  // Size the whole message up front: the first chunk's header, one
+  // continuation header per further chunk (fmt 3, repeating an extended
+  // timestamp), and the payload.
+  static constexpr std::size_t kMsgHdrSize[] = {11, 7, 3};
+  const std::size_t basic = basic_header_size(csid);
+  const std::size_t chunks =
+      length == 0 ? 1 : (length + chunk_size_ - 1) / chunk_size_;
+  const std::size_t cont_header = basic + (ext_ts ? 4 : 0);
+  out.reserve_more(basic + kMsgHdrSize[fmt] + (ext_ts ? 4 : 0) +
+                   (chunks - 1) * cont_header + length);
 
-  PrevHeader& ph = prev_[csid];
-  ph.timestamp = msg.timestamp_ms;
-  ph.length = static_cast<std::uint32_t>(msg.payload.size());
-  ph.type = msg.type;
-  ph.stream_id = msg.stream_id;
+  write_basic_header(out, fmt, csid);
+  if (fmt <= 2) out.u24be(ext_ts ? kExtTimestampSentinel : hdr_ts);
+  if (fmt <= 1) {
+    out.u24be(static_cast<std::uint32_t>(length));
+    out.u8(static_cast<std::uint8_t>(type));
+  }
+  if (fmt == 0) out.u32le(stream_id);  // message stream id is little-endian
+  if (ext_ts) out.u32be(hdr_ts);
+
+  // Copy the pieces, starting a continuation chunk (always fmt 3) each
+  // time chunk_size_ payload bytes have gone out and more remain.
+  std::size_t room = chunk_size_;
+  for (BytesView piece : payload) {
+    while (!piece.empty()) {
+      if (room == 0) {
+        write_basic_header(out, 3, csid);
+        if (ext_ts) out.u32be(hdr_ts);
+        room = chunk_size_;
+      }
+      const std::size_t n = std::min(room, piece.size());
+      out.raw(piece.first(n));
+      piece = piece.subspan(n);
+      room -= n;
+    }
+  }
+
+  PrevHeader& ph = it != prev_.end() ? it->second : prev_[csid];
+  ph.timestamp = timestamp_ms;
+  ph.length = static_cast<std::uint32_t>(length);
+  ph.type = type;
+  ph.stream_id = stream_id;
   if (fmt != 0) {
     ph.last_delta = delta;
     ph.has_delta = true;
@@ -89,24 +113,35 @@ void ChunkWriter::write(ByteWriter& out, std::uint32_t csid,
 }
 
 Status ChunkReader::push(BytesView data) {
-  buffer_.insert(buffer_.end(), data.begin(), data.end());
+  // With nothing buffered, parse straight from the caller's bytes and
+  // keep only an incomplete tail; otherwise append and parse the buffer.
+  const bool buffered = !buffer_.empty();
+  if (buffered) buffer_.insert(buffer_.end(), data.begin(), data.end());
+  const BytesView in = buffered ? BytesView(buffer_) : data;
+  std::size_t cursor = 0;
+  Status status;
   for (;;) {
-    auto progressed = parse_one();
-    if (!progressed) return progressed.error();
+    auto progressed = parse_one(in, cursor);
+    if (!progressed) {
+      status = progressed.error();
+      break;
+    }
     if (!progressed.value()) break;
   }
-  // Compact the consumed prefix.
-  if (cursor_ > 0) {
+  // Keep the unparsed tail (on an error, the chunk that failed: a later
+  // push re-parses it and fails the same way).
+  if (buffered) {
     buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(cursor_));
-    cursor_ = 0;
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(cursor));
+  } else {
+    buffer_.assign(in.begin() + static_cast<std::ptrdiff_t>(cursor),
+                   in.end());
   }
-  return {};
+  return status;
 }
 
-Result<bool> ChunkReader::parse_one() {
-  const BytesView buf(buffer_);
-  const BytesView avail = buf.subspan(cursor_);
+Result<bool> ChunkReader::parse_one(BytesView in, std::size_t& cursor) {
+  const BytesView avail = in.subspan(cursor);
   if (avail.empty()) return false;
 
   // Basic header.
@@ -205,10 +240,16 @@ Result<bool> ChunkReader::parse_one() {
       st.timestamp += delta;
     }
   }
+  if (!continuation) {
+    // One allocation per message: its declared length, capped by the
+    // bytes that have actually arrived so a peer's claim alone reserves
+    // nothing.
+    st.assembly.reserve(std::min<std::size_t>(length, avail.size() - pos));
+  }
   st.assembly.insert(st.assembly.end(), avail.begin() + pos,
                      avail.begin() + pos + want);
   pos += want;
-  cursor_ += pos;
+  cursor += pos;
   consumed_ += pos;
 
   if (st.assembly.size() == st.length) {

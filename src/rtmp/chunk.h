@@ -8,6 +8,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "rtmp/message.h"
@@ -30,6 +31,12 @@ class ChunkWriter {
 
   /// Serialise one message onto `out`.
   void write(ByteWriter& out, std::uint32_t csid, const Message& msg);
+  /// Serialise one message whose payload is the concatenation of
+  /// `payload` (a gather list, so a caller can frame a payload from
+  /// pieces without first joining them). `out` grows at most once.
+  void write(ByteWriter& out, std::uint32_t csid, MessageType type,
+             std::uint32_t timestamp_ms, std::uint32_t stream_id,
+             std::span<const BytesView> payload);
 
   /// Change the outgoing chunk size (the caller must also send a
   /// SetChunkSize control message). Clamped to the spec's valid range
@@ -68,15 +75,27 @@ class ChunkReader {
   /// Messages completed so far, in arrival order (moves them out).
   std::vector<Message> take_messages();
 
+  /// Hand each message completed so far to `fn(Message&)`, in arrival
+  /// order. The queue's storage is recycled, so a steady reader
+  /// allocates nothing here; `fn` may push() more bytes.
+  template <typename Fn>
+  void drain(Fn&& fn) {
+    std::vector<Message> batch = std::move(spare_);
+    batch.swap(messages_);
+    for (Message& m : batch) fn(m);
+    batch.clear();
+    spare_ = std::move(batch);
+  }
+
   std::uint32_t chunk_size() const { return chunk_size_; }
   std::uint64_t bytes_consumed() const { return consumed_; }
 
   /// Release all internal buffers (retirement path).
   void discard() {
     Bytes{}.swap(buffer_);
-    cursor_ = 0;
     streams_.clear();
     messages_.clear();
+    spare_.clear();
   }
 
  private:
@@ -90,15 +109,15 @@ class ChunkReader {
     Bytes assembly;
   };
 
-  /// Try to parse one chunk from buffer_[cursor_...]. Returns false if
-  /// more bytes are needed (cursor_ unchanged).
-  Result<bool> parse_one();
+  /// Try to parse one chunk from in[cursor...]. Returns false if more
+  /// bytes are needed (cursor unchanged).
+  Result<bool> parse_one(BytesView in, std::size_t& cursor);
 
-  Bytes buffer_;
-  std::size_t cursor_ = 0;
+  Bytes buffer_;  // an incomplete chunk left over from earlier pushes
   std::uint32_t chunk_size_ = kDefaultChunkSize;
   std::map<std::uint32_t, StreamState> streams_;
   std::vector<Message> messages_;
+  std::vector<Message> spare_;  // drain()'s second queue
   std::uint64_t consumed_ = 0;
 };
 

@@ -23,6 +23,43 @@ std::uint32_t ms_from(Duration d) {
 
 }  // namespace
 
+// ---------------- MediaMessageWriter ----------------
+
+bool MediaMessageWriter::write(ChunkWriter& chunks, ByteWriter& out,
+                               std::uint32_t stream_id,
+                               const media::MediaSample& sample) {
+  const std::uint32_t ts = ms_from(sample.dts);
+  if (sample.kind != media::SampleKind::Video) {
+    const auto header = flv::audio_tag_header(flv::AacPacketType::Raw);
+    const BytesView pieces[] = {header, sample.data};
+    chunks.write(out, kCsidAudio, MessageType::Audio, ts, stream_id, pieces);
+    return true;
+  }
+  if (!media::annexb_nal_views(sample.data, nals_).ok()) return false;
+  const auto cts = static_cast<std::int32_t>(
+      std::llround(to_ms(sample.pts - sample.dts)));
+  const auto header = flv::video_tag_header(
+      sample.keyframe, flv::AvcPacketType::Nalu, cts);
+  // Every length prefix is written before any view of prefixes_ is
+  // taken: resizing later would move the bytes the views point at.
+  prefixes_.resize(4 * nals_.size());
+  for (std::size_t i = 0; i < nals_.size(); ++i) {
+    const std::size_t len = nals_[i].size();
+    prefixes_[4 * i] = static_cast<std::uint8_t>(len >> 24);
+    prefixes_[4 * i + 1] = static_cast<std::uint8_t>(len >> 16);
+    prefixes_[4 * i + 2] = static_cast<std::uint8_t>(len >> 8);
+    prefixes_[4 * i + 3] = static_cast<std::uint8_t>(len);
+  }
+  pieces_.clear();
+  pieces_.push_back(header);
+  for (std::size_t i = 0; i < nals_.size(); ++i) {
+    pieces_.push_back(BytesView(prefixes_).subspan(4 * i, 4));
+    pieces_.push_back(nals_[i]);
+  }
+  chunks.write(out, kCsidVideo, MessageType::Video, ts, stream_id, pieces_);
+  return true;
+}
+
 // ---------------- ServerSession ----------------
 
 ServerSession::ServerSession(std::uint64_t seed) : seed_(seed) {}
@@ -71,7 +108,7 @@ Status ServerSession::on_input(BytesView data) {
   } else {
     if (auto s = reader_.push(data); !s) return s;
   }
-  for (Message& m : reader_.take_messages()) {
+  reader_.drain([this](Message& m) {
     if (m.type == MessageType::CommandAmf0) {
       handle_command(m);
     } else if (m.type == MessageType::Video ||
@@ -79,14 +116,14 @@ Status ServerSession::on_input(BytesView data) {
       handle_published_media(m);
     }
     // Acknowledgement / UserControl from the client are accepted silently.
-  }
+  });
   return {};
 }
 
-void ServerSession::handle_published_media(const Message& msg) {
+void ServerSession::handle_published_media(Message& msg) {
   if (!publishing_) return;
   if (msg.type == MessageType::Video) {
-    auto tag = flv::parse_video_tag(msg.payload);
+    auto tag = flv::parse_video_tag(std::move(msg.payload));
     if (!tag) return;
     if (tag.value().packet_type == flv::AvcPacketType::SequenceHeader) {
       auto cfg = media::parse_avc_decoder_config(tag.value().data);
@@ -106,7 +143,7 @@ void ServerSession::handle_published_media(const Message& msg) {
       publish_cbs_.on_sample(std::move(s));
     }
   } else {
-    auto tag = flv::parse_audio_tag(msg.payload);
+    auto tag = flv::parse_audio_tag(std::move(msg.payload));
     if (!tag || tag.value().packet_type != flv::AacPacketType::Raw) return;
     if (publish_cbs_.on_sample) {
       media::MediaSample s;
@@ -206,22 +243,7 @@ void ServerSession::send_avc_config(const media::Sps& sps,
 }
 
 void ServerSession::send_sample(const media::MediaSample& sample) {
-  if (sample.kind == media::SampleKind::Video) {
-    // Direct re-frame (no NAL materialisation): this runs once per sample
-    // per attached player.
-    auto avcc = media::annexb_to_avcc(sample.data);
-    if (!avcc) return;
-    const auto cts = static_cast<std::int32_t>(
-        std::llround(to_ms(sample.pts - sample.dts)));
-    send_message(kCsidVideo, MessageType::Video, ms_from(sample.dts),
-                 kMediaStreamId,
-                 flv::make_video_tag(sample.keyframe, flv::AvcPacketType::Nalu,
-                                     cts, avcc.value()));
-  } else {
-    send_message(kCsidAudio, MessageType::Audio, ms_from(sample.dts),
-                 kMediaStreamId,
-                 flv::make_audio_tag(flv::AacPacketType::Raw, sample.data));
-  }
+  media_.write(writer_, out_, kMediaStreamId, sample);
 }
 
 Bytes ServerSession::take_output() {
@@ -286,11 +308,11 @@ Status ClientSession::on_input(BytesView data) {
   } else {
     if (auto s = reader_.push(data); !s) return s;
   }
-  for (Message& m : reader_.take_messages()) handle_message(m);
+  reader_.drain([this](Message& m) { handle_message(m); });
   return {};
 }
 
-void ClientSession::handle_message(const Message& msg) {
+void ClientSession::handle_message(Message& msg) {
   switch (msg.type) {
     case MessageType::CommandAmf0: {
       auto values = amf::decode_all(msg.payload);
@@ -316,7 +338,7 @@ void ClientSession::handle_message(const Message& msg) {
       break;
     }
     case MessageType::Video: {
-      auto tag = flv::parse_video_tag(msg.payload);
+      auto tag = flv::parse_video_tag(std::move(msg.payload));
       if (!tag) return;
       if (tag.value().packet_type == flv::AvcPacketType::SequenceHeader) {
         auto cfg = media::parse_avc_decoder_config(tag.value().data);
@@ -336,7 +358,7 @@ void ClientSession::handle_message(const Message& msg) {
       break;
     }
     case MessageType::Audio: {
-      auto tag = flv::parse_audio_tag(msg.payload);
+      auto tag = flv::parse_audio_tag(std::move(msg.payload));
       if (!tag) return;
       if (tag.value().packet_type != flv::AacPacketType::Raw) return;
       if (cb_.on_sample) {
@@ -407,7 +429,7 @@ Status PublisherSession::on_input(BytesView data) {
   } else {
     if (auto s = reader_.push(data); !s) return s;
   }
-  for (Message& m : reader_.take_messages()) handle_message(m);
+  reader_.drain([this](Message& m) { handle_message(m); });
   return {};
 }
 
@@ -438,36 +460,17 @@ void PublisherSession::handle_message(const Message& msg) {
   }
 }
 
-void PublisherSession::send_media(std::uint32_t csid, MessageType type,
-                                  std::uint32_t timestamp_ms,
-                                  Bytes payload) {
-  Message msg;
-  msg.type = type;
-  msg.timestamp_ms = timestamp_ms;
-  msg.stream_id = media_stream_id_;
-  msg.payload = std::move(payload);
-  writer_.write(out_, csid, msg);
-}
-
 void PublisherSession::send_avc_config(const media::Sps& sps,
                                        const media::Pps& pps) {
-  send_media(kCsidVideo, MessageType::Video, 0,
-             flv::make_avc_sequence_header(sps, pps));
+  Message msg;
+  msg.type = MessageType::Video;
+  msg.stream_id = media_stream_id_;
+  msg.payload = flv::make_avc_sequence_header(sps, pps);
+  writer_.write(out_, kCsidVideo, msg);
 }
 
 void PublisherSession::send_sample(const media::MediaSample& sample) {
-  if (sample.kind == media::SampleKind::Video) {
-    auto avcc = media::annexb_to_avcc(sample.data);
-    if (!avcc) return;
-    const auto cts = static_cast<std::int32_t>(
-        std::llround(to_ms(sample.pts - sample.dts)));
-    send_media(kCsidVideo, MessageType::Video, ms_from(sample.dts),
-               flv::make_video_tag(sample.keyframe, flv::AvcPacketType::Nalu,
-                                   cts, avcc.value()));
-  } else {
-    send_media(kCsidAudio, MessageType::Audio, ms_from(sample.dts),
-               flv::make_audio_tag(flv::AacPacketType::Raw, sample.data));
-  }
+  media_.write(writer_, out_, media_stream_id_, sample);
 }
 
 Bytes PublisherSession::take_output() { return out_.take(); }

@@ -12,6 +12,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "amf/amf0.h"
 #include "flv/flv.h"
@@ -22,6 +23,27 @@
 #include "rtmp/message.h"
 
 namespace psc::rtmp {
+
+/// Writes media samples as FLV-tagged RTMP messages straight into a chunk
+/// stream: the tag header, each NAL's AVCC length prefix and the NAL
+/// bytes of the sample's Annex-B buffer go out between the chunk headers
+/// with one copy and no intermediate buffer. The output is byte-identical
+/// to ChunkWriter::write of flv::make_video_tag(annexb_to_avcc(data)) or
+/// flv::make_audio_tag(data). Kept per session: its scratch lists are
+/// reused, so a steady stream allocates nothing here.
+class MediaMessageWriter {
+ public:
+  /// Append `sample` to `out` as one message on `stream_id`. A video
+  /// sample whose Annex-B framing does not parse is dropped whole:
+  /// nothing is written and false is returned.
+  bool write(ChunkWriter& chunks, ByteWriter& out, std::uint32_t stream_id,
+             const media::MediaSample& sample);
+
+ private:
+  std::vector<BytesView> nals_;
+  Bytes prefixes_;  // 4-byte AVCC length of each NAL
+  std::vector<BytesView> pieces_;
+};
 
 /// Server side of one connection — a viewer (play) or a broadcaster
 /// (publish). Periscope phones publish their stream over exactly this
@@ -77,7 +99,7 @@ class ServerSession {
   enum class State { WaitHello, WaitEcho, Command };
 
   void handle_command(const Message& msg);
-  void handle_published_media(const Message& msg);
+  void handle_published_media(Message& msg);
   void send_message(std::uint32_t csid, MessageType type,
                     std::uint32_t timestamp_ms, std::uint32_t stream_id,
                     Bytes payload);
@@ -87,6 +109,7 @@ class ServerSession {
   Bytes my_blob_;
   ChunkReader reader_;
   ChunkWriter writer_;
+  MediaMessageWriter media_;
   ByteWriter out_;
   std::uint64_t seed_;
   bool playing_ = false;
@@ -122,14 +145,13 @@ class PublisherSession {
 
   void handle_message(const Message& msg);
   void send_command(std::vector<amf::Value> values);
-  void send_media(std::uint32_t csid, MessageType type,
-                  std::uint32_t timestamp_ms, Bytes payload);
 
   State state_ = State::WaitHello;
   Bytes inbuf_;
   Bytes my_blob_;
   ChunkReader reader_;
   ChunkWriter writer_;
+  MediaMessageWriter media_;
   ByteWriter out_;
   std::string app_;
   std::string stream_key_;
@@ -172,7 +194,7 @@ class ClientSession {
   enum class State { WaitHello, WaitEcho, Connecting, CreatingStream,
                      Playing };
 
-  void handle_message(const Message& msg);
+  void handle_message(Message& msg);
   void send_command(std::vector<amf::Value> values);
 
   State state_ = State::WaitHello;

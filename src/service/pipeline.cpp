@@ -161,22 +161,30 @@ void LiveBroadcastPipeline::on_sample_at_origin(TimePoint now,
       --backlog_keyframes_;
     }
   }
-  if (backlog_keyframes_ > 0) backlog_.push_back(sample);
+  // The sample moves into the backlog and every consumer reads that one
+  // copy. Fan-out never retires the pipeline (retirement is a scheduled
+  // event), and deque pops at the front keep the back element in place.
+  const media::MediaSample* at_origin = &sample;
+  if (backlog_keyframes_ > 0) {
+    backlog_.push_back(std::move(sample));
+    at_origin = &backlog_.back();
+  }
   static constexpr std::size_t kBacklogCap = 1024;
   while (backlog_.size() > kBacklogCap) backlog_.pop_front();
+  const media::MediaSample& out = *at_origin;
 
   // RTMP fan-out.
-  for (auto& [token, fn] : subscribers_) fn(now, sample);
+  for (auto& [token, fn] : subscribers_) fn(now, out);
 
   // HLS: segment each rendition, package, ship to the edge. Ladder
   // renditions run the sample through the transcoder first.
   for (std::size_t r = 0; r < renditions_.size(); ++r) {
     std::optional<hls::Segment> completed;
     if (renditions_[r].is_source) {
-      completed = renditions_[r].segmenter.push(sample);
+      completed = renditions_[r].segmenter.push(out);
     } else {
       auto transcoded =
-          media::transcode_sample(sample, renditions_[r].spec.profile);
+          media::transcode_sample(out, renditions_[r].spec.profile);
       if (!transcoded) continue;
       completed = renditions_[r].segmenter.push(transcoded.value());
     }

@@ -28,11 +28,9 @@ void BitWriter::se(std::int32_t value) {
 }
 
 Bytes BitWriter::take() {
-  if (nbits_ != 0) {
-    // Pad with zeros to byte alignment.
-    while (nbits_ != 0) bit(false);
-  }
-  return std::move(buf_);
+  while (nbits_ != 0) bit(false);
+  const BytesView v = view();
+  return Bytes(v.begin(), v.end());
 }
 
 Result<bool> BitReader::bit() {

@@ -2,6 +2,7 @@
 // (SPS/PPS/slice headers) and by ADTS header fields.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "util/bytes.h"
@@ -10,7 +11,9 @@
 namespace psc {
 
 /// MSB-first bit writer. `rbsp_trailing_bits()` byte-aligns with the H.264
-/// stop bit pattern.
+/// stop bit pattern. The first kInlineBytes bytes live inside the object,
+/// so the parameter-set and slice headers the encoder writes every frame
+/// never touch the heap; longer streams spill to a vector.
 class BitWriter {
  public:
   void bit(bool b) {
@@ -33,16 +36,33 @@ class BitWriter {
   }
 
   bool byte_aligned() const { return nbits_ == 0; }
+  /// The whole bytes written so far (a partial last byte is not
+  /// included). Valid until the next write.
+  BytesView view() const {
+    return size_ <= kInlineBytes ? BytesView(inline_.data(), size_)
+                                 : BytesView(spill_);
+  }
+  /// Pads to byte alignment with zeros and returns the bytes.
   Bytes take();
 
  private:
+  static constexpr std::size_t kInlineBytes = 32;
+
   void flush_byte() {
-    buf_.push_back(cur_);
+    if (size_ < kInlineBytes) {
+      inline_[size_] = cur_;
+    } else {
+      if (size_ == kInlineBytes) spill_.assign(inline_.begin(), inline_.end());
+      spill_.push_back(cur_);
+    }
+    ++size_;
     cur_ = 0;
     nbits_ = 0;
   }
 
-  Bytes buf_;
+  std::array<std::uint8_t, kInlineBytes> inline_{};
+  Bytes spill_;
+  std::size_t size_ = 0;
   std::uint8_t cur_ = 0;
   int nbits_ = 0;
 };

@@ -5,6 +5,7 @@
 // IEEE-754 big-endian as well).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -71,6 +72,23 @@ class ByteWriter {
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
   void fill(std::size_t n, std::uint8_t v) { buf_.insert(buf_.end(), n, v); }
+
+  /// Make room for `n` more bytes so the appends that follow do not
+  /// reallocate. Grows at least geometrically: reserving exactly
+  /// size()+n before every append would reallocate on every call.
+  void reserve_more(std::size_t n) {
+    if (buf_.capacity() - buf_.size() < n) {
+      buf_.reserve(std::max(buf_.size() + n, 2 * buf_.capacity()));
+    }
+  }
+  /// Append `n` zero bytes and return where they start, for writers that
+  /// fill a block of known size in place. Valid until the next append.
+  std::uint8_t* extend(std::size_t n) {
+    reserve_more(n);
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
+  }
 
   std::size_t size() const { return buf_.size(); }
   const Bytes& bytes() const& { return buf_; }

@@ -2,6 +2,8 @@
 // PTS/DTS reordering, NTP SEI cadence.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include <map>
 #include <set>
 
@@ -257,6 +259,20 @@ TEST(Aac, SamplingIndexTable) {
   EXPECT_EQ(adts_sampling_index(48000).value(), 3);
   EXPECT_EQ(adts_sampling_index(8000).value(), 11);
   EXPECT_FALSE(adts_sampling_index(44000).ok());
+}
+
+TEST(Aac, UnsupportedSampleRateIsRejected) {
+  // 44 kHz has no ADTS sampling index: writing it as the 44.1 kHz index
+  // would misstate the audio, so neither the encoder nor the frame
+  // writer accepts it.
+  AudioConfig cfg;
+  cfg.sample_rate = 44000;
+  EXPECT_THROW(AacEncoder(cfg, 1), std::invalid_argument);
+  EXPECT_THROW(write_adts_frame(cfg, 64, 1), std::invalid_argument);
+  cfg.sample_rate = 22050;
+  AacEncoder ok(cfg, 1);
+  EXPECT_EQ(parse_adts_header(ok.next_frame().data).value().sample_rate,
+            22050);
 }
 
 TEST(Aac, BadSyncwordRejected) {

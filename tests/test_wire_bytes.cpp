@@ -210,6 +210,44 @@ TEST(WireBytes, AdtsFramesArePinned) {
   EXPECT_EQ(digest(all), 0x01074cb8e9caee68ull);
 }
 
+/// The fused writer against the reference composition: for every sample,
+/// ChunkWriter::write of flv::make_video_tag(annexb_to_avcc(data)) (or
+/// flv::make_audio_tag(data)) on a writer in the same state. Run at two
+/// chunk sizes, so continuation headers fall inside tag headers, length
+/// prefixes and NAL bytes alike.
+TEST(WireBytes, MediaMessageWriterMatchesReferenceComposition) {
+  const std::vector<media::MediaSample> samples = broadcast_samples();
+  for (const std::uint32_t chunk_size : {4096u, 7u}) {
+    rtmp::ChunkWriter fused_chunks(chunk_size);
+    rtmp::ChunkWriter ref_chunks(chunk_size);
+    rtmp::MediaMessageWriter writer;
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      const media::MediaSample& s = samples[i];
+      ByteWriter fused;
+      ASSERT_TRUE(writer.write(fused_chunks, fused, 1, s));
+      rtmp::Message msg;
+      msg.timestamp_ms = wire_ms(s.dts);
+      msg.stream_id = 1;
+      std::uint32_t csid = rtmp::kCsidAudio;
+      if (s.kind == media::SampleKind::Video) {
+        msg.type = rtmp::MessageType::Video;
+        msg.payload = flv::make_video_tag(
+            s.keyframe, flv::AvcPacketType::Nalu,
+            static_cast<std::int32_t>(std::llround(to_ms(s.pts - s.dts))),
+            media::annexb_to_avcc(s.data).value());
+        csid = rtmp::kCsidVideo;
+      } else {
+        msg.type = rtmp::MessageType::Audio;
+        msg.payload = flv::make_audio_tag(flv::AacPacketType::Raw, s.data);
+      }
+      ByteWriter ref;
+      ref_chunks.write(ref, csid, msg);
+      ASSERT_EQ(fused.bytes(), ref.bytes()) << "sample " << i << " chunk "
+                                            << chunk_size;
+    }
+  }
+}
+
 /// A video sample whose Annex-B framing does not parse must leave no
 /// trace: the chunk stream equals one where it was never sent, even when
 /// the bad NAL follows a good one in the same sample.
@@ -230,18 +268,27 @@ TEST(WireBytes, MalformedAnnexBSampleIsDroppedWhole) {
                           {0x00, 0x00, 0x01, 0x85, 0x11});
   Bytes second_empty = valid_nal;
   second_empty.insert(second_empty.end(), {0x00, 0x00, 0x01});
+  const std::vector<media::MediaSample> bad = {
+      bad_sample({0x12, 0x34, 0x56, 0x78}), bad_sample(second_forbidden),
+      bad_sample(second_empty), bad_sample({})};
   for (std::size_t i = 0; i < good.size(); ++i) {
     with_bad.push_back(good[i]);
-    if (i == 10) with_bad.push_back(bad_sample({0x12, 0x34, 0x56, 0x78}));
-    if (i == 20) with_bad.push_back(bad_sample(second_forbidden));
-    if (i == 30) with_bad.push_back(bad_sample(second_empty));
-    if (i == 50) with_bad.push_back(bad_sample({}));
+    if (i % 10 == 5 && i / 10 < bad.size()) with_bad.push_back(bad[i / 10]);
   }
   std::vector<media::MediaSample> got_good, got_bad;
   const Bytes a = server_stream(good, &got_good);
   const Bytes b = server_stream(with_bad, &got_bad);
   EXPECT_EQ(a, b);
   EXPECT_EQ(got_good.size(), good.size());
+
+  rtmp::ChunkWriter chunks;
+  rtmp::MediaMessageWriter writer;
+  ByteWriter out;
+  for (const media::MediaSample& s : bad) {
+    EXPECT_FALSE(media::annexb_to_avcc(s.data).ok());
+    EXPECT_FALSE(writer.write(chunks, out, 1, s));
+  }
+  EXPECT_EQ(out.size(), 0u);
 }
 
 }  // namespace
