@@ -38,10 +38,17 @@ const std::vector<media::MediaSample>& broadcast_samples() {
   return samples;
 }
 
-/// Reports the heap allocations made inside the timed loop, per sample.
-void report_allocs(benchmark::State& state, std::uint64_t allocs) {
+/// Reports a per-sample writer's cost: the heap allocations made inside
+/// the timed loop per sample, and wall time per output byte.
+void report_per_sample(benchmark::State& state, std::uint64_t allocs,
+                       std::uint64_t bytes) {
   state.counters["allocs_per_sample"] =
       static_cast<double>(allocs) / static_cast<double>(state.iterations());
+  // An inverted byte rate: seconds per byte (printed as e.g. 470ps).
+  state.counters["time_per_byte"] = benchmark::Counter(
+      static_cast<double>(bytes),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
 }
 
 media::MediaSample make_video_sample(std::size_t size) {
@@ -134,8 +141,7 @@ void BM_RtmpSendSample(benchmark::State& state) {
     bytes += out.size();
     benchmark::DoNotOptimize(out.data());
   }
-  report_allocs(state, heap_allocs() - before);
-  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+  report_per_sample(state, heap_allocs() - before, bytes);
 }
 BENCHMARK(BM_RtmpSendSample);
 
@@ -159,8 +165,7 @@ void BM_TsMuxSample(benchmark::State& state) {
     benchmark::DoNotOptimize(out.bytes().data());
     benchmark::ClobberMemory();
   }
-  report_allocs(state, heap_allocs() - before);
-  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+  report_per_sample(state, heap_allocs() - before, bytes);
 }
 BENCHMARK(BM_TsMuxSample);
 
@@ -174,8 +179,7 @@ void BM_AdtsFrame(benchmark::State& state) {
     bytes += s.data.size();
     benchmark::DoNotOptimize(s.data.data());
   }
-  report_allocs(state, heap_allocs() - before);
-  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+  report_per_sample(state, heap_allocs() - before, bytes);
 }
 BENCHMARK(BM_AdtsFrame);
 

@@ -98,7 +98,13 @@ void Link::complete(std::uint64_t id) {
       pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
     }
     if (head_ == pending_.size()) {
-      pending_.clear();  // keeps the capacity for the next sends
+      // Drained: keep a small queue's storage for the next sends, but do
+      // not hold a burst's worth (an uplink stall queues hundreds).
+      if (pending_.capacity() > kKeptCapacity) {
+        std::vector<Pending>().swap(pending_);
+      } else {
+        pending_.clear();
+      }
       head_ = 0;
     } else if (2 * head_ >= pending_.size()) {
       pending_.erase(pending_.begin(),

@@ -122,6 +122,7 @@ class Link {
   /// storage is reused instead of allocated per transfer.
   std::vector<Pending> pending_;
   std::size_t head_ = 0;
+  static constexpr std::size_t kKeptCapacity = 32;
 
   bool noise_enabled_ = false;
   Rng noise_rng_{0};
