@@ -95,7 +95,7 @@ class ChunkReader {
     Bytes{}.swap(buffer_);
     streams_.clear();
     messages_.clear();
-    spare_.clear();
+    std::vector<Message>{}.swap(spare_);
   }
 
  private:
