@@ -2,7 +2,8 @@
 // writes every sample's wire bytes once per hop; an allocation that
 // creeps back into one of these writers costs one malloc per sample per
 // viewer. Counted by the operator new replacements of bench/heap_count.h,
-// which this file brings into the test binary.
+// which this file brings into its own binary, psc_alloc_tests (see
+// tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
 #include <vector>
