@@ -98,15 +98,12 @@ void Link::complete(std::uint64_t id) {
       pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
     }
     if (head_ == pending_.size()) {
-      // Drained: keep a small queue's storage for the next sends, but do
-      // not hold a burst's worth (an uplink stall queues hundreds).
-      if (pending_.capacity() > kKeptCapacity) {
-        std::vector<Pending>().swap(pending_);
-      } else {
-        pending_.clear();
-      }
+      pending_.clear();  // drained: the storage is kept for the next sends
       head_ = 0;
     } else if (2 * head_ >= pending_.size()) {
+      // A busy link may not drain for its whole life (frames stay in
+      // flight back to back), so the completed prefix is also dropped
+      // once it is half the queue: storage stays within twice the depth.
       pending_.erase(pending_.begin(),
                      pending_.begin() + static_cast<std::ptrdiff_t>(head_));
       head_ = 0;

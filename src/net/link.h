@@ -119,10 +119,11 @@ class Link {
   std::uint64_t next_transfer_id_ = 1;
   /// In-flight transfers in send order, from pending_[head_]. Completed
   /// entries ahead of head_ are dropped in batches, so the vector's
-  /// storage is reused instead of allocated per transfer.
+  /// storage is reused instead of allocated per transfer. A link keeps
+  /// the storage of its deepest queue; summed over the live links, that
+  /// peaked at 4.1 MiB in a `paper_fig3` benchmark run (docs/PERFORMANCE.md).
   std::vector<Pending> pending_;
   std::size_t head_ = 0;
-  static constexpr std::size_t kKeptCapacity = 32;
 
   bool noise_enabled_ = false;
   Rng noise_rng_{0};
