@@ -57,16 +57,17 @@ MediaSample VideoEncoder::encode_one(std::uint64_t display_idx,
   hdr.qp = qp;
 
   // Assemble the access unit directly into the sample buffer: the
-  // parameter sets written once at construction, the SEI and then the
-  // slice in fused streaming form — byte-identical to annexb_wrap over
-  // the equivalent NalUnit list, without materialising any NalUnit.
+  // parameter sets written once at construction, the SEI via the per-NAL
+  // append, then the slice in fused streaming form — byte-identical to
+  // annexb_wrap over the equivalent NalUnit list, without materialising
+  // the slice RBSP/EBSP.
   const auto payload = static_cast<std::size_t>(std::max(40.0, bits / 8.0));
   Bytes data;
   data.reserve(payload + payload / 64 + 192);
   if (idr) data.insert(data.end(), param_sets_.begin(), param_sets_.end());
   const double pts_s = static_cast<double>(display_idx) * frame_period;
   if (pts_s >= next_sei_pts_s_) {
-    append_annexb_ntp_sei(data, ntp_from_seconds(epoch_s_ + pts_s));
+    append_annexb_nal(data, make_ntp_sei(ntp_from_seconds(epoch_s_ + pts_s)));
     next_sei_pts_s_ = pts_s + 1.0;
   }
   append_annexb_slice(data, hdr, sps_, pps_, payload, display_idx);

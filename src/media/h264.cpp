@@ -702,35 +702,17 @@ double seconds_from_ntp(std::uint64_t ntp) {
          static_cast<double>(ntp & 0xFFFFFFFFull) / 4294967296.0;
 }
 
-namespace {
-
-/// RBSP of the NTP SEI: payloadType 5, payloadSize 24, the UUID, the
-/// timestamp, rbsp_trailing_bits.
-std::array<std::uint8_t, 27> ntp_sei_rbsp(std::uint64_t ntp_timestamp) {
-  std::array<std::uint8_t, 27> rbsp{};
-  rbsp[0] = 5;  // payloadType: user_data_unregistered
-  rbsp[1] = static_cast<std::uint8_t>(kNtpSeiUuid.size() + 8);
-  std::copy(kNtpSeiUuid.begin(), kNtpSeiUuid.end(), rbsp.begin() + 2);
-  for (int i = 0; i < 8; ++i) {
-    rbsp[18 + i] = static_cast<std::uint8_t>(ntp_timestamp >> (56 - 8 * i));
-  }
-  rbsp[26] = 0x80;  // rbsp_trailing_bits
-  return rbsp;
-}
-
-}  // namespace
-
 NalUnit make_ntp_sei(std::uint64_t ntp_timestamp) {
-  const auto rbsp = ntp_sei_rbsp(ntp_timestamp);
-  return NalUnit{NalType::Sei, 0, Bytes(rbsp.begin(), rbsp.end())};
-}
+  ByteWriter payload;
+  for (std::uint8_t b : kNtpSeiUuid) payload.u8(b);
+  payload.u64be(ntp_timestamp);
 
-void append_annexb_ntp_sei(Bytes& out, std::uint64_t ntp_timestamp) {
-  const auto rbsp = ntp_sei_rbsp(ntp_timestamp);
-  out.insert(out.end(), {0x00, 0x00, 0x00, 0x01,
-                         static_cast<std::uint8_t>(NalType::Sei)});
-  std::size_t zeros = 0;
-  escape_append(out, rbsp.data(), rbsp.size(), zeros);
+  ByteWriter w;
+  w.u8(5);  // payloadType: user_data_unregistered
+  w.u8(static_cast<std::uint8_t>(payload.size()));
+  w.raw(payload.bytes());
+  w.u8(0x80);  // rbsp_trailing_bits
+  return NalUnit{NalType::Sei, 0, w.take()};
 }
 
 std::optional<std::uint64_t> parse_ntp_sei(const NalUnit& nal) {

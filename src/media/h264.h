@@ -158,9 +158,6 @@ double seconds_from_ntp(std::uint64_t ntp);
 /// 8-byte NTP timestamp — the paper found Periscope's broadcaster embeds
 /// these regularly into the video data.
 NalUnit make_ntp_sei(std::uint64_t ntp_timestamp);
-/// Append the Annex-B framing of make_ntp_sei(ntp_timestamp) to `out`,
-/// byte-identically, without building the NalUnit.
-void append_annexb_ntp_sei(Bytes& out, std::uint64_t ntp_timestamp);
 /// Returns the timestamp if this NAL is our NTP SEI.
 std::optional<std::uint64_t> parse_ntp_sei(const NalUnit& nal);
 

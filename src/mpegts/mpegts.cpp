@@ -1,7 +1,6 @@
 #include "mpegts/mpegts.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -13,6 +12,16 @@ namespace psc::mpegts {
 namespace {
 
 constexpr std::uint64_t kPtsWrap = 1ull << 33;
+
+void write_ts_header(ByteWriter& w, std::uint16_t pid, bool pusi,
+                     bool has_adaptation, bool has_payload, std::uint8_t cc) {
+  w.u8(0x47);
+  w.u8(static_cast<std::uint8_t>((pusi ? 0x40 : 0x00) | ((pid >> 8) & 0x1F)));
+  w.u8(static_cast<std::uint8_t>(pid & 0xFF));
+  const std::uint8_t afc = static_cast<std::uint8_t>(
+      (has_adaptation ? 0x20 : 0x00) | (has_payload ? 0x10 : 0x00));
+  w.u8(static_cast<std::uint8_t>(afc | (cc & 0x0F)));
+}
 
 void write_pts_field(ByteWriter& w, std::uint8_t prefix, std::uint64_t v) {
   v %= kPtsWrap;
@@ -35,35 +44,31 @@ Result<std::uint64_t> read_pts_field(ByteReader& r) {
   return (hi << 30) | (mid << 15) | lo;
 }
 
-/// One PSI section (table_id, section_syntax + length, id, version,
-/// section numbers, `body`, CRC-32) in a single packet, stuffed with 0xFF.
 void write_psi_packet(ByteWriter& w, std::uint16_t pid, std::uint8_t table_id,
-                      BytesView body, std::uint8_t cc) {
-  std::uint8_t* p = w.extend(kTsPacketSize);
-  p[0] = 0x47;
-  p[1] = static_cast<std::uint8_t>(0x40 | ((pid >> 8) & 0x1F));  // PUSI
-  p[2] = static_cast<std::uint8_t>(pid & 0xFF);
-  p[3] = static_cast<std::uint8_t>(0x10 | (cc & 0x0F));  // payload only
-  p[4] = 0;  // pointer_field
-  std::uint8_t* const sec = p + 5;
-  const std::size_t section_length = 5 + body.size() + 4;
-  assert(5 + 3 + section_length <= kTsPacketSize);
-  sec[0] = table_id;
-  sec[1] = static_cast<std::uint8_t>(0xB0 | ((section_length >> 8) & 0x03));
-  sec[2] = static_cast<std::uint8_t>(section_length & 0xFF);
-  sec[3] = 0;     // transport_stream_id / program_number context (1)
-  sec[4] = 1;
-  sec[5] = 0xC1;  // version 0, current_next 1
-  sec[6] = 0;     // section_number
-  sec[7] = 0;     // last_section_number
-  std::memcpy(sec + 8, body.data(), body.size());
-  const std::size_t crc_at = 8 + body.size();
-  const std::uint32_t crc = crc32_mpeg(BytesView(sec, crc_at));
-  sec[crc_at] = static_cast<std::uint8_t>(crc >> 24);
-  sec[crc_at + 1] = static_cast<std::uint8_t>(crc >> 16);
-  sec[crc_at + 2] = static_cast<std::uint8_t>(crc >> 8);
-  sec[crc_at + 3] = static_cast<std::uint8_t>(crc);
-  std::fill(sec + crc_at + 4, p + kTsPacketSize, std::uint8_t{0xFF});
+                      const Bytes& table_body, std::uint8_t cc) {
+  // section: table_id, section_syntax(1)+len, id, version, section nums,
+  // body, crc32.
+  ByteWriter sec;
+  sec.u8(table_id);
+  const std::size_t section_length = 5 + table_body.size() + 4;
+  sec.u16be(static_cast<std::uint16_t>(0xB000 | (section_length & 0x3FF)));
+  sec.u16be(1);     // transport_stream_id / program_number context
+  sec.u8(0xC1);     // version 0, current_next 1
+  sec.u8(0);        // section_number
+  sec.u8(0);        // last_section_number
+  sec.raw(table_body);
+  const Bytes section = sec.take();
+  const std::uint32_t crc = crc32_mpeg(section);
+
+  const std::size_t start = w.size();
+  write_ts_header(w, pid, /*pusi=*/true, /*adaptation=*/false,
+                  /*payload=*/true, cc);
+  w.u8(0);  // pointer_field
+  w.raw(section);
+  w.u32be(crc);
+  // Stuff the remainder with 0xFF.
+  assert(w.size() - start <= kTsPacketSize);
+  w.fill(kTsPacketSize - (w.size() - start), 0xFF);
 }
 
 }  // namespace
@@ -95,26 +100,23 @@ Bytes TsMuxer::psi() {
 }
 
 void TsMuxer::psi_into(ByteWriter& out) {
-  // A PID field: 3 reserved bits then the 13-bit PID.
-  const auto pid_field = [](std::uint16_t pid) {
-    return std::array<std::uint8_t, 2>{
-        static_cast<std::uint8_t>(0xE0 | (pid >> 8)),
-        static_cast<std::uint8_t>(pid)};
-  };
   // PAT: program 1 -> PMT PID.
-  const auto pmt = pid_field(pmt_pid_);
-  const std::uint8_t pat_body[] = {0x00, 0x01, pmt[0], pmt[1]};
-  write_psi_packet(out, kPatPid, 0x00, pat_body, next_cc(kPatPid));
+  ByteWriter pat_body;
+  pat_body.u16be(1);  // program_number
+  pat_body.u16be(static_cast<std::uint16_t>(0xE000 | pmt_pid_));
+  write_psi_packet(out, kPatPid, 0x00, pat_body.take(), next_cc(kPatPid));
 
-  // PMT: PCR on video PID; AVC video + ADTS audio streams, no
-  // descriptors (program_info_length = ES_info_length = 0).
-  const auto video = pid_field(video_pid_);
-  const auto audio = pid_field(audio_pid_);
-  const std::uint8_t pmt_body[] = {
-      video[0],       video[1], 0xF0, 0x00,  // PCR PID, program_info_length
-      kStreamTypeAvc, video[0], video[1], 0xF0, 0x00,
-      kStreamTypeAac, audio[0], audio[1], 0xF0, 0x00};
-  write_psi_packet(out, pmt_pid_, 0x02, pmt_body, next_cc(pmt_pid_));
+  // PMT: PCR on video PID; AVC video + ADTS audio streams.
+  ByteWriter pmt_body;
+  pmt_body.u16be(static_cast<std::uint16_t>(0xE000 | video_pid_));  // PCR PID
+  pmt_body.u16be(0xF000);  // program_info_length = 0
+  pmt_body.u8(kStreamTypeAvc);
+  pmt_body.u16be(static_cast<std::uint16_t>(0xE000 | video_pid_));
+  pmt_body.u16be(0xF000);  // ES_info_length = 0
+  pmt_body.u8(kStreamTypeAac);
+  pmt_body.u16be(static_cast<std::uint16_t>(0xE000 | audio_pid_));
+  pmt_body.u16be(0xF000);
+  write_psi_packet(out, pmt_pid_, 0x02, pmt_body.take(), next_cc(pmt_pid_));
 }
 
 void TsMuxer::pes_header_into(ByteWriter& pes,
