@@ -171,10 +171,10 @@ Result<StreamAnalysis> reconstruct_rtmp(const net::Capture& cap) {
         !s) {
       return s.error();
     }
-    for (const rtmp::Message& msg : reader.take_messages()) {
+    reader.drain([&](const rtmp::Message& msg) {
       if (msg.type == rtmp::MessageType::Video) {
         auto tag = flv::parse_video_tag(msg.payload);
-        if (!tag) continue;
+        if (!tag) return;
         if (tag.value().packet_type == flv::AvcPacketType::SequenceHeader) {
           auto cfg = media::parse_avc_decoder_config(tag.value().data);
           if (cfg) {
@@ -183,10 +183,10 @@ Result<StreamAnalysis> reconstruct_rtmp(const net::Capture& cap) {
             out.width = cfg.value().sps.width;
             out.height = cfg.value().sps.height;
           }
-          continue;
+          return;
         }
         auto nals = media::split_avcc(tag.value().data);
-        if (!nals) continue;
+        if (!nals) return;
         const Duration pts =
             millis(static_cast<double>(msg.timestamp_ms) +
                    tag.value().composition_time_ms);
@@ -194,10 +194,10 @@ Result<StreamAnalysis> reconstruct_rtmp(const net::Capture& cap) {
                             msg.payload.size(), out);
       } else if (msg.type == rtmp::MessageType::Audio) {
         auto tag = flv::parse_audio_tag(msg.payload);
-        if (!tag) continue;
+        if (!tag) return;
         note_adts(tag.value().data, out, &audio_bytes);
       }
-    }
+    });
   }
   const double dur = out.video_duration_s();
   if (dur > 0) {

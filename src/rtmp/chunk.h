@@ -72,7 +72,9 @@ class ChunkReader {
   /// Complete messages are appended to the internal queue.
   Status push(BytesView data);
 
-  /// Messages completed so far, in arrival order (moves them out).
+  /// Messages completed so far, in arrival order (moves them out). A
+  /// convenience for tests and fuzz targets; src/ consumes messages
+  /// through drain().
   std::vector<Message> take_messages();
 
   /// Hand each message completed so far to `fn(Message&)`, in arrival
