@@ -8,7 +8,7 @@
 // run at paper scale:
 //   PSC_SESSIONS   viewing sessions in the unlimited-bandwidth campaign
 //                  (paper: 3382; default here: 240)
-//   PSC_BW_SESSIONS  sessions per bandwidth limit (paper: 18-91; 36)
+//   PSC_BW_SESSIONS  sessions per bandwidth limit (paper: 18-91; 60)
 //   PSC_CRAWL_HOURS  targeted crawl length in sim hours (paper: 4-10; 2;
 //                    fractional values allowed)
 //   PSC_THREADS      worker threads for sharded campaigns (default:

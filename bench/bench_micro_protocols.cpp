@@ -5,6 +5,8 @@
 // consolidated BENCH line as every other binary.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "bench_common.h"
 #include "heap_count.h"
 
@@ -144,6 +146,65 @@ void BM_RtmpSendSample(benchmark::State& state) {
   report_per_sample(state, heap_allocs() - before, bytes);
 }
 BENCHMARK(BM_RtmpSendSample);
+
+// One sample of a broadcast through the player's RTMP reader: chunk
+// reassembly, FLV tag parse and the sample handed to the callback. The
+// origin's wire bytes are written up front; bytes are wire bytes.
+void BM_RtmpReceiveSample(benchmark::State& state) {
+  const auto& samples = broadcast_samples();
+  // The sessions are deterministic, so a new player with the same seed
+  // that is fed the origin's recorded bytes replays the same exchange:
+  // `setup` takes it to Playing and one pass of samples warms its reader,
+  // then the timed loop feeds a second pass.
+  rtmp::ClientSession client("live", "bench", 1, {});
+  rtmp::ServerSession server(2);
+  Bytes setup;
+  for (int i = 0; i < 16 && !client.playing(); ++i) {
+    if (client.has_output()) (void)server.on_input(client.take_output());
+    if (server.has_output()) {
+      const Bytes b = server.take_output();
+      setup.insert(setup.end(), b.begin(), b.end());
+      (void)client.on_input(b);
+    }
+  }
+  std::vector<Bytes> warm;
+  std::vector<Bytes> wire;
+  for (std::vector<Bytes>* pass : {&warm, &wire}) {
+    for (const media::MediaSample& s : samples) {
+      server.send_sample(s);
+      pass->push_back(server.take_output());
+    }
+  }
+  rtmp::ClientSession::Callbacks cbs;
+  cbs.on_sample = [](media::MediaSample s) {
+    benchmark::DoNotOptimize(s.data.data());
+  };
+  const auto fresh_player = [&] {
+    auto p = std::make_unique<rtmp::ClientSession>("live", "bench", 1, cbs);
+    (void)p->on_input(setup);
+    for (const Bytes& b : warm) (void)p->on_input(b);
+    (void)p->take_output();
+    return p;
+  };
+  std::unique_ptr<rtmp::ClientSession> player = fresh_player();
+  std::size_t i = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    if (i == wire.size()) {
+      state.PauseTiming();
+      player = fresh_player();
+      i = 0;
+      state.ResumeTiming();
+    }
+    const std::uint64_t before = heap_allocs();
+    (void)player->on_input(wire[i]);
+    allocs += heap_allocs() - before;
+    bytes += wire[i++].size();
+  }
+  report_per_sample(state, allocs, bytes);
+}
+BENCHMARK(BM_RtmpReceiveSample);
 
 // One sample of a broadcast into the segmenter's open TS buffer (PES
 // header plus 188-byte packets). Bytes are TS bytes.

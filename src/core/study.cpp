@@ -510,26 +510,32 @@ void Study::purge_retired() {
                 [now](const auto& e) { return e.first < now; });
 }
 
+void Study::warm_up() {
+  if (warmed_up_) return;
+  warmed_up_ = true;
+  sim_.run_until(sim_.now() + seconds(30));
+}
+
+void Study::step_session(client::Device& device, bool analyze,
+                         CampaignResult* out) {
+  auto rec = run_one_session(device, analyze);
+  if (rec && out != nullptr) out->sessions.push_back(std::move(*rec));
+  // The adb script pushes "close", "home", then Teleports again.
+  sim_.run_until(sim_.now() + seconds(3));
+  purge_retired();
+}
+
 CampaignResult Study::run_campaign(int n, BitRate bandwidth_limit,
                                    const client::DeviceConfig& device_cfg,
                                    bool analyze) {
-  if (!warmed_up_) {
-    warmed_up_ = true;
-    sim_.run_until(sim_.now() + seconds(30));
-  }
+  warm_up();
   devices_.push_back(
       std::make_unique<client::Device>(sim_, device_cfg, rng_.engine()()));
   client::Device& device = *devices_.back();
   if (bandwidth_limit > 0) device.set_bandwidth_limit(bandwidth_limit);
 
   CampaignResult result;
-  for (int i = 0; i < n; ++i) {
-    auto rec = run_one_session(device, analyze);
-    if (rec) result.sessions.push_back(std::move(*rec));
-    // The adb script pushes "close", "home", then Teleports again.
-    sim_.run_until(sim_.now() + seconds(3));
-    purge_retired();
-  }
+  for (int i = 0; i < n; ++i) step_session(device, analyze, &result);
   return result;
 }
 
@@ -537,10 +543,7 @@ void Study::begin_campaign(BitRate bandwidth_limit, bool two_device,
                            const client::DeviceConfig& device_cfg) {
   if (campaign_begun_) return;
   campaign_begun_ = true;
-  if (!warmed_up_) {
-    warmed_up_ = true;
-    sim_.run_until(sim_.now() + seconds(30));
-  }
+  warm_up();
   if (two_device) {
     devices_.push_back(std::make_unique<client::Device>(sim_, galaxy_s3(),
                                                         rng_.engine()()));
@@ -565,11 +568,7 @@ int Study::run_sessions_until(TimePoint deadline, int max_sessions,
                   devices_.size()];
     ++epoch_attempted_;
     ++attempted;
-    auto rec = run_one_session(device, analyze);
-    if (rec && out != nullptr) out->sessions.push_back(std::move(*rec));
-    // close -> home -> next Teleport, exactly as run_campaign paces it.
-    sim_.run_until(sim_.now() + seconds(3));
-    purge_retired();
+    step_session(device, analyze, out);
   }
   return attempted;
 }

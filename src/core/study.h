@@ -213,13 +213,16 @@ class Study {
 
   /// Run `n` sequential Teleport sessions on `device_cfg` with the given
   /// downlink cap (0 => unlimited). Captures are reconstructed when
-  /// `analyze` is set. Alternating sessions across two device configs is
-  /// the caller's job (see run_two_device_campaign).
+  /// `analyze` is set. Every call adds one new device; to run a campaign
+  /// on two device configs, call once per config (as
+  /// run_two_device_campaign does).
   CampaignResult run_campaign(int n, BitRate bandwidth_limit,
                               const client::DeviceConfig& device_cfg,
                               bool analyze = true);
 
-  /// The paper's setup: half the sessions on a Galaxy S3, half on an S4.
+  /// The paper's setup: half the sessions on a Galaxy S3, then the other
+  /// half on an S4 (begin_campaign's `two_device` mode alternates them
+  /// per session instead).
   CampaignResult run_two_device_campaign(int n, BitRate bandwidth_limit,
                                          bool analyze = true);
 
@@ -274,6 +277,15 @@ class Study {
   /// was available.
   std::optional<SessionRecord> run_one_session(
       client::Device& device, bool analyze);
+  /// Run the 30 s warm-up before the first session. Idempotent.
+  void warm_up();
+  /// Run one session on `device` (its record, if any, appends to `out`
+  /// when `out` is set), then the 3 s of close/home pacing before the
+  /// next Teleport, then purge_retired().
+  void step_session(client::Device& device, bool analyze,
+                    CampaignResult* out);
+  /// Destroy retired objects whose event horizon has passed.
+  void purge_retired();
 
   /// The client resilience policy, or nullptr when faults are off.
   const fault::ResilienceConfig* resilience() const {
@@ -291,9 +303,6 @@ class Study {
   void attribute_current_session(obs::Obs* o, std::uint64_t uid,
                                  TimePoint begin, TimePoint end,
                                  Duration penalty_paid);
-
-  /// Retired pipelines/sessions/devices: kept alive (with bulk buffers
-  /// freed) because late simulation events may still reference them.
 
   /// Upload playbackMeta as the app does (full stats for RTMP, only the
   /// stall count after an HLS session — §2 of the paper).
@@ -319,13 +328,14 @@ class Study {
   std::shared_ptr<const service::AggregateAudience> aggregate_;
   service::MediaServerPool servers_;
   service::ApiServer api_;
-  /// Destroy retired objects whose event horizon has passed.
-  void purge_retired();
 
   bool warmed_up_ = false;
   bool campaign_begun_ = false;
   int epoch_attempted_ = 0;
   std::size_t session_counter_ = 0;
+  /// Retired pipelines and sessions, each with the time after which no
+  /// simulation event references it: kept alive (with bulk buffers
+  /// freed) until purge_retired() passes that time.
   std::vector<std::pair<TimePoint,
                         std::unique_ptr<service::LiveBroadcastPipeline>>>
       retired_pipelines_;

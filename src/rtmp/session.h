@@ -7,6 +7,10 @@
 //
 // Flow: handshake -> connect -> createStream -> play -> StreamBegin +
 // onStatus(NetStream.Play.Start) -> FLV-tagged audio/video messages.
+//
+// The connection logic is written once, in Endpoint; ServerSession,
+// ClientSession and PublisherSession are role layers over it that decide
+// which commands to send and what to do with the ones that arrive.
 #pragma once
 
 #include <functional>
@@ -45,6 +49,81 @@ class MediaMessageWriter {
   std::vector<BytesView> pieces_;
 };
 
+/// The connection logic every RTMP session shares, in the client or the
+/// server role: the simple handshake (C0/C1/C2 against S0/S1/S2), the
+/// chunk reader and writer with the output buffer, and the command and
+/// protocol control writers (RTMP §5.4, §7.1). Each session owns one and
+/// speaks through it; the FLV media decode that the server and the
+/// player share sits beside it in session.cpp.
+class Endpoint {
+ public:
+  enum class Role { Client, Server };
+
+  /// `seed` draws this side's C1/S1 blob. A client sends C0+C1 at once;
+  /// a server sends S0+S1 when the peer's C0+C1 has arrived.
+  Endpoint(Role role, std::uint64_t seed);
+
+  /// Feed bytes from the peer. Handshake bytes are consumed here; when
+  /// the peer's echo checks out, `layer.on_established()` runs once.
+  /// After that every complete message goes to `layer.on_command(values)`
+  /// (an AMF0 command that decodes to at least one value) or to
+  /// `layer.on_media(msg)` (Audio/Video); other messages (Acknowledgement,
+  /// UserControl, ...) are accepted silently. Defined in session.cpp for
+  /// the three sessions there: the calls are direct, not type-erased.
+  template <typename Layer>
+  Status on_input(BytesView data, Layer& layer);
+
+  Bytes take_output() { return out_.take(); }
+  bool has_output() const { return !out_.bytes().empty(); }
+
+  /// One AMF0 command message on the command chunk stream.
+  void command(const std::vector<amf::Value>& values,
+               std::uint32_t stream_id = 0);
+  /// Protocol control messages. set_chunk_size also applies the size to
+  /// every later message this side writes; set_peer_bandwidth sends the
+  /// dynamic limit type.
+  void set_chunk_size(std::uint32_t size);
+  void window_ack_size(std::uint32_t size);
+  void set_peer_bandwidth(std::uint32_t size);
+  /// User Control StreamBegin for `stream_id`.
+  void stream_begin(std::uint32_t stream_id);
+  /// The AVC sequence header as a video message on `stream_id`.
+  void avc_config(std::uint32_t stream_id, const media::Sps& sps,
+                  const media::Pps& pps);
+  /// One media sample as an FLV-tagged message on `stream_id`.
+  void sample(std::uint32_t stream_id, const media::MediaSample& sample) {
+    media_.write(writer_, out_, stream_id, sample);
+  }
+
+  /// Drop buffered I/O (retirement path).
+  void discard() {
+    out_ = ByteWriter{};
+    Bytes{}.swap(inbuf_);
+    Bytes{}.swap(hello_);
+    reader_.discard();
+  }
+
+ private:
+  enum class Handshake { WaitHello, WaitEcho, Done };
+
+  /// Buffer handshake bytes and advance: answer the peer's hello with
+  /// this side's (server) and its echo, then check the peer's echo.
+  Status handshake(BytesView data);
+  void send_hello();
+  void write(std::uint32_t csid, MessageType type, std::uint32_t stream_id,
+             BytesView payload);
+
+  Role role_;
+  std::uint64_t seed_;
+  Handshake handshake_ = Handshake::WaitHello;
+  Bytes inbuf_;  // handshake bytes not yet consumed
+  Bytes hello_;  // the C0+C1 (S0+S1) this side sent
+  ChunkReader reader_;
+  ChunkWriter writer_;
+  MediaMessageWriter media_;
+  ByteWriter out_;
+};
+
 /// Server side of one connection — a viewer (play) or a broadcaster
 /// (publish). Periscope phones publish their stream over exactly this
 /// flow: connect -> releaseStream/FCPublish -> createStream -> publish ->
@@ -65,8 +144,8 @@ class ServerSession {
   /// Feed bytes received from the client.
   Status on_input(BytesView data);
   /// Drain bytes to send to the client.
-  Bytes take_output();
-  bool has_output() const { return !out_.bytes().empty(); }
+  Bytes take_output() { return conn_.take_output(); }
+  bool has_output() const { return conn_.has_output(); }
 
   /// True once the client's `play` was accepted.
   bool playing() const { return playing_; }
@@ -88,30 +167,17 @@ class ServerSession {
 
   /// Drop buffered I/O (retirement path: the session object outlives its
   /// usefulness only to keep late simulation callbacks safe).
-  void discard_buffers() {
-    out_ = ByteWriter{};
-    Bytes{}.swap(inbuf_);
-    Bytes{}.swap(my_blob_);
-    reader_.discard();
-  }
+  void discard_buffers() { conn_.discard(); }
 
  private:
-  enum class State { WaitHello, WaitEcho, Command };
+  friend class Endpoint;
+  void on_established() {}
+  void on_command(const std::vector<amf::Value>& v);
+  void on_media(Message& msg);
+  /// StreamBegin, then onStatus(`code`) on the media stream.
+  void start_stream(const char* code, const char* description);
 
-  void handle_command(const Message& msg);
-  void handle_published_media(Message& msg);
-  void send_message(std::uint32_t csid, MessageType type,
-                    std::uint32_t timestamp_ms, std::uint32_t stream_id,
-                    Bytes payload);
-
-  State state_ = State::WaitHello;
-  Bytes inbuf_;  // handshake buffering
-  Bytes my_blob_;
-  ChunkReader reader_;
-  ChunkWriter writer_;
-  MediaMessageWriter media_;
-  ByteWriter out_;
-  std::uint64_t seed_;
+  Endpoint conn_;
   bool playing_ = false;
   bool publishing_ = false;
   std::string app_;
@@ -128,8 +194,8 @@ class PublisherSession {
                    std::uint64_t seed);
 
   Status on_input(BytesView data);
-  Bytes take_output();
-  bool has_output() const { return !out_.bytes().empty(); }
+  Bytes take_output() { return conn_.take_output(); }
+  bool has_output() const { return conn_.has_output(); }
 
   /// True once the server accepted `publish`.
   bool publishing() const { return publishing_; }
@@ -140,21 +206,17 @@ class PublisherSession {
   void send_sample(const media::MediaSample& sample);
 
  private:
-  enum class State { WaitHello, WaitEcho, Connecting, CreatingStream,
-                     Publishing };
+  enum class State { Connecting, CreatingStream, Publishing };
 
-  void handle_message(const Message& msg);
-  void send_command(std::vector<amf::Value> values);
+  friend class Endpoint;
+  void on_established();
+  void on_command(const std::vector<amf::Value>& v);
+  void on_media(Message&) {}
 
-  State state_ = State::WaitHello;
-  Bytes inbuf_;
-  Bytes my_blob_;
-  ChunkReader reader_;
-  ChunkWriter writer_;
-  MediaMessageWriter media_;
-  ByteWriter out_;
+  Endpoint conn_;
   std::string app_;
   std::string stream_key_;
+  State state_ = State::Connecting;
   bool publishing_ = false;
   double next_txn_ = 2.0;
   std::uint32_t media_stream_id_ = 1;
@@ -177,38 +239,29 @@ class ClientSession {
                 Callbacks callbacks);
 
   Status on_input(BytesView data);
-  Bytes take_output();
-  bool has_output() const { return !out_.bytes().empty(); }
+  Bytes take_output() { return conn_.take_output(); }
+  bool has_output() const { return conn_.has_output(); }
 
   bool playing() const { return playing_; }
 
   /// Drop buffered I/O (retirement path).
-  void discard_buffers() {
-    out_ = ByteWriter{};
-    Bytes{}.swap(inbuf_);
-    Bytes{}.swap(my_blob_);
-    reader_.discard();
-  }
+  void discard_buffers() { conn_.discard(); }
 
  private:
-  enum class State { WaitHello, WaitEcho, Connecting, CreatingStream,
-                     Playing };
+  enum class State { Connecting, CreatingStream, Playing };
 
-  void handle_message(Message& msg);
-  void send_command(std::vector<amf::Value> values);
+  friend class Endpoint;
+  void on_established();
+  void on_command(const std::vector<amf::Value>& v);
+  void on_media(Message& msg);
 
-  State state_ = State::WaitHello;
-  Bytes inbuf_;
-  Bytes my_blob_;
-  ChunkReader reader_;
-  ChunkWriter writer_;
-  ByteWriter out_;
+  Endpoint conn_;
   std::string app_;
   std::string stream_name_;
   Callbacks cb_;
+  State state_ = State::Connecting;
   bool playing_ = false;
   double next_txn_ = 2.0;
-  std::uint32_t media_stream_id_ = 0;
 };
 
 }  // namespace psc::rtmp

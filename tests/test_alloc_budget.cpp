@@ -82,5 +82,38 @@ TEST(AllocBudget, RtmpSendIsAtMostOneAllocationPerSample) {
   EXPECT_GT(bytes, 0u);
 }
 
+TEST(AllocBudget, RtmpReceiveIsAtMostOneAllocationPerSample) {
+  const std::vector<media::MediaSample> samples = stream(400);
+  std::size_t received = 0;
+  rtmp::ClientSession::Callbacks cbs;
+  cbs.on_sample = [&received](media::MediaSample) { ++received; };
+  rtmp::ClientSession client("live", "budget", 1, std::move(cbs));
+  rtmp::ServerSession server(2);
+  for (int i = 0; i < 16 && !client.playing(); ++i) {
+    if (client.has_output()) (void)server.on_input(client.take_output());
+    if (server.has_output()) (void)client.on_input(server.take_output());
+  }
+  ASSERT_TRUE(client.playing());
+  // Warm-up: the reader's chunk-stream table and message queues reach
+  // their steady size.
+  for (const media::MediaSample& s : samples) {
+    server.send_sample(s);
+    ASSERT_TRUE(client.on_input(server.take_output()).ok());
+  }
+  // One allocation per sample is the message's reassembly buffer, which
+  // becomes the delivered sample's data. Only on_input is counted.
+  std::uint64_t allocs = 0;
+  received = 0;
+  for (const media::MediaSample& s : samples) {
+    server.send_sample(s);
+    const Bytes wire = server.take_output();
+    const std::uint64_t before = heap_allocs();
+    ASSERT_TRUE(client.on_input(wire).ok());
+    allocs += heap_allocs() - before;
+  }
+  EXPECT_EQ(received, samples.size());
+  EXPECT_LE(allocs, samples.size());
+}
+
 }  // namespace
 }  // namespace psc

@@ -316,11 +316,136 @@ TEST(Session, AudioDelivery) {
   EXPECT_EQ(info.value().sample_rate, 44100);
 }
 
+/// What a fresh session of the role under test did when fed recorded
+/// peer bytes: the first error (if any), the bytes fed up to it, what the
+/// session emitted and whether its stream came up.
+struct Replay {
+  Status status;
+  std::size_t fed = 0;
+  Bytes output;
+  bool established = false;
+};
+
+/// One row of the handshake table. `make_role()` and `make_peer()` build
+/// fresh sessions; `up(session)` says whether its stream is established
+/// (playing() or publishing()). A reference run records every byte the
+/// peer delivers to the role and every byte the role emits; the row then
+/// replays the recorded bytes to fresh role sessions, corrupted and split
+/// in different ways. The sessions are deterministic, so a replay that
+/// succeeds must emit exactly what the reference run emitted.
+template <typename MakeRole, typename MakePeer, typename Up>
+void check_handshake(const char* echo_error, MakeRole make_role,
+                     MakePeer make_peer, Up up) {
+  // C0+C1 (or S0+S1), then C2 (or S2); chunk-stream bytes follow.
+  constexpr std::size_t kHandshakeIn = 1 + 2 * kHandshakeBlobSize;
+  Bytes input;
+  Bytes output;
+  {
+    auto role = make_role();
+    auto peer = make_peer();
+    for (int i = 0; i < 32; ++i) {
+      bool any = false;
+      if (role.has_output()) {
+        const Bytes b = role.take_output();
+        output.insert(output.end(), b.begin(), b.end());
+        ASSERT_TRUE(peer.on_input(b).ok());
+        any = true;
+      }
+      if (peer.has_output()) {
+        const Bytes b = peer.take_output();
+        input.insert(input.end(), b.begin(), b.end());
+        ASSERT_TRUE(role.on_input(b).ok());
+        any = true;
+      }
+      if (!any) break;
+    }
+    ASSERT_TRUE(up(role));
+    ASSERT_GT(input.size(), kHandshakeIn);
+  }
+
+  // Deliveries of `step` bytes (0: all at once); `first` overrides the
+  // size of the first one. Stops at the first error.
+  const auto replay = [&](BytesView in, std::size_t step,
+                          std::size_t first) {
+    auto role = make_role();
+    Replay r;
+    while (r.status.ok() && r.fed < in.size()) {
+      std::size_t n = r.fed == 0 && first > 0 ? first : step;
+      if (n == 0 || n > in.size() - r.fed) n = in.size() - r.fed;
+      r.status = role.on_input(in.subspan(r.fed, n));
+      r.fed += n;
+    }
+    while (role.has_output()) {
+      const Bytes b = role.take_output();
+      r.output.insert(r.output.end(), b.begin(), b.end());
+    }
+    r.established = up(role);
+    return r;
+  };
+
+  // A bad version byte fails as soon as the hello is complete.
+  Bytes bad_version = input;
+  bad_version[0] = 9;
+  const Replay v = replay(bad_version, 1, 0);
+  ASSERT_FALSE(v.status.ok());
+  EXPECT_EQ(v.status.error().code, "rtmp_version");
+  EXPECT_EQ(v.fed, 1 + kHandshakeBlobSize);
+  EXPECT_FALSE(v.established);
+
+  // A corrupted echo fails on its last byte with the role's own text.
+  Bytes bad_echo = input;
+  bad_echo[1 + kHandshakeBlobSize + 700] ^= 0x5A;
+  for (const std::size_t step : {std::size_t{1}, std::size_t{0}}) {
+    const Replay e = replay(bad_echo, step, 0);
+    ASSERT_FALSE(e.status.ok());
+    EXPECT_EQ(e.status.error().code, "rtmp_handshake");
+    EXPECT_EQ(e.status.error().message, echo_error);
+    EXPECT_EQ(e.fed, step == 1 ? kHandshakeIn : bad_echo.size());
+    EXPECT_FALSE(e.established);
+  }
+
+  // However the same bytes are split, the session says the same thing
+  // and reaches the same state: one byte at a time, all at once, and
+  // with the last handshake byte in the delivery that starts the chunk
+  // stream.
+  const struct {
+    const char* split;
+    std::size_t step;
+    std::size_t first;
+  } splits[] = {{"one byte at a time", 1, 0},
+                {"all at once", 0, 0},
+                {"handshake tail with chunks", 0, kHandshakeIn - 1}};
+  for (const auto& s : splits) {
+    SCOPED_TRACE(s.split);
+    const Replay ok = replay(input, s.step, s.first);
+    EXPECT_TRUE(ok.status.ok());
+    EXPECT_EQ(ok.output, output);
+    EXPECT_TRUE(ok.established);
+  }
+}
+
 TEST(Session, GarbageHandshakeRejected) {
-  ServerSession server(1);
-  Bytes garbage(2000, 0xEE);
-  garbage[0] = 9;  // bad version
-  EXPECT_FALSE(server.on_input(garbage).ok());
+  const auto server = [] { return ServerSession(9); };
+  const auto player = [] { return ClientSession("live", "hs", 7, {}); };
+  const auto publisher = [] { return PublisherSession("live", "hs", 7); };
+  const auto playing = [](const auto& s) { return s.playing(); };
+  const auto publishing = [](const auto& s) { return s.publishing(); };
+  {
+    SCOPED_TRACE("server, player peer");
+    check_handshake("C2 does not echo S1", server, player, playing);
+  }
+  {
+    SCOPED_TRACE("server, publisher peer");
+    check_handshake("C2 does not echo S1", server, publisher, publishing);
+  }
+  {
+    SCOPED_TRACE("player");
+    check_handshake("S2 does not echo C1", player, server, playing);
+  }
+  {
+    SCOPED_TRACE("publisher");
+    check_handshake("S2 does not echo C1", publisher, server, publishing);
+  }
 }
 
 TEST(Session, TimestampsCarryDts) {
