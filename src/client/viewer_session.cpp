@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "hls/playlist.h"
 #include "util/strings.h"
@@ -20,20 +21,122 @@ Duration path_latency(const geo::GeoPoint& a, const geo::GeoPoint& b) {
 constexpr BitRate kOriginEgressRate = 400e6;  // per-connection server side
 constexpr double kVideoFps = 30.0;
 
+/// Least retry slack safe_destroy_at() allows: every ladder of the
+/// default policy fits under it; only a larger policy raises it.
+constexpr Duration kMinRetrySlack = seconds(15);
+
+/// How long after the finish an event of `policy` can still fire: RTMP
+/// schedules reconnects until the finish, each one capped delay out; an
+/// HLS fetch issued by then arms a timeout and at most one refetch delay.
+Duration retry_horizon(Protocol protocol,
+                       const fault::ResilienceConfig* policy) {
+  if (policy == nullptr) return Duration{0};
+  // The longest single delay of a ladder: its cap at full jitter.
+  const auto longest = [](const fault::BackoffConfig& c) {
+    return c.max * (1.0 + std::max(0.0, c.jitter));
+  };
+  return protocol == Protocol::Rtmp
+             ? longest(policy->rtmp_reconnect)
+             : longest(policy->hls_retry) + policy->hls_fetch_timeout;
+}
+
 }  // namespace
 
-void fill_player_stats(SessionStats& st, const Player& player,
-                       std::uint64_t video_frames, double max_decode_fps) {
-  st.ever_played = player.ever_played();
-  st.join_time_s = to_s(player.join_time());
-  st.played_s = to_s(player.played());
-  st.stalled_s = to_s(player.stalled());
-  st.stall_count = player.stall_count();
-  st.stall_ratio = player.stall_ratio();
-  st.playback_latency_s = player.mean_playback_latency_s();
-  const double measured_fps =
-      st.played_s > 0 ? static_cast<double>(video_frames) / st.played_s : 0;
-  st.reported_fps = std::min(measured_fps, max_decode_fps);
+// ---------------- Core ----------------
+
+ViewerSession::ViewerSession(sim::Simulation& sim,
+                             service::LiveBroadcastPipeline& pipe,
+                             Device& device,
+                             const service::MediaServer& server,
+                             const PlayerConfig& player_cfg,
+                             std::uint64_t seed, obs::Obs* obs,
+                             const fault::Plan& faults, Protocol protocol,
+                             const fault::ResilienceConfig* policy)
+    : sim_(sim),
+      pipe_(pipe),
+      device_(device),
+      obs_(obs),
+      plan_(faults),
+      up_link_(sim, device.config().up_rate,
+               path_latency(device.config().location, server.location)),
+      player_cfg_(player_cfg),
+      protocol_(protocol),
+      retry_horizon_(retry_horizon(protocol, policy)),
+      max_decode_fps_(device.config().max_decode_fps *
+                      Rng(seed).uniform(0.94, 1.0)) {}
+
+void ViewerSession::start(Duration watch_time) {
+  session_start_ = sim_.now();
+  stop_at_ = session_start_ + watch_time;
+  player_.emplace(player_cfg_, session_start_, pipe_.epoch_s(), obs_,
+                  label());
+  sim_.schedule_at(stop_at_, [this] { finish(); });
+  fault::arm_access_link(sim_, up_link_, plan_, session_start_, stop_at_);
+  fault::arm_access_link(sim_, device_.downlink(), plan_, session_start_,
+                         stop_at_);
+  begin();
+}
+
+void ViewerSession::give_up() {
+  if (finished_) return;
+  gave_up_ = true;
+  if (obs_ != nullptr) {
+    obs_->metrics.counter("sessions_gave_up_total").add(1);
+    obs_->trace.instant("fault", std::string(label()) + " give up",
+                        sim_.now());
+    obs_->log.log(obs::EventKind::GaveUp, to_s(sim_.now()), 0, 0, label());
+  }
+  finish();
+}
+
+void ViewerSession::finish() {
+  if (finished_) return;
+  if (player_) player_->finish(sim_.now());
+  finished_ = true;
+  on_finish();
+}
+
+void ViewerSession::retire() {
+  finish();
+  capture_.clear();
+}
+
+TimePoint ViewerSession::safe_destroy_at() const {
+  // In-flight deliveries are bounded by the link busy horizons; the last
+  // event the session schedules itself is a retry ladder's, at most
+  // retry_horizon_ past the finish.
+  const TimePoint t =
+      std::max({layer_horizon(), up_link_.busy_until(),
+                device_.downlink().busy_until(), stop_at_});
+  return t + std::max(kMinRetrySlack, retry_horizon_);
+}
+
+SessionStats ViewerSession::stats() const {
+  SessionStats st;
+  st.protocol = protocol_;
+  st.broadcast_id = pipe_.info().id;
+  st.device_model = device_.config().model;
+  st.distance_km =
+      geo::distance_km(device_.config().location, pipe_.info().location);
+  st.avg_viewers = pipe_.info().average_viewers();
+  st.bytes_received = capture_.total_bytes();
+  st.outcome = gave_up_ ? Outcome::GaveUp : Outcome::Completed;
+  st.retries = retries_;
+  layer_stats(st);
+  if (player_) {
+    st.ever_played = player_->ever_played();
+    st.join_time_s = to_s(player_->join_time());
+    st.played_s = to_s(player_->played());
+    st.stalled_s = to_s(player_->stalled());
+    st.stall_count = player_->stall_count();
+    st.stall_ratio = player_->stall_ratio();
+    st.playback_latency_s = player_->mean_playback_latency_s();
+    const double measured_fps =
+        st.played_s > 0 ? static_cast<double>(video_frames_) / st.played_s
+                        : 0;
+    st.reported_fps = std::min(measured_fps, max_decode_fps_);
+  }
+  return st;
 }
 
 // ---------------- RTMP ----------------
@@ -48,27 +151,21 @@ RtmpViewerSession::RtmpViewerSession(sim::Simulation& sim,
                                      obs::Obs* obs,
                                      const fault::Plan& faults,
                                      const fault::ResilienceConfig& policy)
-    : sim_(sim),
-      pipe_(pipe),
-      device_(device),
-      obs_(obs),
+    : ViewerSession(sim, pipe, device, origin, player_cfg, seed, obs, faults,
+                    Protocol::Rtmp, &policy),
       origin_(origin),
-      plan_(faults),
-      up_link_(sim, device.config().up_rate,
-               path_latency(device.config().location, origin.location)),
       origin_link_(sim, kOriginEgressRate,
                    path_latency(origin.location, device.config().location) +
                        extra_origin_latency),
       reconnect_backoff_(policy.rtmp_reconnect, Rng(seed ^ 0xFA017u)),
-      seed_(seed),
-      max_decode_fps_(device.config().max_decode_fps *
-                      Rng(seed).uniform(0.94, 1.0)) {
-  player_cfg_ = player_cfg;
+      seed_(seed) {
   make_connection();
 }
 
-RtmpViewerSession::~RtmpViewerSession() {
-  if (subscription_ != 0) pipe_.unsubscribe(subscription_);
+RtmpViewerSession::~RtmpViewerSession() { unsubscribe(); }
+
+void RtmpViewerSession::unsubscribe() {
+  if (subscription_ != 0) pipe_.unsubscribe(std::exchange(subscription_, 0));
 }
 
 void RtmpViewerSession::make_connection() {
@@ -88,15 +185,7 @@ void RtmpViewerSession::make_connection() {
       "live", pipe_.info().id, seed_ ^ mix, std::move(cbs));
 }
 
-void RtmpViewerSession::start(Duration watch_time) {
-  session_start_ = sim_.now();
-  stop_at_ = session_start_ + watch_time;
-  player_.emplace(player_cfg_, session_start_, pipe_.epoch_s(), obs_,
-                  "rtmp");
-  sim_.schedule_after(watch_time, [this] { finish(); });
-  fault::arm_access_link(sim_, up_link_, plan_, session_start_, stop_at_);
-  fault::arm_access_link(sim_, device_.downlink(), plan_, session_start_,
-                         stop_at_);
+void RtmpViewerSession::begin() {
   // An origin restart resets the TCP connection at the episode start;
   // the client notices and runs its reconnect ladder.
   for (const fault::Episode& e : plan_.episodes()) {
@@ -150,15 +239,11 @@ void RtmpViewerSession::pump() {
 
 void RtmpViewerSession::drop_connection() {
   if (finished_) return;
-  ++disconnects_;
   // Invalidate every in-flight delivery of the old connection; the bytes
   // still cross the (simulated) wire but land in a closed socket.
   ++conn_gen_;
   media_started_ = false;
-  if (subscription_ != 0) {
-    pipe_.unsubscribe(subscription_);
-    subscription_ = 0;
-  }
+  unsubscribe();
   if (obs_ != nullptr) {
     obs_->metrics.counter("rtmp_disconnects_total").add(1);
     obs_->trace.instant("fault", "rtmp disconnect", sim_.now());
@@ -172,10 +257,10 @@ void RtmpViewerSession::schedule_reconnect() {
     give_up();
     return;
   }
-  ++retry_attempts_;
+  ++retries_;
   if (obs_ != nullptr) {
     obs_->log.log(obs::EventKind::Retry, to_s(sim_.now()),
-                  static_cast<double>(retry_attempts_), 0, "rtmp");
+                  static_cast<double>(retries_), 0, "rtmp");
   }
   const Duration delay = reconnect_backoff_.next();
   sim_.schedule_after(delay, [this, gen = conn_gen_] {
@@ -203,45 +288,17 @@ void RtmpViewerSession::attempt_reconnect() {
   pump();
 }
 
-void RtmpViewerSession::give_up() {
-  if (finished_) return;
-  gave_up_ = true;
-  if (obs_ != nullptr) {
-    obs_->metrics.counter("sessions_gave_up_total").add(1);
-    obs_->trace.instant("fault", "rtmp give up", sim_.now());
-    obs_->log.log(obs::EventKind::GaveUp, to_s(sim_.now()), 0, 0, "rtmp");
-  }
-  finish();
+void RtmpViewerSession::on_finish() {
+  // Nothing reads the connection after the finish: free its buffers.
+  unsubscribe();
+  server_->discard_buffers();
+  client_->discard_buffers();
 }
 
-void RtmpViewerSession::finish() {
-  if (finished_) return;
-  if (player_) player_->finish(sim_.now());
-  if (subscription_ != 0) {
-    pipe_.unsubscribe(subscription_);
-    subscription_ = 0;
-  }
-  finished_ = true;
-}
-
-SessionStats RtmpViewerSession::stats() const {
-  SessionStats st;
-  st.protocol = Protocol::Rtmp;
-  st.broadcast_id = pipe_.info().id;
-  st.device_model = device_.config().model;
+void RtmpViewerSession::layer_stats(SessionStats& st) const {
   st.server_ip = origin_.ip;
   st.server_region = origin_.region;
-  st.distance_km =
-      geo::distance_km(device_.config().location, pipe_.info().location);
-  st.avg_viewers = pipe_.info().average_viewers();
-  st.bytes_received = capture_.total_bytes();
-  st.outcome = gave_up_ ? Outcome::GaveUp : Outcome::Completed;
   st.reconnects = reconnects_;
-  st.retries = retry_attempts_;
-  if (player_) {
-    fill_player_stats(st, *player_, video_frames_, max_decode_fps_);
-  }
-  return st;
 }
 
 // ---------------- HLS ----------------
@@ -257,11 +314,8 @@ HlsViewerSession::HlsViewerSession(sim::Simulation& sim,
                                    Duration extra_b_latency, obs::Obs* obs,
                                    const fault::Plan& faults,
                                    const fault::ResilienceConfig* resilience)
-    : sim_(sim),
-      pipe_(pipe),
-      device_(device),
-      obs_(obs),
-      plan_(faults),
+    : ViewerSession(sim, pipe, device, edge_a, player_cfg, seed, obs, faults,
+                    Protocol::Hls, resilience),
       resilience_(resilience),
       edge_server_("fastly.periscope.tv", faults),
       edge_a_link_(sim, 400e6,
@@ -270,70 +324,65 @@ HlsViewerSession::HlsViewerSession(sim::Simulation& sim,
       edge_b_link_(sim, 400e6,
                    path_latency(edge_b.location, device.config().location) +
                        extra_b_latency),
-      up_link_(sim, device.config().up_rate,
-               path_latency(device.config().location, edge_a.location)),
-      player_cfg_(player_cfg),
       edge_a_ip_(edge_a.ip),
       edge_b_ip_(edge_b.ip),
       mode_(mode),
       adaptive_(adaptive),
-      max_decode_fps_(device.config().max_decode_fps *
-                      Rng(seed).uniform(0.94, 1.0)),
       rng_(seed) {
   edge_server_.set_obs(obs_);
   edge_server_.attach(pipe.info().id, &pipe);
 }
 
-void HlsViewerSession::start(Duration watch_time) {
-  session_start_ = sim_.now();
-  stop_at_ = session_start_ + watch_time;
-  player_.emplace(player_cfg_, session_start_, pipe_.epoch_s(), obs_,
-                  "hls");
-  sim_.schedule_at(stop_at_, [this] { finish(); });
-  fault::arm_access_link(sim_, up_link_, plan_, session_start_, stop_at_);
-  fault::arm_access_link(sim_, device_.downlink(), plan_, session_start_,
-                         stop_at_);
+void HlsViewerSession::begin() {
   if (adaptive_ && pipe_.rendition_count() > 1) {
-    // Fetch the master playlist first; start at the lowest rendition and
-    // let the throughput estimator ramp up.
-    http::Request master_req;
-    master_req.path = hls_base() + "master.m3u8";
-    up_link_.send(master_req.serialize().size(),
-                  [this, master_req](TimePoint t_edge, util::BufferSlice) {
-      if (finished_) return;
-      const http::Response resp = edge_server_.handle(master_req, t_edge);
-      edge_a_link_.send(resp.serialize(),
-                        [this](TimePoint, util::BufferSlice data) {
-        device_.downlink().send(std::move(data),
-                                [this](TimePoint, util::BufferSlice d) {
-          if (finished_) return;
-          playlist_bytes_ += d.size();
-          auto parsed_resp = http::Response::parse_slice(d);
-          if (!parsed_resp || parsed_resp.value().status != 200) return;
-          auto variants = hls::parse_master_m3u8(
-              to_string(parsed_resp.value().body));
-          if (variants) {
-            variant_bandwidths_.clear();
-            for (const hls::VariantRef& v : variants.value()) {
-              variant_bandwidths_.push_back(v.bandwidth_bps);
-            }
-            // Lowest-bandwidth rendition first.
-            std::size_t lowest = 0;
-            for (std::size_t i = 1; i < variant_bandwidths_.size(); ++i) {
-              if (variant_bandwidths_[i] < variant_bandwidths_[lowest]) {
-                lowest = i;
-              }
-            }
-            current_rendition_ = lowest;
-          }
-          poll_playlist();
-        });
-      });
-    });
-    ++http_requests_;
+    // Fetch the master playlist first, then poll the media playlist.
+    get_playlist("master.m3u8", &HlsViewerSession::on_master_playlist);
   } else {
     poll_playlist();
   }
+}
+
+void HlsViewerSession::get_playlist(const char* name, PlaylistFn then) {
+  // A real GET rides the uplink to the edge; the response is the M3U8.
+  http::Request req;
+  req.path = hls_base() + name;
+  const std::size_t req_size = req.serialize().size();
+  up_link_.send(req_size, [this, path = std::move(req.path), then](
+                              TimePoint t_edge, util::BufferSlice) mutable {
+    if (finished_) return;
+    http::Request get;
+    get.path = std::move(path);
+    const http::Response resp = edge_server_.handle(get, t_edge);
+    edge_a_link_.send(resp.serialize(),
+                      [this, then](TimePoint, util::BufferSlice data) {
+      device_.downlink().send(std::move(data),
+                              [this, then](TimePoint, util::BufferSlice d) {
+        if (finished_) return;
+        playlist_bytes_ += d.size();
+        auto parsed = http::Response::parse_slice(d);
+        const bool ok = parsed && parsed.value().status == 200;
+        (this->*then)(ok ? to_string(parsed.value().body) : std::string());
+      });
+    });
+  });
+  ++http_requests_;
+}
+
+void HlsViewerSession::on_master_playlist(const std::string& body) {
+  // Start at the lowest rendition and let the throughput estimator ramp
+  // up. A failed fetch leaves no variants known, so ABR stays on the
+  // source rendition; the session polls the media playlist either way.
+  if (auto variants = hls::parse_master_m3u8(body)) {
+    variant_bandwidths_.clear();
+    for (const hls::VariantRef& v : variants.value()) {
+      variant_bandwidths_.push_back(v.bandwidth_bps);
+    }
+    current_rendition_ = static_cast<std::size_t>(
+        std::min_element(variant_bandwidths_.begin(),
+                         variant_bandwidths_.end()) -
+        variant_bandwidths_.begin());
+  }
+  poll_playlist();
 }
 
 std::size_t HlsViewerSession::pick_rendition() const {
@@ -366,53 +415,38 @@ std::size_t HlsViewerSession::abr_switches() const {
 
 void HlsViewerSession::poll_playlist() {
   if (finished_) return;
-  // A real GET rides the uplink to the edge; the response is the M3U8.
-  http::Request pl_req;
-  pl_req.path = hls_base() +
-                (mode_ == Mode::Replay ? "vod.m3u8" : "playlist.m3u8");
-  up_link_.send(pl_req.serialize().size(),
-                [this, pl_req](TimePoint t_edge, util::BufferSlice) {
-    if (finished_) return;
-    const http::Response resp = edge_server_.handle(pl_req, t_edge);
-    edge_a_link_.send(resp.serialize(),
-                      [this](TimePoint, util::BufferSlice data) {
-      device_.downlink().send(std::move(data),
-                              [this](TimePoint, util::BufferSlice d) {
-        if (finished_) return;
-        playlist_bytes_ += d.size();
-        auto parsed_resp = http::Response::parse_slice(d);
-        if (!parsed_resp || parsed_resp.value().status != 200) return;
-        auto pl2 = hls::parse_m3u8(to_string(parsed_resp.value().body));
-        if (!pl2 || pl2.value().segments.empty()) return;
-        // Reload cadence follows the advertised target duration.
-        if (to_s(pl2.value().target_duration) >= 1.0) {
-          poll_interval_ = pl2.value().target_duration;
-        }
-        const auto& segs = pl2.value().segments;
-        playlist_ended_ = pl2.value().ended;
-        if (!started_fetching_) {
-          if (mode_ == Mode::Replay) {
-            // Replay plays from the beginning of the recording.
-            next_seq_ = segs.front().sequence;
-          } else {
-            // Live-edge start: a few segments back, per HLS convention.
-            const std::uint64_t last = segs.back().sequence;
-            const std::uint64_t first = segs.front().sequence;
-            next_seq_ = last >= first + 2 ? last - 2 : first;
-          }
-          started_fetching_ = true;
-        }
-        last_known_seq_ = segs.back().sequence;
-        maybe_fetch_next();
-      });
-    });
-  });
-  ++http_requests_;
+  get_playlist(mode_ == Mode::Replay ? "vod.m3u8" : "playlist.m3u8",
+               &HlsViewerSession::on_media_playlist);
   // Reload cadence per the HLS spec: once per target segment duration.
   // A VOD playlist (#EXT-X-ENDLIST) is never reloaded.
   if (!playlist_ended_) {
     sim_.schedule_after(poll_interval_, [this] { poll_playlist(); });
   }
+}
+
+void HlsViewerSession::on_media_playlist(const std::string& body) {
+  auto pl = hls::parse_m3u8(body);
+  if (!pl || pl.value().segments.empty()) return;
+  // Reload cadence follows the advertised target duration.
+  if (to_s(pl.value().target_duration) >= 1.0) {
+    poll_interval_ = pl.value().target_duration;
+  }
+  const auto& segs = pl.value().segments;
+  playlist_ended_ = pl.value().ended;
+  if (!started_fetching_) {
+    if (mode_ == Mode::Replay) {
+      // Replay plays from the beginning of the recording.
+      next_seq_ = segs.front().sequence;
+    } else {
+      // Live-edge start: a few segments back, per HLS convention.
+      const std::uint64_t last = segs.back().sequence;
+      const std::uint64_t first = segs.front().sequence;
+      next_seq_ = last >= first + 2 ? last - 2 : first;
+    }
+    started_fetching_ = true;
+  }
+  last_known_seq_ = segs.back().sequence;
+  maybe_fetch_next();
 }
 
 void HlsViewerSession::maybe_fetch_next() {
@@ -466,15 +500,14 @@ void HlsViewerSession::issue_fetch(std::uint64_t seq, std::size_t rendition,
   net::Link& edge_link = edge_idx == 0 ? edge_a_link_ : edge_b_link_;
   const TimePoint fetch_start = sim_.now();
   const std::uint64_t fid = ++fetch_counter_;
-  live_fetches_.insert(fid);
+  sim::EventHandle& timeout = live_fetches_[fid];
   if (resilience_ != nullptr) {
     // Abandon the attempt if nothing came back within the fetch timeout
     // (e.g. the radio blacked out mid-download) and run the retry ladder.
-    fetch_timeouts_[fid] = sim_.schedule_after(
+    timeout = sim_.schedule_after(
         resilience_->hls_fetch_timeout,
         [this, fid, seq, rendition, attempt, edge_idx] {
           if (live_fetches_.erase(fid) == 0) return;  // already settled
-          fetch_timeouts_.erase(fid);
           if (obs_ != nullptr) {
             obs_->metrics.counter("hls_fetch_timeouts_total").add(1);
             obs_->trace.instant(
@@ -495,7 +528,7 @@ void HlsViewerSession::issue_fetch(std::uint64_t seq, std::size_t rendition,
                 [this, seg_req, uri, rendition, fetch_start, fid, seq,
                  attempt, edge_idx,
                  &edge_link](TimePoint t_edge, util::BufferSlice) {
-    if (live_fetches_.count(fid) == 0) return;  // timed out underway
+    if (!live_fetches_.contains(fid)) return;  // timed out underway
     if (finished_) {
       settle_fetch(fid);
       return;
@@ -529,7 +562,7 @@ void HlsViewerSession::issue_fetch(std::uint64_t seq, std::size_t rendition,
           std::move(data),
           [this, es, rendition, fetch_start, fid,
            edge_idx](TimePoint t2, util::BufferSlice d) {
-            if (live_fetches_.count(fid) == 0) return;  // timed out
+            if (!live_fetches_.contains(fid)) return;  // timed out
             settle_fetch(fid);
             --in_flight_;
             consecutive_failures_ = 0;
@@ -563,12 +596,8 @@ void HlsViewerSession::issue_fetch(std::uint64_t seq, std::size_t rendition,
 }
 
 void HlsViewerSession::settle_fetch(std::uint64_t fid) {
-  live_fetches_.erase(fid);
-  auto it = fetch_timeouts_.find(fid);
-  if (it != fetch_timeouts_.end()) {
-    sim_.cancel(it->second);
-    fetch_timeouts_.erase(it);
-  }
+  // An empty handle (no resilience policy) cancels nothing.
+  if (auto fetch = live_fetches_.extract(fid)) sim_.cancel(fetch.mapped());
 }
 
 void HlsViewerSession::handle_fetch_failure(std::uint64_t seq,
@@ -594,7 +623,7 @@ void HlsViewerSession::handle_fetch_failure(std::uint64_t seq,
     }
     return;
   }
-  ++hls_retries_;
+  ++retries_;
   const Duration delay = fault::backoff_delay(pol, attempt, rng_);
   if (obs_ != nullptr) {
     obs_->metrics.counter("hls_retries_total").add(1);
@@ -624,43 +653,13 @@ void HlsViewerSession::on_segment(
   maybe_fetch_next();
 }
 
-void HlsViewerSession::give_up() {
-  if (finished_) return;
-  gave_up_ = true;
-  if (obs_ != nullptr) {
-    obs_->metrics.counter("sessions_gave_up_total").add(1);
-    obs_->trace.instant("fault", "hls give up", sim_.now());
-    obs_->log.log(obs::EventKind::GaveUp, to_s(sim_.now()), 0, 0, "hls");
-  }
-  finish();
-}
-
-void HlsViewerSession::finish() {
-  if (finished_) return;
-  if (player_) player_->finish(sim_.now());
-  finished_ = true;
-}
-
-SessionStats HlsViewerSession::stats() const {
-  SessionStats st;
-  st.protocol = Protocol::Hls;
-  st.broadcast_id = pipe_.info().id;
-  st.device_model = device_.config().model;
+void HlsViewerSession::layer_stats(SessionStats& st) const {
   // Segments alternate across the two CDN edges; report the one used for
   // even-numbered segments first (both appear in the capture).
   st.server_ip = edge_a_ip_;
   st.secondary_server_ip = edge_b_ip_;
   st.server_region = "fastly";
-  st.distance_km =
-      geo::distance_km(device_.config().location, pipe_.info().location);
-  st.avg_viewers = pipe_.info().average_viewers();
-  st.bytes_received = capture_.total_bytes() + playlist_bytes_;
-  st.outcome = gave_up_ ? Outcome::GaveUp : Outcome::Completed;
-  st.retries = hls_retries_;
-  if (player_) {
-    fill_player_stats(st, *player_, video_frames_, max_decode_fps_);
-  }
-  return st;
+  st.bytes_received += playlist_bytes_;
 }
 
 }  // namespace psc::client

@@ -3,9 +3,11 @@
 // capture records the incoming media bytes, then reports playback
 // statistics.
 //
-// RtmpViewerSession glues rtmp::ClientSession <-> simulated network <->
-// rtmp::ServerSession fed by the broadcast pipeline. HlsViewerSession
-// polls the edge playlist and fetches MPEG-TS segments over HTTP.
+// ViewerSession is the core both protocols share: the player, uplink,
+// capture, fault arming, give-up/finish and stats. RtmpViewerSession
+// glues rtmp::ClientSession <-> simulated network <-> rtmp::ServerSession
+// fed by the broadcast pipeline; HlsViewerSession polls the edge playlist
+// and fetches MPEG-TS segments over HTTP.
 //
 // Both sessions run under a fault::Plan (the empty plan unless one is
 // given): its radio episodes are armed on the session's access links,
@@ -19,10 +21,10 @@
 // nothing is armed, dropped or refused.
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 
 #include "client/device.h"
@@ -91,22 +93,73 @@ struct SessionStats {
   int retries = 0;
 };
 
-/// Common interface so the study code can drive both protocols alike.
+/// The viewer-session core; RtmpViewerSession and HlsViewerSession are
+/// protocol layers over it. Their hooks run once per session, never on
+/// the per-sample or per-segment path.
 class ViewerSession {
  public:
   virtual ~ViewerSession() = default;
+  ViewerSession(const ViewerSession&) = delete;  // callbacks hold `this`
+  ViewerSession& operator=(const ViewerSession&) = delete;
+
   /// Begin the session at the current sim time; ends after `watch_time`.
-  virtual void start(Duration watch_time) = 0;
-  virtual bool finished() const = 0;
-  virtual SessionStats stats() const = 0;
-  virtual const net::Capture& capture() const = 0;
+  void start(Duration watch_time);
+  bool finished() const { return finished_; }
+  SessionStats stats() const;
+  const net::Capture& capture() const { return capture_; }
   /// Stop and free bulk buffers (capture trace). The object must outlive
   /// any simulation events still referencing it; they become no-ops.
-  virtual void retire() = 0;
+  void retire();
   /// Earliest simulation time at which no scheduled event can still
   /// reference this object (poll chains, link deliveries and retry
   /// ladders are all bounded) — destroying it after this point is safe.
-  virtual TimePoint safe_destroy_at() const = 0;
+  TimePoint safe_destroy_at() const;
+
+ protected:
+  /// `server` is the uplink's far end (the origin, or edge A). `policy`
+  /// (nullptr: the session never retries) bounds safe_destroy_at().
+  ViewerSession(sim::Simulation& sim, service::LiveBroadcastPipeline& pipe,
+                Device& device, const service::MediaServer& server,
+                const PlayerConfig& player_cfg, std::uint64_t seed,
+                obs::Obs* obs, const fault::Plan& faults, Protocol protocol,
+                const fault::ResilienceConfig* policy);
+
+  /// Hooks: open the protocol's traffic at the end of start(); react to
+  /// the finish; the latest callback time of the protocol's own links and
+  /// timers (retries aside); the stats fields only the protocol knows.
+  virtual void begin() = 0;
+  virtual void on_finish() {}
+  virtual TimePoint layer_horizon() const = 0;
+  virtual void layer_stats(SessionStats& st) const = 0;
+
+  /// The retry budget is exhausted: end the session as GaveUp.
+  void give_up();
+  void finish();
+  const char* label() const {
+    return protocol_ == Protocol::Rtmp ? "rtmp" : "hls";
+  }
+
+  sim::Simulation& sim_;
+  service::LiveBroadcastPipeline& pipe_;
+  Device& device_;
+  obs::Obs* obs_ = nullptr;
+  const fault::Plan& plan_;
+  net::Link up_link_;  // device -> origin / edge A
+  net::Capture capture_;
+  PlayerConfig player_cfg_;
+  std::optional<Player> player_;
+  TimePoint session_start_{};
+  TimePoint stop_at_{};
+  bool finished_ = false;
+  bool gave_up_ = false;
+  /// Retry attempts made (RTMP reconnect attempts / HLS refetches).
+  int retries_ = 0;
+  std::uint64_t video_frames_ = 0;
+
+ private:
+  Protocol protocol_;
+  Duration retry_horizon_;
+  double max_decode_fps_;
 };
 
 class RtmpViewerSession : public ViewerSession {
@@ -124,52 +177,26 @@ class RtmpViewerSession : public ViewerSession {
                     const fault::ResilienceConfig& policy = {});
   ~RtmpViewerSession() override;
 
-  void start(Duration watch_time) override;
-  bool finished() const override { return finished_; }
-  SessionStats stats() const override;
-  const net::Capture& capture() const override { return capture_; }
-  void retire() override {
-    finish();
-    capture_.clear();
-    if (server_) server_->discard_buffers();
-    if (client_) client_->discard_buffers();
-  }
-  TimePoint safe_destroy_at() const override {
-    TimePoint t = std::max(up_link_.busy_until(), origin_link_.busy_until());
-    t = std::max(t, device_.downlink().busy_until());
-    // Reconnect attempts are scheduled no later than stop_at_ and fire at
-    // most one capped backoff delay (< 15 s) after it.
-    t = std::max(t, stop_at_);
-    return t + seconds(15);
-  }
-
-  int reconnects() const { return reconnects_; }
-
  private:
+  void begin() override;
+  void on_finish() override;
+  TimePoint layer_horizon() const override {
+    return origin_link_.busy_until();
+  }
+  void layer_stats(SessionStats& st) const override;
+
   void make_connection();
   void pump();
   void drop_connection();
   void schedule_reconnect();
   void attempt_reconnect();
-  void give_up();
-  void finish();
+  void unsubscribe();
 
-  sim::Simulation& sim_;
-  service::LiveBroadcastPipeline& pipe_;
-  Device& device_;
-  obs::Obs* obs_ = nullptr;
   const service::MediaServer& origin_;
-  const fault::Plan& plan_;
-  net::Link up_link_;      // client -> origin
   net::Link origin_link_;  // origin -> device access link
-  net::Capture capture_;
   std::unique_ptr<rtmp::ServerSession> server_;
   std::unique_ptr<rtmp::ClientSession> client_;
-  PlayerConfig player_cfg_;
-  std::optional<Player> player_;
   fault::Backoff reconnect_backoff_;
-  TimePoint session_start_{};
-  TimePoint stop_at_{};
   std::uint64_t seed_ = 0;
   /// Connection generation: bumped on every drop; in-flight deliveries
   /// from an older connection check it and become no-ops, so stale bytes
@@ -177,13 +204,7 @@ class RtmpViewerSession : public ViewerSession {
   std::uint64_t conn_gen_ = 0;
   int subscription_ = 0;
   bool media_started_ = false;
-  bool finished_ = false;
-  bool gave_up_ = false;
-  int disconnects_ = 0;
   int reconnects_ = 0;
-  int retry_attempts_ = 0;
-  std::uint64_t video_frames_ = 0;
-  double max_decode_fps_;
 };
 
 class HlsViewerSession : public ViewerSession {
@@ -209,27 +230,6 @@ class HlsViewerSession : public ViewerSession {
                    const fault::Plan& faults = fault::Plan::none(),
                    const fault::ResilienceConfig* resilience = nullptr);
 
-  void start(Duration watch_time) override;
-  bool finished() const override { return finished_; }
-  SessionStats stats() const override;
-  const net::Capture& capture() const override { return capture_; }
-  void retire() override {
-    finish();
-    capture_.clear();
-  }
-  TimePoint safe_destroy_at() const override {
-    // The playlist poll chain stops within one poll interval of finish;
-    // in-flight fetches are bounded by the link busy horizons, and retry
-    // / timeout events by one fetch timeout + one capped backoff delay
-    // (< 15 s) past the fetch that armed them.
-    TimePoint t = std::max(edge_a_link_.busy_until(),
-                           edge_b_link_.busy_until());
-    t = std::max(t, up_link_.busy_until());
-    t = std::max(t, device_.downlink().busy_until());
-    t = std::max(t, stop_at_ + poll_interval_);
-    return t + seconds(15);
-  }
-
   /// Playlist polls + segment GETs issued (request-rate ablations).
   std::uint64_t http_requests() const { return http_requests_; }
 
@@ -244,6 +244,24 @@ class HlsViewerSession : public ViewerSession {
   double throughput_estimate_bps() const { return throughput_est_bps_; }
 
  private:
+  /// Continuation of a playlist GET: the body of a 200 response, or an
+  /// empty string when the edge answered anything else.
+  using PlaylistFn = void (HlsViewerSession::*)(const std::string& body);
+
+  void begin() override;
+  TimePoint layer_horizon() const override {
+    // The playlist poll chain stops within one poll interval of finish.
+    return std::max({edge_a_link_.busy_until(), edge_b_link_.busy_until(),
+                     stop_at_ + poll_interval_});
+  }
+  void layer_stats(SessionStats& st) const override;
+
+  /// GET playlist `name` from edge A: uplink -> CdnEdge -> edge-A link ->
+  /// downlink. The response bytes count as received; `then` runs on
+  /// arrival unless the session has finished.
+  void get_playlist(const char* name, PlaylistFn then);
+  void on_master_playlist(const std::string& body);
+  void on_media_playlist(const std::string& body);
   void poll_playlist();
   void maybe_fetch_next();
   /// Issue one segment GET: attempt 0 targets `edge_idx` = seq % 2,
@@ -260,8 +278,6 @@ class HlsViewerSession : public ViewerSession {
   void on_segment(TimePoint t, const service::LiveBroadcastPipeline::
                                    EdgeSegment& seg,
                   util::BufferSlice body);
-  void give_up();
-  void finish();
   /// ABR decision: rendition to fetch next, from the throughput estimate
   /// and the master playlist's advertised bandwidths.
   std::size_t pick_rendition() const;
@@ -269,21 +285,10 @@ class HlsViewerSession : public ViewerSession {
   /// Base path of this broadcast's content on the edges.
   std::string hls_base() const { return "/hls/" + pipe_.info().id + "/"; }
 
-  sim::Simulation& sim_;
-  service::LiveBroadcastPipeline& pipe_;
-  Device& device_;
-  obs::Obs* obs_ = nullptr;
-  const fault::Plan& plan_;
   const fault::ResilienceConfig* resilience_;
   service::CdnEdge edge_server_;  // HTTP frontend over the edge content
   net::Link edge_a_link_;  // edge A -> device
   net::Link edge_b_link_;  // edge B -> device
-  net::Link up_link_;
-  net::Capture capture_;
-  PlayerConfig player_cfg_;
-  std::optional<Player> player_;
-  TimePoint session_start_{};
-  TimePoint stop_at_{};
   bool started_fetching_ = false;
   std::uint64_t next_seq_ = 0;
   std::uint64_t last_known_seq_ = 0;
@@ -301,24 +306,13 @@ class HlsViewerSession : public ViewerSession {
   bool playlist_ended_ = false;
   bool refetch_scheduled_ = false;
   int in_flight_ = 0;
-  bool finished_ = false;
-  bool gave_up_ = false;
-  /// Fetches awaiting a response, by fetch id; a fetch id missing from
-  /// the set means the fetch was settled (delivered, failed or timed
-  /// out) and any late event for it is a no-op.
-  std::set<std::uint64_t> live_fetches_;
-  std::map<std::uint64_t, sim::EventHandle> fetch_timeouts_;
+  /// Fetches awaiting a response: fetch id -> its timeout (empty without
+  /// a resilience policy). A settled fetch (delivered, failed or timed
+  /// out) is missing, and any late event for it is a no-op.
+  std::map<std::uint64_t, sim::EventHandle> live_fetches_;
   std::uint64_t fetch_counter_ = 0;
   int consecutive_failures_ = 0;
-  int hls_retries_ = 0;
-  std::uint64_t video_frames_ = 0;
-  double max_decode_fps_;
   Rng rng_;
 };
-
-/// Fill the protocol-independent stats fields shared by both session
-/// types (exposed for tests).
-void fill_player_stats(SessionStats& st, const Player& player,
-                       std::uint64_t video_frames, double max_decode_fps);
 
 }  // namespace psc::client
