@@ -12,6 +12,7 @@
 
 #include "amf/amf0.h"
 #include "analysis/reconstruct.h"
+#include "hls/edge_log.h"
 #include "hls/playlist.h"
 #include "json/json.h"
 #include "media/aac.h"
@@ -342,11 +343,14 @@ void BM_Amf0Roundtrip(benchmark::State& state) {
 BENCHMARK(BM_Amf0Roundtrip);
 
 void BM_M3u8Roundtrip(benchmark::State& state) {
-  hls::LivePlaylistWindow window(6, seconds(3.6));
-  for (int i = 0; i < 10; ++i) {
-    window.add_segment("seg_" + std::to_string(i) + ".ts", seconds(3.6));
+  hls::EdgeLog log(0, seconds(3.6), 6);
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    hls::Segment seg;
+    seg.sequence = i;
+    seg.duration = seconds(3.6);
+    log.append(std::move(seg), TimePoint{});
   }
-  const std::string text = hls::write_m3u8(window.snapshot());
+  const std::string text = hls::write_m3u8(log.live(TimePoint{}));
   for (auto _ : state) {
     benchmark::DoNotOptimize(hls::parse_m3u8(text));
   }

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <utility>
 
-#include "hls/playlist.h"
+#include "hls/edge_log.h"
 #include "util/strings.h"
 
 namespace psc::client {
@@ -492,11 +492,6 @@ void HlsViewerSession::maybe_fetch_next() {
 void HlsViewerSession::issue_fetch(std::uint64_t seq, std::size_t rendition,
                                    int attempt, int edge_idx) {
   ++http_requests_;
-  const std::string uri =
-      rendition == 0
-          ? strf("seg_%llu.ts", static_cast<unsigned long long>(seq))
-          : strf("r%zu/seg_%llu.ts", rendition,
-                 static_cast<unsigned long long>(seq));
   net::Link& edge_link = edge_idx == 0 ? edge_a_link_ : edge_b_link_;
   const TimePoint fetch_start = sim_.now();
   const std::uint64_t fid = ++fetch_counter_;
@@ -523,9 +518,9 @@ void HlsViewerSession::issue_fetch(std::uint64_t seq, std::size_t rendition,
         });
   }
   http::Request seg_req;
-  seg_req.path = hls_base() + uri;
+  seg_req.path = hls_base() + hls::segment_uri(rendition, seq);
   up_link_.send(seg_req.serialize().size(),
-                [this, seg_req, uri, rendition, fetch_start, fid, seq,
+                [this, seg_req, rendition, fetch_start, fid, seq,
                  attempt, edge_idx,
                  &edge_link](TimePoint t_edge, util::BufferSlice) {
     if (!live_fetches_.contains(fid)) return;  // timed out underway
@@ -554,7 +549,8 @@ void HlsViewerSession::issue_fetch(std::uint64_t seq, std::size_t rendition,
       handle_fetch_failure(seq, rendition, attempt, edge_idx);
       return;
     }
-    const auto* es = pipe_.find_segment(uri);
+    const hls::EdgeSegment* es =
+        pipe_.edge_log(rendition).find(seq, t_edge);
     edge_link.send(resp.serialize(),
                    [this, es, rendition, fetch_start, fid,
                     edge_idx](TimePoint, util::BufferSlice data) {
@@ -643,8 +639,7 @@ void HlsViewerSession::handle_fetch_failure(std::uint64_t seq,
 }
 
 void HlsViewerSession::on_segment(
-    TimePoint t, const service::LiveBroadcastPipeline::EdgeSegment& seg,
-    util::BufferSlice body) {
+    TimePoint t, const hls::EdgeSegment& seg, util::BufferSlice body) {
   capture_.record(t, body);
   video_frames_ += static_cast<std::uint64_t>(
       std::llround(to_s(seg.segment.duration) * kVideoFps));

@@ -275,8 +275,7 @@ class HlsViewerSession : public ViewerSession {
   /// other edge (resilience on) or drop it.
   void handle_fetch_failure(std::uint64_t seq, std::size_t rendition,
                             int attempt, int edge_idx);
-  void on_segment(TimePoint t, const service::LiveBroadcastPipeline::
-                                   EdgeSegment& seg,
+  void on_segment(TimePoint t, const hls::EdgeSegment& seg,
                   util::BufferSlice body);
   /// ABR decision: rendition to fetch next, from the throughput estimate
   /// and the master playlist's advertised bandwidths.

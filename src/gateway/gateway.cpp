@@ -3,6 +3,8 @@
 #include <string_view>
 #include <utility>
 
+#include "json/json.h"
+
 namespace psc::gateway {
 
 namespace {
@@ -195,49 +197,43 @@ void Gateway::handle_http(Connection& c, const http::Request& req) {
     return;
   }
   if (req.path == "/streams") {
-    std::string body = "{\"streams\":[";
-    bool first = true;
-    for (const std::string& name : store_.stream_names()) {
-      const SegmentStore::Stream* st = store_.find_stream(name);
-      if (!first) body += ',';
-      first = false;
-      body += "{\"name\":\"" + name +
-              "\",\"segments\":" + std::to_string(st->segments.size()) +
-              ",\"ended\":" + (st->ended ? "true" : "false") + "}";
+    json::Array streams;
+    for (const auto& [name, st] : store_.streams()) {
+      streams.push_back(json::Object{{"name", name},
+                                     {"segments", st.segments.size()},
+                                     {"ended", st.segments.ended()}});
     }
-    body += "]}";
-    send_response(c, 200, kContentTypeJson,
-                  text_slice(body), keep_alive);
+    const json::Value body(json::Object{{"streams", std::move(streams)}});
+    send_response(c, 200, kContentTypeJson, text_slice(body.dump()),
+                  keep_alive);
     return;
   }
 
   // /hls/<stream>/{master.m3u8, media.m3u8, seg_<N>.ts}
-  if (req.path.rfind("/hls/", 0) == 0) {
-    const std::size_t stream_begin = 5;
-    const std::size_t slash = req.path.find('/', stream_begin);
-    if (slash != std::string::npos) {
-      const std::string stream = req.path.substr(stream_begin,
-                                                 slash - stream_begin);
-      const std::string file = req.path.substr(slash + 1);
-      if (file == "master.m3u8" || file == "media.m3u8") {
-        const std::string text = file == "master.m3u8"
-                                     ? store_.master_playlist(stream)
-                                     : store_.media_playlist(stream);
-        if (!text.empty()) {
-          send_response(c, 200, kContentTypeM3u8,
-                        text_slice(text),
-                        keep_alive);
-          return;
-        }
-      } else if (const SegmentStore::StoredSegment* seg =
-                     store_.find_segment(stream, file)) {
-        // Zero-copy: the response body is a refcount bump on the same
-        // arena block the segmenter committed.
-        segments_served_->add();
-        send_response(c, 200, kContentTypeTs, seg->segment.ts_data,
-                      keep_alive);
-        return;
-      }
+  const auto path = hls::split_edge_path(req.path);
+  const SegmentStore::Stream* st = path && path->rendition == 0
+                                       ? store_.find_stream(path->stream)
+                                       : nullptr;
+  if (st != nullptr) {
+    const TimePoint now = bridge_.now();
+    if (path->leaf == "master.m3u8" || path->leaf == "media.m3u8") {
+      const std::string text =
+          path->leaf == "master.m3u8"
+              ? hls::write_master_m3u8(
+                    {{"media.m3u8", hls::kSourceBandwidthBps}})
+              : hls::write_m3u8(st->segments.live(now));
+      send_response(c, 200, kContentTypeM3u8, text_slice(text), keep_alive);
+      return;
+    }
+    const auto seq = hls::parse_segment_leaf(path->leaf);
+    if (const hls::EdgeSegment* seg =
+            seq ? st->segments.find(*seq, now) : nullptr) {
+      // Zero-copy: the response body is a refcount bump on the same
+      // arena block the segmenter committed.
+      segments_served_->add();
+      send_response(c, 200, kContentTypeTs, seg->segment.ts_data,
+                    keep_alive);
+      return;
     }
   }
 

@@ -4,14 +4,6 @@
 
 namespace psc::gateway {
 
-namespace {
-
-std::string segment_uri(std::uint64_t sequence) {
-  return "seg_" + std::to_string(sequence) + ".ts";
-}
-
-}  // namespace
-
 void SegmentStore::set_metrics(obs::Registry* reg) {
   if (reg == nullptr) {
     segments_total_ = nullptr;
@@ -33,11 +25,10 @@ void SegmentStore::on_publish_start(const std::string& stream, TimePoint now) {
     // Re-publish of the same key: drop any stale partial; the playlist
     // window and sequence numbering continue across the restart.
     it->second.segmenter.discard();
-    it->second.ended = false;
+    it->second.segments.reopen();
   }
   it->second.segmenter.set_arena(arena_);
-  it->second.publish_started_at = now;
-  it->second.saw_first_segment = false;
+  it->second.awaiting_first_segment = now;
   if (publishes_total_ != nullptr) publishes_total_->add();
 }
 
@@ -52,76 +43,35 @@ void SegmentStore::on_sample(const std::string& stream,
 
 void SegmentStore::on_publish_end(const std::string& stream, TimePoint now) {
   auto it = streams_.find(stream);
-  if (it == streams_.end() || it->second.ended) return;
+  if (it == streams_.end() || it->second.segments.ended()) return;
   if (auto seg = it->second.segmenter.flush()) {
     commit(it->second, std::move(*seg), now);
   }
-  it->second.playlist.end_stream();
-  it->second.ended = true;
+  it->second.segments.end_stream();
 }
 
 void SegmentStore::flush_all(TimePoint now) {
-  for (auto& [name, st] : streams_) {
-    if (st.ended) continue;
-    if (auto seg = st.segmenter.flush()) commit(st, std::move(*seg), now);
-    st.playlist.end_stream();
-    st.ended = true;
-  }
+  for (auto& [name, st] : streams_) on_publish_end(name, now);
 }
 
 void SegmentStore::commit(Stream& st, hls::Segment seg, TimePoint now) {
-  st.playlist.add_segment(segment_uri(seg.sequence), seg.duration);
-  if (!st.saw_first_segment) {
-    st.saw_first_segment = true;
-    if (first_segment_latency_ != nullptr) {
-      first_segment_latency_->record(to_s(now - st.publish_started_at));
-    }
+  if (st.awaiting_first_segment && first_segment_latency_ != nullptr) {
+    first_segment_latency_->record(to_s(now - *st.awaiting_first_segment));
   }
+  st.awaiting_first_segment.reset();
   if (segments_total_ != nullptr) segments_total_->add();
   if (segment_duration_ != nullptr) {
     segment_duration_->record(to_s(seg.duration));
   }
   ++segments_stored_;
-  st.segments.push_back(StoredSegment{std::move(seg), now});
-  const std::size_t cap = cfg_.playlist_window + cfg_.retain_extra;
-  while (st.segments.size() > cap) st.segments.pop_front();
+  st.segments.append(std::move(seg), now);
+  st.segments.retain_last(cfg_.playlist_window + cfg_.retain_extra);
 }
 
 const SegmentStore::Stream* SegmentStore::find_stream(
-    const std::string& stream) const {
+    std::string_view stream) const {
   auto it = streams_.find(stream);
   return it == streams_.end() ? nullptr : &it->second;
-}
-
-const SegmentStore::StoredSegment* SegmentStore::find_segment(
-    const std::string& stream, const std::string& uri) const {
-  const Stream* st = find_stream(stream);
-  if (st == nullptr) return nullptr;
-  for (const StoredSegment& s : st->segments) {
-    if (segment_uri(s.segment.sequence) == uri) return &s;
-  }
-  return nullptr;
-}
-
-std::string SegmentStore::media_playlist(const std::string& stream) const {
-  const Stream* st = find_stream(stream);
-  if (st == nullptr) return "";
-  return hls::write_m3u8(st->playlist.snapshot());
-}
-
-std::string SegmentStore::master_playlist(const std::string& stream) const {
-  if (find_stream(stream) == nullptr) return "";
-  hls::VariantRef v;
-  v.uri = "media.m3u8";
-  v.bandwidth_bps = cfg_.nominal_bandwidth_bps;
-  return hls::write_master_m3u8({v});
-}
-
-std::vector<std::string> SegmentStore::stream_names() const {
-  std::vector<std::string> names;
-  names.reserve(streams_.size());
-  for (const auto& [name, st] : streams_) names.push_back(name);
-  return names;
 }
 
 }  // namespace psc::gateway

@@ -15,12 +15,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
+#include <optional>
 #include <string>
-#include <vector>
+#include <string_view>
 
-#include "hls/playlist.h"
+#include "hls/edge_log.h"
 #include "hls/segmenter.h"
 #include "media/types.h"
 #include "obs/metrics.h"
@@ -35,8 +35,6 @@ struct SegmentStoreConfig {
   /// Segments retained per stream beyond the playlist window (a fetcher
   /// holding a stale playlist can still resolve recently expired URIs).
   std::size_t retain_extra = 4;
-  /// BANDWIDTH advertised for the single rendition in the master playlist.
-  double nominal_bandwidth_bps = 400e3;
 };
 
 class SegmentStore {
@@ -53,36 +51,28 @@ class SegmentStore {
   void on_sample(const std::string& stream, const media::MediaSample& sample,
                  TimePoint now);
   /// Publisher left (or the gateway is shutting down): flush the open
-  /// partial segment and mark the playlist ENDLIST.
+  /// partial segment and mark the playlist ENDLIST. A later publish of the
+  /// same key reopens the playlist; its first segment follows an
+  /// #EXT-X-DISCONTINUITY, since its timestamps restart.
   void on_publish_end(const std::string& stream, TimePoint now);
   /// Flush every live stream (graceful-shutdown path).
   void flush_all(TimePoint now);
 
   // --- serving ---
-  struct StoredSegment {
-    hls::Segment segment;
-    TimePoint stored_at{};
-  };
   struct Stream {
     hls::Segmenter segmenter;
-    hls::LivePlaylistWindow playlist;
-    std::deque<StoredSegment> segments;
-    TimePoint publish_started_at{};
-    bool ended = false;
-    bool saw_first_segment = false;
+    hls::EdgeLog segments;
+    /// When the current publish started, until it commits a segment.
+    std::optional<TimePoint> awaiting_first_segment;
 
     Stream(Duration target, std::size_t window)
-        : segmenter(target), playlist(window, target) {}
+        : segmenter(target), segments(0, target, window) {}
   };
 
-  const Stream* find_stream(const std::string& stream) const;
-  const StoredSegment* find_segment(const std::string& stream,
-                                    const std::string& uri) const;
-  /// Media playlist text ("" for an unknown stream).
-  std::string media_playlist(const std::string& stream) const;
-  /// Single-rendition master playlist text ("" for an unknown stream).
-  std::string master_playlist(const std::string& stream) const;
-  std::vector<std::string> stream_names() const;
+  const Stream* find_stream(std::string_view stream) const;
+  const std::map<std::string, Stream, std::less<>>& streams() const {
+    return streams_;
+  }
 
   std::uint64_t segments_stored() const { return segments_stored_; }
 
@@ -91,7 +81,7 @@ class SegmentStore {
 
   SegmentStoreConfig cfg_;
   util::BufferArena* arena_ = nullptr;
-  std::map<std::string, Stream> streams_;
+  std::map<std::string, Stream, std::less<>> streams_;
   std::uint64_t segments_stored_ = 0;
   obs::Counter* segments_total_ = nullptr;
   obs::Counter* publishes_total_ = nullptr;

@@ -161,26 +161,4 @@ Result<std::vector<VariantRef>> parse_master_m3u8(const std::string& text) {
   return out;
 }
 
-LivePlaylistWindow::LivePlaylistWindow(std::size_t window_size,
-                                       Duration target)
-    : window_size_(window_size), target_(target) {}
-
-void LivePlaylistWindow::add_segment(std::string uri, Duration duration) {
-  SegmentRef seg;
-  seg.uri = std::move(uri);
-  seg.duration = duration;
-  seg.sequence = next_seq_++;
-  window_.push_back(std::move(seg));
-  while (window_.size() > window_size_) window_.pop_front();
-}
-
-MediaPlaylist LivePlaylistWindow::snapshot() const {
-  MediaPlaylist pl;
-  pl.target_duration = target_;
-  pl.ended = ended_;
-  pl.media_sequence = window_.empty() ? next_seq_ : window_.front().sequence;
-  pl.segments.assign(window_.begin(), window_.end());
-  return pl;
-}
-
 }  // namespace psc::hls

@@ -1,9 +1,8 @@
-// HLS media playlists (M3U8): writer, parser, and the sliding live window
-// an origin maintains for a live event.
+// HLS playlists (M3U8): media and master playlist writers and parsers.
+// The live window an edge serves is hls::EdgeLog (edge_log.h).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -45,26 +44,5 @@ struct VariantRef {
 
 std::string write_master_m3u8(const std::vector<VariantRef>& variants);
 Result<std::vector<VariantRef>> parse_master_m3u8(const std::string& text);
-
-/// The origin-side live playlist: a sliding window of the most recent
-/// segments (media sequence number advances as old segments fall off).
-class LivePlaylistWindow {
- public:
-  explicit LivePlaylistWindow(std::size_t window_size = 6,
-                              Duration target = seconds(4));
-
-  void add_segment(std::string uri, Duration duration);
-  void end_stream() { ended_ = true; }
-
-  MediaPlaylist snapshot() const;
-  std::uint64_t next_sequence() const { return next_seq_; }
-
- private:
-  std::size_t window_size_;
-  Duration target_;
-  std::deque<SegmentRef> window_;
-  std::uint64_t next_seq_ = 0;
-  bool ended_ = false;
-};
 
 }  // namespace psc::hls

@@ -63,7 +63,8 @@ class CdnEdge {
  private:
   const fault::Plan& plan_;
   std::string host_;
-  std::map<std::string, const LiveBroadcastPipeline*> pipelines_;
+  std::map<std::string, const LiveBroadcastPipeline*, std::less<>>
+      pipelines_;
   mutable EpochLoadLedger ledger_;
   obs::Counter* requests_ = nullptr;
   obs::Counter* hits_ = nullptr;

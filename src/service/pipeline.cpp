@@ -51,21 +51,15 @@ LiveBroadcastPipeline::LiveBroadcastPipeline(sim::Simulation& sim,
       cdn_link_(sim, cfg.origin_to_cdn_rate, cfg.origin_to_cdn_latency) {
   uplink_.set_noise(rng_.fork(3), seconds(2), 0.75, 1.1);
   // Rendition 0 is always the untouched source; the ladder follows.
-  RenditionState source_rendition;
-  source_rendition.spec.name = "source";
-  source_rendition.spec.nominal_bandwidth_bps =
-      cfg_.source_nominal_bandwidth_bps;
-  source_rendition.is_source = true;
-  source_rendition.segmenter = hls::Segmenter(cfg_.segment_target);
-  source_rendition.segmenter.set_arena(cfg_.arena);
-  renditions_.push_back(std::move(source_rendition));
-  for (const RenditionSpec& spec : cfg_.transcode_ladder) {
-    RenditionState r;
-    r.spec = spec;
-    r.segmenter = hls::Segmenter(cfg_.segment_target);
-    r.segmenter.set_arena(cfg_.arena);
-    renditions_.push_back(std::move(r));
-  }
+  const auto add_rendition = [this](RenditionSpec spec) {
+    const std::size_t r = renditions_.size();
+    renditions_.push_back(RenditionState{
+        std::move(spec), hls::Segmenter(cfg_.segment_target),
+        hls::EdgeLog(r, cfg_.segment_target, cfg_.playlist_window)});
+    renditions_.back().segmenter.set_arena(cfg_.arena);
+  };
+  add_rendition(RenditionSpec{"source", {}, hls::kSourceBandwidthBps});
+  for (const RenditionSpec& spec : cfg_.transcode_ladder) add_rendition(spec);
 }
 
 void LiveBroadcastPipeline::set_obs(obs::Obs* obs) {
@@ -77,15 +71,6 @@ void LiveBroadcastPipeline::set_obs(obs::Obs* obs) {
   }
   segments_shipped_ = &obs->metrics.counter("pipeline_segments_total");
   segment_delivery_ = &obs->metrics.histogram("pipeline_segment_delivery_s");
-}
-
-std::string LiveBroadcastPipeline::segment_uri(
-    std::size_t rendition, std::uint64_t sequence) const {
-  if (rendition == 0) {
-    return strf("seg_%llu.ts", static_cast<unsigned long long>(sequence));
-  }
-  return strf("r%zu/seg_%llu.ts", rendition,
-              static_cast<unsigned long long>(sequence));
 }
 
 void LiveBroadcastPipeline::start(Duration run_for) {
@@ -180,7 +165,7 @@ void LiveBroadcastPipeline::on_sample_at_origin(TimePoint now,
   // renditions run the sample through the transcoder first.
   for (std::size_t r = 0; r < renditions_.size(); ++r) {
     std::optional<hls::Segment> completed;
-    if (renditions_[r].is_source) {
+    if (r == 0) {
       completed = renditions_[r].segmenter.push(out);
     } else {
       auto transcoded =
@@ -199,8 +184,7 @@ void LiveBroadcastPipeline::on_sample_at_origin(TimePoint now,
           cdn_link_.send(wire_size,
                          [this, r, cut, seg = std::move(seg)](
                              TimePoint t, util::BufferSlice /*d*/) mutable {
-                           renditions_[r].edge.push_back(
-                               EdgeSegment{std::move(seg), t});
+                           renditions_[r].edge.append(std::move(seg), t);
                            if (segments_shipped_ != nullptr) {
                              segments_shipped_->add(1);
                              segment_delivery_->record(to_s(t - cut));
@@ -222,55 +206,15 @@ void LiveBroadcastPipeline::unsubscribe(int token) {
   subscribers_.erase(token);
 }
 
-hls::MediaPlaylist LiveBroadcastPipeline::edge_playlist(
-    TimePoint now, std::size_t r) const {
-  // The playlist window only advances as segments land on the edge; a
-  // snapshot at `now` must exclude segments that are still in flight.
-  hls::LivePlaylistWindow window(cfg_.playlist_window, cfg_.segment_target);
-  for (const EdgeSegment& es : renditions_[r].edge) {
-    if (es.available_at <= now) {
-      window.add_segment(segment_uri(r, es.segment.sequence),
-                         es.segment.duration);
-    }
-  }
-  return window.snapshot();
-}
-
 std::string LiveBroadcastPipeline::master_playlist() const {
   std::vector<hls::VariantRef> variants;
   for (std::size_t r = 0; r < renditions_.size(); ++r) {
     hls::VariantRef v;
-    v.uri = r == 0 ? "playlist.m3u8" : strf("r%zu/playlist.m3u8", r);
+    v.uri = hls::rendition_uri(r, "playlist.m3u8");
     v.bandwidth_bps = renditions_[r].spec.nominal_bandwidth_bps;
     variants.push_back(std::move(v));
   }
   return hls::write_master_m3u8(variants);
-}
-
-hls::MediaPlaylist LiveBroadcastPipeline::vod_playlist(std::size_t r) const {
-  const auto& edge = renditions_[r].edge;
-  hls::MediaPlaylist pl;
-  pl.target_duration = cfg_.segment_target;
-  pl.ended = true;
-  pl.media_sequence = edge.empty() ? 0 : edge.front().segment.sequence;
-  for (const EdgeSegment& es : edge) {
-    hls::SegmentRef ref;
-    ref.uri = segment_uri(r, es.segment.sequence);
-    ref.duration = es.segment.duration;
-    ref.sequence = es.segment.sequence;
-    pl.segments.push_back(std::move(ref));
-  }
-  return pl;
-}
-
-const LiveBroadcastPipeline::EdgeSegment* LiveBroadcastPipeline::find_segment(
-    const std::string& uri) const {
-  for (std::size_t r = 0; r < renditions_.size(); ++r) {
-    for (const EdgeSegment& es : renditions_[r].edge) {
-      if (segment_uri(r, es.segment.sequence) == uri) return &es;
-    }
-  }
-  return nullptr;
 }
 
 }  // namespace psc::service

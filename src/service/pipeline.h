@@ -24,7 +24,7 @@
 #include <memory>
 #include <vector>
 
-#include "hls/playlist.h"
+#include "hls/edge_log.h"
 #include "hls/segmenter.h"
 #include "media/encoder.h"
 #include "media/transcode.h"
@@ -59,8 +59,6 @@ struct PipelineConfig {
   /// ("possibly while transcoding it to multiple qualities", §5.1).
   /// Empty = single-quality HLS, which is what the paper observed.
   std::vector<RenditionSpec> transcode_ladder;
-  /// BANDWIDTH the master playlist advertises for the source rendition.
-  double source_nominal_bandwidth_bps = 400e3;
   /// Arena backing the packaged segments (nullptr = plain heap). Owned by
   /// the caller (Study owns one per campaign shard) and must outlive the
   /// pipeline and every capture/response still holding a segment slice.
@@ -106,28 +104,16 @@ class LiveBroadcastPipeline {
   const media::Pps& pps() const { return source_.video().pps(); }
 
   /// --- HLS side ---
-  struct EdgeSegment {
-    hls::Segment segment;
-    TimePoint available_at{};
-  };
   /// Number of renditions (1 = source only; ladder adds more).
   std::size_t rendition_count() const { return renditions_.size(); }
-  /// Segments of rendition `r` on the CDN edge. A deque so that
-  /// references handed out stay valid as new segments are appended.
-  const std::deque<EdgeSegment>& edge_segments(std::size_t r = 0) const {
+  /// Rendition `r` on the CDN edge: the segments that have landed there,
+  /// its live and replay (VOD) playlists. Replays are served from the same
+  /// CDN edges — which is why the paper measured replay power == live power.
+  const hls::EdgeLog& edge_log(std::size_t r = 0) const {
     return renditions_[r].edge;
   }
-  /// The media playlist of rendition `r` as the edge would serve it.
-  hls::MediaPlaylist edge_playlist(TimePoint now, std::size_t r = 0) const;
   /// The master playlist listing every rendition.
   std::string master_playlist() const;
-  /// The replay (VOD) playlist of a finished broadcast: every segment,
-  /// #EXT-X-ENDLIST set. Replays are served from the same CDN edges —
-  /// which is why the paper measured replay power == live power.
-  hls::MediaPlaylist vod_playlist(std::size_t r = 0) const;
-  /// Find an edge segment by URI ("seg_N.ts" = source rendition,
-  /// "rK/seg_N.ts" = ladder rendition K).
-  const EdgeSegment* find_segment(const std::string& uri) const;
 
   /// Broadcaster NTP epoch (wall-clock at pts 0).
   double epoch_s() const { return epoch_s_; }
@@ -159,13 +145,9 @@ class LiveBroadcastPipeline {
 
   struct RenditionState {
     RenditionSpec spec;
-    bool is_source = false;
     hls::Segmenter segmenter;
-    std::deque<EdgeSegment> edge;
+    hls::EdgeLog edge;
   };
-
-  std::string segment_uri(std::size_t rendition,
-                          std::uint64_t sequence) const;
 
   sim::Simulation& sim_;
   BroadcastInfo info_;

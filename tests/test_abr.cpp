@@ -130,13 +130,13 @@ TEST(Ladder, PipelineProducesAllRenditions) {
   EXPECT_EQ(pipe.rendition_count(), 3u);
   pipe.start(seconds(30));
   sim.run_until(time_at(30));
-  ASSERT_GE(pipe.edge_segments(0).size(), 4u);
-  EXPECT_EQ(pipe.edge_segments(1).size(), pipe.edge_segments(0).size());
-  EXPECT_EQ(pipe.edge_segments(2).size(), pipe.edge_segments(0).size());
+  ASSERT_GE(pipe.edge_log(0).size(), 4u);
+  EXPECT_EQ(pipe.edge_log(1).size(), pipe.edge_log(0).size());
+  EXPECT_EQ(pipe.edge_log(2).size(), pipe.edge_log(0).size());
   // Ladder renditions are materially smaller.
-  const auto& src = pipe.edge_segments(0)[2].segment;
-  const auto& mid = pipe.edge_segments(1)[2].segment;
-  const auto& low = pipe.edge_segments(2)[2].segment;
+  const auto& src = pipe.edge_log(0)[2].segment;
+  const auto& mid = pipe.edge_log(1)[2].segment;
+  const auto& low = pipe.edge_log(2)[2].segment;
   EXPECT_LT(mid.ts_data.size(), src.ts_data.size());
   EXPECT_LT(low.ts_data.size(), mid.ts_data.size());
   // Same cut boundaries.
@@ -155,19 +155,32 @@ TEST(Ladder, MasterPlaylistListsRenditions) {
   EXPECT_DOUBLE_EQ(variants.value()[2].bandwidth_bps, 120e3);
 }
 
+/// Resolve a segment URI ("seg_N.ts", "rK/seg_N.ts") the way the edge
+/// does: split the request path, then look the sequence up in the
+/// rendition's edge log.
+const hls::EdgeSegment* find_segment(
+    const service::LiveBroadcastPipeline& pipe, const std::string& uri,
+    TimePoint now) {
+  const std::string request = "/hls/" + pipe.info().id + "/" + uri;
+  const auto path = hls::split_edge_path(request);
+  if (!path || path->rendition >= pipe.rendition_count()) return nullptr;
+  const auto seq = hls::parse_segment_leaf(path->leaf);
+  return seq ? pipe.edge_log(path->rendition).find(*seq, now) : nullptr;
+}
+
 TEST(Ladder, FindSegmentResolvesRenditionUris) {
   sim::Simulation sim;
   service::LiveBroadcastPipeline pipe(sim, abr_broadcast(7),
                                       ladder_config());
   pipe.start(seconds(20));
   sim.run_until(time_at(20));
-  ASSERT_GE(pipe.edge_segments(1).size(), 1u);
-  const auto seq = pipe.edge_segments(1)[0].segment.sequence;
-  const auto* es = pipe.find_segment(
-      "r1/seg_" + std::to_string(seq) + ".ts");
+  ASSERT_GE(pipe.edge_log(1).size(), 1u);
+  const auto seq = pipe.edge_log(1)[0].segment.sequence;
+  const auto* es = find_segment(
+      pipe, "r1/seg_" + std::to_string(seq) + ".ts", sim.now());
   ASSERT_NE(es, nullptr);
   EXPECT_EQ(es->segment.sequence, seq);
-  EXPECT_EQ(pipe.find_segment("r9/seg_0.ts"), nullptr);
+  EXPECT_EQ(find_segment(pipe, "r9/seg_0.ts", sim.now()), nullptr);
 }
 
 struct AbrHarness {

@@ -66,7 +66,7 @@ void publish_over_socket(gateway::Gateway& gw,
   pub.close();
   for (int i = 0; i < 20000; ++i) {
     const auto* st = gw.store().find_stream(key);
-    if (st != nullptr && st->ended) return;
+    if (st != nullptr && st->segments.ended()) return;
     gw.poll_once(0);
   }
   FAIL() << "publish end never reached the store";
@@ -141,6 +141,73 @@ TEST(GatewayHttp, SurfaceAndErrors) {
   EXPECT_EQ(variants.value()[0].uri, "media.m3u8");
 }
 
+TEST(GatewayHttp, StreamsIsValidJsonForHostileKeys) {
+  gateway::Gateway gw(test_config());
+  ASSERT_TRUE(gw.start().ok());
+  gateway::HlsFetchClient client;
+  ASSERT_TRUE(client.connect(gw.http_port()).ok());
+  // The RTMP publish name is arbitrary AMF text chosen by the peer.
+  const std::string key = "quote\"back\\slash\x01";
+  gateway::PublishClient pub("live", key, 21);
+  ASSERT_TRUE(pub.connect(gw.rtmp_port()).ok());
+  ASSERT_TRUE(pump(gw, pub, [&] { return pub.publishing(); }));
+
+  const http::Response resp = fetch(gw, client, "/streams");
+  ASSERT_EQ(resp.status, 200);
+  const auto doc = json::parse(to_string(resp.body.view()));
+  ASSERT_TRUE(doc.ok()) << to_string(resp.body.view());
+  const json::Value& streams = doc.value()["streams"];
+  ASSERT_TRUE(streams.is_array());
+  ASSERT_EQ(streams.as_array().size(), 1u);
+  EXPECT_EQ(streams[0]["name"].as_string(), key);
+  EXPECT_EQ(streams[0]["segments"].as_int(-1), 0);
+  EXPECT_FALSE(streams[0]["ended"].as_bool(true));
+}
+
+TEST(GatewayStore, RepublishReopensPlaylist) {
+  auto cfg = test_config();
+  cfg.segment_target = seconds(1);  // one 36-frame GOP per segment
+  gateway::Gateway gw(cfg);
+  ASSERT_TRUE(gw.start().ok());
+  gateway::HlsFetchClient client;
+  ASSERT_TRUE(client.connect(gw.http_port()).ok());
+  gateway::SegmentStore& store = gw.store();
+  const std::string key = "republish0001";
+  const gateway::SyntheticMedia media = gateway::synthetic_frames(12, 120);
+  const TimePoint t0{};
+  const auto playlist = [&] {
+    const http::Response r = fetch(gw, client, "/hls/" + key + "/media.m3u8");
+    EXPECT_EQ(r.status, 200);
+    auto pl = hls::parse_m3u8(to_string(r.body.view()));
+    EXPECT_TRUE(pl.ok());
+    return pl.ok() ? pl.value() : hls::MediaPlaylist{};
+  };
+
+  store.on_publish_start(key, t0);
+  for (const auto& s : media.samples) store.on_sample(key, s, t0);
+  store.on_publish_end(key, t0);
+  const std::uint64_t first_run = store.segments_stored();
+  ASSERT_GE(first_run, 2u);
+  EXPECT_TRUE(playlist().ended);
+
+  // The same key again: its timestamps restart at zero.
+  store.on_publish_start(key, t0);
+  EXPECT_FALSE(playlist().ended) << "players stop reloading an ENDLIST";
+  for (const auto& s : media.samples) store.on_sample(key, s, t0);
+  ASSERT_GT(store.segments_stored(), first_run);
+
+  const hls::MediaPlaylist pl = playlist();
+  EXPECT_FALSE(pl.ended);
+  ASSERT_EQ(pl.segments.size(), store.segments_stored());
+  for (const hls::SegmentRef& seg : pl.segments) {
+    // Only the first segment of the new publish follows a timestamp
+    // discontinuity (RFC 8216 §4.3.2.3).
+    EXPECT_EQ(seg.discontinuity, seg.sequence == first_run) << seg.uri;
+  }
+  store.on_publish_end(key, t0);
+  EXPECT_TRUE(playlist().ended);
+}
+
 TEST(GatewayHttp, MalformedRequestGets400AndClose) {
   gateway::Gateway gw(test_config());
   ASSERT_TRUE(gw.start().ok());
@@ -208,7 +275,7 @@ TEST(GatewayLifecycle, MidPublishShutdownLeavesNoTornSegment) {
 
   const auto* st = gw.store().find_stream(key);
   ASSERT_NE(st, nullptr);
-  EXPECT_TRUE(st->ended);
+  EXPECT_TRUE(st->segments.ended());
   ASSERT_GE(st->segments.size(), 1u);
   for (const auto& stored : st->segments) {
     // Whole TS packets only: a torn segment would break the 188-byte
@@ -217,7 +284,8 @@ TEST(GatewayLifecycle, MidPublishShutdownLeavesNoTornSegment) {
     EXPECT_EQ(stored.segment.ts_data.size() % 188, 0u);
     EXPECT_EQ(stored.segment.ts_data[0], 0x47);  // TS sync byte
   }
-  auto parsed = hls::parse_m3u8(gw.store().media_playlist(key));
+  auto parsed =
+      hls::parse_m3u8(hls::write_m3u8(st->segments.live(TimePoint::max())));
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(parsed.value().ended);
 
@@ -262,7 +330,7 @@ TEST(GatewayLifecycle, ShutdownDrainsViewersCleanly) {
   gw.request_shutdown();
   st = gw.store().find_stream(key);
   ASSERT_NE(st, nullptr);
-  EXPECT_TRUE(st->ended);
+  EXPECT_TRUE(st->segments.ended());
   EXPECT_GE(st->segments.size(), 2u);  // flushed tail joined seg_0
   for (int i = 0; i < 20000 && !gw.drained(); ++i) {
     pub.step();

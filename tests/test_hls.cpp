@@ -1,6 +1,7 @@
 // HLS playlist and segmenter tests.
 #include <gtest/gtest.h>
 
+#include "hls/edge_log.h"
 #include "hls/playlist.h"
 #include "hls/segmenter.h"
 #include "media/encoder.h"
@@ -49,12 +50,19 @@ TEST(Playlist, TargetDurationCeiled) {
   EXPECT_NE(text.find("#EXT-X-TARGETDURATION:4"), std::string::npos);
 }
 
+Segment edge_segment(std::uint64_t sequence) {
+  Segment seg;
+  seg.sequence = sequence;
+  seg.duration = seconds(3.6);
+  return seg;
+}
+
 TEST(LiveWindow, SlidesAndAdvancesSequence) {
-  LivePlaylistWindow window(3, seconds(3.6));
-  for (int i = 0; i < 5; ++i) {
-    window.add_segment("seg_" + std::to_string(i) + ".ts", seconds(3.6));
+  EdgeLog log(0, seconds(3.6), 3);
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    log.append(edge_segment(i), time_at(0));
   }
-  const MediaPlaylist pl = window.snapshot();
+  const MediaPlaylist pl = log.live(time_at(0));
   ASSERT_EQ(pl.segments.size(), 3u);
   EXPECT_EQ(pl.media_sequence, 2u);  // 0 and 1 fell off
   EXPECT_EQ(pl.segments[0].uri, "seg_2.ts");
@@ -62,8 +70,102 @@ TEST(LiveWindow, SlidesAndAdvancesSequence) {
 }
 
 TEST(LiveWindow, EmptySnapshot) {
-  LivePlaylistWindow window(3, seconds(3.6));
-  EXPECT_TRUE(window.snapshot().segments.empty());
+  EdgeLog log(0, seconds(3.6), 3);
+  EXPECT_TRUE(log.live(time_at(0)).segments.empty());
+}
+
+TEST(HlsEdgeLog, FindsBySequenceOnceServable) {
+  EdgeLog log(0, seconds(3.6), 6);
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    log.append(edge_segment(i), time_at(1.0 + static_cast<double>(i)));
+  }
+  const EdgeSegment* two = log.find(2, time_at(3));
+  ASSERT_NE(two, nullptr);
+  EXPECT_EQ(two->segment.sequence, 2u);
+  EXPECT_EQ(log.find(3, time_at(3)), nullptr);  // still in flight
+  EXPECT_NE(log.find(3, time_at(4)), nullptr);
+  EXPECT_EQ(log.find(5, time_at(99)), nullptr);  // never cut
+  // The live window only shows what is servable; VOD lists every segment.
+  const MediaPlaylist live = log.live(time_at(3.5));
+  ASSERT_EQ(live.segments.size(), 3u);
+  EXPECT_EQ(live.segments.back().uri, "seg_2.ts");
+  EXPECT_EQ(log.vod().segments.size(), 5u);
+  EXPECT_TRUE(log.vod().ended);
+  EXPECT_FALSE(live.ended);
+
+  log.retain_last(2);
+  EXPECT_EQ(log.find(2, time_at(99)), nullptr);  // trimmed
+  ASSERT_NE(log.find(3, time_at(99)), nullptr);
+  EXPECT_EQ(log.vod().media_sequence, 3u);
+  EXPECT_EQ(log.live(time_at(4.5)).media_sequence, 3u);
+  EXPECT_EQ(log.live(time_at(4.5)).segments.size(), 1u);
+}
+
+TEST(HlsEdgeLog, LadderRenditionUris) {
+  EdgeLog log(2, seconds(3.6), 6);
+  log.append(edge_segment(7), time_at(0));
+  const MediaPlaylist pl = log.live(time_at(0));
+  ASSERT_EQ(pl.segments.size(), 1u);
+  EXPECT_EQ(pl.segments[0].uri, "r2/seg_7.ts");
+  EXPECT_EQ(pl.media_sequence, 7u);
+}
+
+TEST(HlsEdgeLog, ReopenClearsEndAndMarksDiscontinuity) {
+  EdgeLog log(0, seconds(3.6), 6);
+  log.reopen();  // nothing before it: no discontinuity
+  log.append(edge_segment(0), time_at(0));
+  log.append(edge_segment(1), time_at(0));
+  log.end_stream();
+  EXPECT_TRUE(log.live(time_at(0)).ended);
+  log.reopen();
+  EXPECT_FALSE(log.ended());
+  log.append(edge_segment(2), time_at(0));
+  log.append(edge_segment(3), time_at(0));
+  const MediaPlaylist pl = log.live(time_at(0));
+  EXPECT_FALSE(pl.ended);
+  ASSERT_EQ(pl.segments.size(), 4u);
+  for (const SegmentRef& seg : pl.segments) {
+    EXPECT_EQ(seg.discontinuity, seg.sequence == 2) << seg.uri;
+  }
+  EXPECT_NE(write_m3u8(pl).find("#EXT-X-DISCONTINUITY\n#EXTINF:3.600,\n"
+                                "seg_2.ts\n"),
+            std::string::npos);
+}
+
+TEST(HlsEdgeUri, FormatsAndParsesSegmentUris) {
+  EXPECT_EQ(segment_uri(0, 17), "seg_17.ts");
+  EXPECT_EQ(segment_uri(2, 5), "r2/seg_5.ts");
+  EXPECT_EQ(rendition_uri(0, "playlist.m3u8"), "playlist.m3u8");
+  EXPECT_EQ(rendition_uri(1, "playlist.m3u8"), "r1/playlist.m3u8");
+  EXPECT_EQ(parse_segment_leaf("seg_17.ts"), 17u);
+  EXPECT_EQ(parse_segment_leaf("seg_0.ts"), 0u);
+  EXPECT_EQ(parse_segment_leaf("seg_18446744073709551615.ts"),
+            18446744073709551615ull);
+  for (const char* bad :
+       {"seg_017.ts", "seg_.ts", "seg_1.tsx", "seg_-1.ts", "seg_+1.ts",
+        "seg_ 1.ts", "seg_1.ts/", "r1/seg_1.ts", "seg_1", "seg_.t",
+        "seg_18446744073709551616.ts", "playlist.m3u8"}) {
+    EXPECT_FALSE(parse_segment_leaf(bad).has_value()) << bad;
+  }
+}
+
+TEST(HlsEdgeUri, SplitsRequestPaths) {
+  const auto split = [](std::string_view path) {
+    const auto p = split_edge_path(path);
+    return p ? std::string(p->stream) + "|" + std::to_string(p->rendition) +
+                   "|" + std::string(p->leaf)
+             : std::string("none");
+  };
+  EXPECT_EQ(split("/hls/abc/playlist.m3u8"), "abc|0|playlist.m3u8");
+  EXPECT_EQ(split("/hls/abc/r2/seg_3.ts"), "abc|2|seg_3.ts");
+  EXPECT_EQ(split("/hls/abc/r12/vod.m3u8"), "abc|12|vod.m3u8");
+  // Not a rendition prefix: the leaf keeps it and names nothing.
+  EXPECT_EQ(split("/hls/abc/r0/seg_3.ts"), "abc|0|r0/seg_3.ts");
+  EXPECT_EQ(split("/hls/abc/r1x/seg_3.ts"), "abc|0|r1x/seg_3.ts");
+  EXPECT_EQ(split("/hls/abc/r1"), "abc|0|r1");
+  EXPECT_EQ(split("/hls//media.m3u8"), "|0|media.m3u8");
+  EXPECT_EQ(split("/hls/abc"), "none");
+  EXPECT_EQ(split("/other/abc/playlist.m3u8"), "none");
 }
 
 media::MediaSample vframe(double dts_s, bool key, std::size_t size = 800) {

@@ -71,7 +71,7 @@ TEST(Pipeline, SegmentsArriveAtEdgeDelayed) {
   service::LiveBroadcastPipeline pipe(sim, test_broadcast(3), cfg);
   pipe.start(seconds(30));
   sim.run_until(time_at(30));
-  const auto& segs = pipe.edge_segments();
+  const auto& segs = pipe.edge_log();
   ASSERT_GE(segs.size(), 5u);
   for (const auto& es : segs) {
     // A segment covering [start, start+dur] cannot be on the edge before
@@ -96,10 +96,10 @@ TEST(Pipeline, PlaylistSnapshotRespectsAvailability) {
                                       quiet_pipeline());
   pipe.start(seconds(30));
   sim.run_until(time_at(30));
-  ASSERT_GE(pipe.edge_segments().size(), 3u);
-  const TimePoint mid = pipe.edge_segments()[1].available_at;
-  const hls::MediaPlaylist early = pipe.edge_playlist(mid);
-  const hls::MediaPlaylist late = pipe.edge_playlist(time_at(30));
+  ASSERT_GE(pipe.edge_log().size(), 3u);
+  const TimePoint mid = pipe.edge_log()[1].available_at;
+  const hls::MediaPlaylist early = pipe.edge_log().live(mid);
+  const hls::MediaPlaylist late = pipe.edge_log().live(time_at(30));
   EXPECT_LT(early.segments.size() + early.media_sequence,
             late.segments.size() + late.media_sequence);
 }

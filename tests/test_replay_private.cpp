@@ -32,12 +32,12 @@ TEST(Replay, VodPlaylistListsEverySegmentWithEndlist) {
   pipe.start(seconds(40));
   sim.run_until(time_at(45));
   pipe.stop();
-  const hls::MediaPlaylist vod = pipe.vod_playlist();
+  const hls::MediaPlaylist vod = pipe.edge_log().vod();
   EXPECT_TRUE(vod.ended);
-  EXPECT_EQ(vod.segments.size(), pipe.edge_segments().size());
+  EXPECT_EQ(vod.segments.size(), pipe.edge_log().size());
   EXPECT_GE(vod.segments.size(), 8u);
   // Live playlist is a sliding window; VOD keeps everything.
-  const hls::MediaPlaylist live = pipe.edge_playlist(sim.now());
+  const hls::MediaPlaylist live = pipe.edge_log().live(sim.now());
   EXPECT_LE(live.segments.size(), 6u);
   EXPECT_GE(vod.segments.size(), live.segments.size());
   // The M3U8 text round-trips with ENDLIST.
@@ -92,7 +92,7 @@ TEST(Replay, VodFetchPacedByBoundedBuffer) {
   pipe.start(seconds(60));
   sim.run_until(time_at(65));
   pipe.stop();
-  const std::size_t total_segments = pipe.edge_segments().size();
+  const std::size_t total_segments = pipe.edge_log().size();
   ASSERT_GE(total_segments, 12u);
   client::HlsViewerSession session(
       sim, pipe, device, pool.hls_edges()[0], pool.hls_edges()[1],
