@@ -1,17 +1,51 @@
 // End-to-end broadcast: a phone PUBLISHES over real RTMP (connect ->
 // FCPublish -> createStream -> publish -> FLV tags) to a MediaOrigin
-// server, two viewers PLAY the same stream from that origin, and the
-// whole thing runs over simulated network links. The controlled two-
-// client experiment of §5.1, as a program.
+// server across simulated network links, and two viewers PLAY the same
+// stream from that origin while it is live: each gets the origin's
+// decodable join burst, then live samples. The controlled two-client
+// experiment of §5.1, as a program. Exits non-zero unless both viewers
+// received samples.
 #include <cstdio>
 
 #include "client/broadcaster_session.h"
 #include "service/origin_server.h"
 #include "util/strings.h"
 
-int main() {
-  using namespace psc;
+namespace {
 
+using namespace psc;
+
+/// A viewer playing from the origin (in-process byte shuttling).
+struct Watcher {
+  Watcher(service::MediaOrigin& o, const std::string& stream,
+          std::uint64_t seed)
+      : origin(o),
+        conn(o.open_connection()),
+        session("live", stream, seed,
+                rtmp::ClientSession::Callbacks{
+                    nullptr, [this](media::MediaSample) { ++samples; },
+                    nullptr}) {}
+
+  void shuttle() {
+    while (session.has_output() || origin.has_output(conn)) {
+      if (session.has_output()) {
+        (void)origin.on_input(conn, session.take_output());
+      }
+      if (origin.has_output(conn)) {
+        (void)session.on_input(origin.take_output(conn));
+      }
+    }
+  }
+
+  service::MediaOrigin& origin;
+  int conn;
+  rtmp::ClientSession session;
+  int samples = 0;
+};
+
+}  // namespace
+
+int main() {
   sim::Simulation sim;
   Rng rng(2016);
   service::PopulationConfig pop;
@@ -30,87 +64,29 @@ int main() {
   phone_cfg.up_rate = 6e6;
   client::Device phone(sim, phone_cfg, 2);
 
-  client::BroadcasterSession broadcaster(sim, phone, origin_host, info, 3);
+  service::MediaOrigin origin(4);
+  client::BroadcasterSession broadcaster(sim, phone, origin_host, origin,
+                                         info, 3);
   broadcaster.start(seconds(30));
-  sim.run_until(sim.now() + seconds(31));
 
-  std::printf("  published %zu samples upstream (%s of traffic)\n",
-              broadcaster.received_at_origin().size(),
+  // The viewers join 10 s in, then follow the live stream to the end.
+  sim.run_until(sim.now() + seconds(10));
+  Watcher alice(origin, info.id, 6);
+  Watcher bob(origin, info.id, 7);
+  alice.shuttle();
+  bob.shuttle();
+  std::printf("  join bursts: alice %d samples, bob %d samples\n",
+              alice.samples, bob.samples);
+  for (int i = 0; i < 210; ++i) {
+    sim.run_until(sim.now() + millis(100));
+    alice.shuttle();
+    bob.shuttle();
+  }
+
+  std::printf("  published %s upstream\n",
               format_bitrate(broadcaster.uplink_capture().total_bytes() *
                              8.0 / 30.0)
                   .c_str());
-
-  // Replay the origin-received feed through a MediaOrigin with two
-  // watching clients (in-process byte shuttling).
-  service::MediaOrigin origin(4);
-  const int pub_conn = origin.open_connection();
-  rtmp::PublisherSession pub("live", info.id, 5);
-  auto shuttle_pub = [&] {
-    for (int i = 0; i < 32; ++i) {
-      bool any = false;
-      if (pub.has_output()) {
-        (void)origin.on_input(pub_conn, pub.take_output());
-        any = true;
-      }
-      if (origin.has_output(pub_conn)) {
-        (void)pub.on_input(origin.take_output(pub_conn));
-        any = true;
-      }
-      if (!any) break;
-    }
-  };
-  shuttle_pub();
-  if (!broadcaster.origin_config()) {
-    std::printf("no AVC config reached the origin\n");
-    return 1;
-  }
-  pub.send_avc_config(broadcaster.origin_config()->sps,
-                      broadcaster.origin_config()->pps);
-
-  struct Watcher {
-    explicit Watcher(const std::string& stream, std::uint64_t seed)
-        : session("live", stream, seed,
-                  rtmp::ClientSession::Callbacks{
-                      nullptr,
-                      [this](media::MediaSample) { ++samples; },
-                      nullptr}) {}
-    rtmp::ClientSession session;
-    int samples = 0;
-  };
-  Watcher alice(info.id, 6);
-  Watcher bob(info.id, 7);
-  const int alice_conn = origin.open_connection();
-  const int bob_conn = origin.open_connection();
-  auto shuttle_watcher = [&](Watcher& w, int conn) {
-    for (int i = 0; i < 32; ++i) {
-      bool any = false;
-      if (w.session.has_output()) {
-        (void)origin.on_input(conn, w.session.take_output());
-        any = true;
-      }
-      if (origin.has_output(conn)) {
-        (void)w.session.on_input(origin.take_output(conn));
-        any = true;
-      }
-      if (!any) break;
-    }
-  };
-  shuttle_watcher(alice, alice_conn);
-  shuttle_watcher(bob, bob_conn);
-
-  for (const media::MediaSample& s : broadcaster.received_at_origin()) {
-    media::MediaSample annexb = s;
-    if (s.kind == media::SampleKind::Video) {
-      auto nals = media::split_avcc(s.data);
-      if (!nals) continue;
-      annexb.data = media::annexb_wrap(nals.value());
-    }
-    pub.send_sample(annexb);
-  }
-  shuttle_pub();
-  shuttle_watcher(alice, alice_conn);
-  shuttle_watcher(bob, bob_conn);
-
   std::printf("  origin now serves %zu live stream(s); viewers on '%s': "
               "%zu\n",
               origin.live_streams().size(), info.id.c_str(),

@@ -9,32 +9,25 @@ Duration path_latency_km(const geo::GeoPoint& a, const geo::GeoPoint& b) {
 }  // namespace
 
 BroadcasterSession::BroadcasterSession(sim::Simulation& sim, Device& device,
-                                       const service::MediaServer& origin,
+                                       const service::MediaServer& server,
+                                       service::MediaOrigin& origin,
                                        const service::BroadcastInfo& info,
                                        std::uint64_t seed)
     : sim_(sim),
       device_(device),
       to_origin_(sim, 400e6,
-                 path_latency_km(device.config().location, origin.location)),
+                 path_latency_km(device.config().location, server.location)),
       from_origin_(sim, 400e6,
-                   path_latency_km(origin.location,
+                   path_latency_km(server.location,
                                    device.config().location)),
       source_(service::video_config_for(info),
               service::audio_config_for(info),
               service::content_config_for(info), to_s(sim.now()),
               Rng(seed)),
       publisher_("live", info.id, seed),
-      origin_(seed ^ 0x0121),
-      epoch_s_(to_s(sim.now())) {
-  rtmp::ServerSession::PublishCallbacks cbs;
-  cbs.on_sample = [this](media::MediaSample s) {
-    origin_samples_.push_back(std::move(s));
-  };
-  cbs.on_avc_config = [this](const media::AvcDecoderConfig& cfg) {
-    origin_config_ = cfg;
-  };
-  origin_.set_publish_callbacks(std::move(cbs));
-}
+      origin_(origin),
+      conn_(origin.open_connection()),
+      epoch_s_(to_s(sim.now())) {}
 
 void BroadcasterSession::start(Duration broadcast_time) {
   stop_at_ = sim_.now() + broadcast_time;
@@ -53,13 +46,14 @@ void BroadcasterSession::pump() {
       to_origin_.send(std::move(data),
                       [this](TimePoint, util::BufferSlice d) {
         if (stopped_) return;
-        (void)origin_.on_input(d);
+        origin_.advance_to(sim_.now());
+        (void)origin_.on_input(conn_, d);
         pump();
       });
     });
   }
-  if (origin_.has_output()) {
-    from_origin_.send(origin_.take_output(),
+  if (origin_.has_output(conn_)) {
+    from_origin_.send(origin_.take_output(conn_),
                       [this](TimePoint, util::BufferSlice data) {
       if (stopped_) return;
       (void)publisher_.on_input(data);

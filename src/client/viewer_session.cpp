@@ -165,7 +165,9 @@ RtmpViewerSession::RtmpViewerSession(sim::Simulation& sim,
 RtmpViewerSession::~RtmpViewerSession() { unsubscribe(); }
 
 void RtmpViewerSession::unsubscribe() {
-  if (subscription_ != 0) pipe_.unsubscribe(std::exchange(subscription_, 0));
+  if (subscription_ != 0) {
+    pipe_.origin().detach(std::exchange(subscription_, 0));
+  }
 }
 
 void RtmpViewerSession::make_connection() {
@@ -204,19 +206,10 @@ void RtmpViewerSession::pump() {
                   [this, gen = conn_gen_](TimePoint, util::BufferSlice data) {
       if (finished_ || gen != conn_gen_) return;
       (void)server_->on_input(data);
-      // Play accepted: burst the decodable backlog and go live.
-      if (server_->playing() && !media_started_) {
-        media_started_ = true;
-        server_->send_avc_config(pipe_.sps(), pipe_.pps());
-        for (const media::MediaSample& s : pipe_.backlog()) {
-          server_->send_sample(s);
-        }
-        subscription_ = pipe_.subscribe(
-            [this, gen](TimePoint, const media::MediaSample& s) {
-              if (finished_ || gen != conn_gen_) return;
-              server_->send_sample(s);
-              pump();
-            });
+      // Play accepted: take the origin's join burst and go live.
+      if (server_->playing() && subscription_ == 0) {
+        subscription_ = pipe_.origin().attach(
+            *server_, [this](const media::MediaSample&) { pump(); });
       }
       pump();
     });
@@ -242,7 +235,6 @@ void RtmpViewerSession::drop_connection() {
   // Invalidate every in-flight delivery of the old connection; the bytes
   // still cross the (simulated) wire but land in a closed socket.
   ++conn_gen_;
-  media_started_ = false;
   unsubscribe();
   if (obs_ != nullptr) {
     obs_->metrics.counter("rtmp_disconnects_total").add(1);

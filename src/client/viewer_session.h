@@ -202,8 +202,7 @@ class RtmpViewerSession : public ViewerSession {
   /// from an older connection check it and become no-ops, so stale bytes
   /// can never corrupt a fresh handshake.
   std::uint64_t conn_gen_ = 0;
-  int subscription_ = 0;
-  bool media_started_ = false;
+  int subscription_ = 0;  // origin attachment of this connection (0 = none)
   int reconnects_ = 0;
 };
 

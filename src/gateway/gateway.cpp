@@ -39,6 +39,7 @@ Gateway::Gateway(const GatewayConfig& cfg, SimBridge::WallClock clock)
       http_accepted_(&metrics_.counter("gateway_http_connections_total")) {
   store_.set_arena(&arena_);
   store_.set_metrics(&metrics_);
+  origin_.set_metrics(&metrics_);
 
   service::MediaOrigin::StreamHooks hooks;
   hooks.on_publish_start = [this](const std::string& stream, TimePoint now) {

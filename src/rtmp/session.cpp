@@ -240,21 +240,26 @@ void ServerSession::on_command(const std::vector<amf::Value>& v) {
                    amf::Value()});
   } else if (name == "publish") {
     stream_name_ = v.size() > 3 ? v[3].as_string() : "";
-    start_stream("NetStream.Publish.Start", "Publishing.");
-    publishing_ = true;
-    if (publish_cbs_.on_publish_start) {
-      publish_cbs_.on_publish_start(stream_name_);
+    if (publish_cbs_.on_publish_start &&
+        !publish_cbs_.on_publish_start(stream_name_)) {
+      send_status("error", "NetStream.Publish.BadName",
+                  "Stream name is already in use.");
+      return;
     }
+    conn_.stream_begin(kMediaStreamId);
+    send_status("status", "NetStream.Publish.Start", "Publishing.");
+    publishing_ = true;
   } else if (name == "play") {
     stream_name_ = v.size() > 3 ? v[3].as_string() : "";
-    start_stream("NetStream.Play.Start", "Started playing.");
+    conn_.stream_begin(kMediaStreamId);
+    send_status("status", "NetStream.Play.Start", "Started playing.");
     playing_ = true;
   }
 }
 
-void ServerSession::start_stream(const char* code, const char* description) {
-  conn_.stream_begin(kMediaStreamId);
-  amf::Object info{{"level", amf::Value("status")},
+void ServerSession::send_status(const char* level, const char* code,
+                                const char* description) {
+  amf::Object info{{"level", amf::Value(level)},
                    {"code", amf::Value(code)},
                    {"description", amf::Value(description)}};
   conn_.command({amf::Value("onStatus"), amf::Value(0.0), amf::Value(),

@@ -135,8 +135,10 @@ class ServerSession {
     std::function<void(const media::AvcDecoderConfig&)> on_avc_config;
     /// A published media sample arrived (AVCC video / ADTS audio).
     std::function<void(media::MediaSample)> on_sample;
-    /// publish accepted for this stream key.
-    std::function<void(const std::string&)> on_publish_start;
+    /// A publish of this stream key arrived. Return false to refuse it:
+    /// the peer gets onStatus NetStream.Publish.BadName, publishing()
+    /// stays false and its media is never decoded. Unset accepts.
+    std::function<bool(const std::string&)> on_publish_start;
   };
 
   explicit ServerSession(std::uint64_t seed);
@@ -174,8 +176,9 @@ class ServerSession {
   void on_established() {}
   void on_command(const std::vector<amf::Value>& v);
   void on_media(Message& msg);
-  /// StreamBegin, then onStatus(`code`) on the media stream.
-  void start_stream(const char* code, const char* description);
+  /// onStatus(`level`, `code`) on the media stream.
+  void send_status(const char* level, const char* code,
+                   const char* description);
 
   Endpoint conn_;
   bool playing_ = false;

@@ -1,26 +1,78 @@
 // The RTMP origin media server ("vidman-*" on EC2, §3).
 //
-// A MediaOrigin owns many RTMP connections. Broadcasters publish streams
-// keyed by broadcast id; viewers play them. Published media is fanned out
-// live to every attached player, and a per-stream GOP backlog gives
-// joining viewers an immediately decodable burst — the same origin
-// behaviour LiveBroadcastPipeline models in the aggregate, here as an
-// actual byte-in/byte-out server usable over any transport.
+// OriginStream is one stream as the origin holds it: a joining player gets
+// an immediately decodable burst (AVC config + GOP backlog), then every
+// live sample. LiveBroadcastPipeline models the campaign origin with it;
+// MediaOrigin serves it as a byte-in/byte-out server over any transport:
+// it owns many RTMP connections, broadcasters publish streams keyed by
+// broadcast id and viewers play them.
 #pragma once
 
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
+#include <optional>
 #include <string>
 
 #include "media/types.h"
-#include "obs/bundle.h"
+#include "obs/metrics.h"
 #include "rtmp/session.h"
 #include "service/load.h"
 
 namespace psc::service {
+
+class OriginStream {
+ public:
+  /// The join backlog holds the most recent kBacklogGops GOPs in decode
+  /// order, always starting at a keyframe, and at most kBacklogCap
+  /// samples (whole GOPs are dropped to make room); samples with no
+  /// keyframe before them in the backlog are fanned out but not kept. A
+  /// joining viewer gets this burst, so a deeper backlog trades join
+  /// speed on fat links for join *cost* on thin ones — the Fig. 4(a)
+  /// mechanism.
+  static constexpr int kBacklogGops = 3;
+  static constexpr std::size_t kBacklogCap = 1024;
+
+  /// Runs after a live sample was written to the player's session.
+  using SentFn = std::function<void(const media::MediaSample&)>;
+
+  /// Keep `cfg` for later joins and write it to every attached player.
+  void set_config(const media::AvcDecoderConfig& cfg);
+  /// Add `sample` to the backlog and write it to every player in attach
+  /// order. Returns the backlog's copy, or `sample` itself when it
+  /// precedes the first keyframe and is not kept.
+  const media::MediaSample& push(media::MediaSample&& sample);
+
+  /// Write the join burst (the config, if any, then the backlog) to
+  /// `session`, then every pushed sample until detach(). The session must
+  /// outlive the attachment. Returns a non-zero token.
+  int attach(rtmp::ServerSession& session, SentFn on_sent = nullptr);
+  void detach(int token) { players_.erase(token); }
+  /// Forget the config and the backlog (the publisher left); players stay
+  /// attached for the next one.
+  void reset();
+  /// reset() and detach every player (retirement).
+  void clear() {
+    reset();
+    players_.clear();
+  }
+
+  std::size_t player_count() const { return players_.size(); }
+  const std::deque<media::MediaSample>& backlog() const { return backlog_; }
+
+ private:
+  struct Player {
+    rtmp::ServerSession* session;
+    SentFn on_sent;
+  };
+
+  std::optional<media::AvcDecoderConfig> config_;
+  std::deque<media::MediaSample> backlog_;
+  int backlog_keyframes_ = 0;
+  std::map<int, Player> players_;  // by token = attach order
+  int next_token_ = 1;
+};
 
 class MediaOrigin {
  public:
@@ -41,6 +93,8 @@ class MediaOrigin {
   std::vector<std::string> live_streams() const;
   /// Viewers attached to a stream.
   std::size_t viewer_count(const std::string& stream) const;
+  /// Stream records held: keys with a publisher or at least one player.
+  std::size_t stream_count() const { return streams_.size(); }
 
   /// Server-local clock for load accounting. The origin itself is
   /// transport-driven and clockless; whoever pumps bytes through it
@@ -52,16 +106,17 @@ class MediaOrigin {
   /// while a connection has not yet bound to a stream).
   const EpochLoadLedger& load_ledger() const { return ledger_; }
 
-  /// Attach a metric sink (nullptr = off): connection counter plus RTMP
-  /// ingest/egress byte counters.
-  void set_obs(obs::Obs* obs);
+  /// Attach a metric sink (nullptr = off): connection and refused-publish
+  /// counters plus RTMP ingest/egress byte counters.
+  void set_metrics(obs::Registry* reg);
 
   /// Published-stream observer: lets a co-located packager (the interop
   /// gateway's HLS segmenter) tap the ingest path without owning a player
   /// connection. on_sample sees the stream exactly as the fan-out path
   /// does — video already converted back to Annex-B — and on_publish_end
-  /// fires when the publisher's connection closes (stream over). Unset
-  /// hooks leave origin behaviour bit-identical.
+  /// fires when the publisher's connection closes (stream over). A
+  /// refused publish fires none. Unset hooks leave origin behaviour
+  /// bit-identical.
   struct StreamHooks {
     std::function<void(const std::string&, TimePoint)> on_publish_start;
     std::function<void(const std::string&, const media::AvcDecoderConfig&)>
@@ -75,9 +130,7 @@ class MediaOrigin {
 
  private:
   struct Stream {
-    std::optional<media::AvcDecoderConfig> config;
-    std::deque<media::MediaSample> backlog;  // from latest keyframe
-    std::set<int> players;
+    OriginStream media;
     int publisher_conn = -1;
   };
 
@@ -85,11 +138,10 @@ class MediaOrigin {
     std::unique_ptr<rtmp::ServerSession> session;
     std::string stream;  // set once playing or publishing
     bool is_publisher = false;
+    int player_token = 0;  // OriginStream attachment while playing
   };
 
   void wire_publish_hooks(int conn);
-  void attach_player(int conn, const std::string& stream);
-  Stream& stream_of(const std::string& name) { return streams_[name]; }
 
   std::uint64_t seed_;
   StreamHooks stream_hooks_;
@@ -99,6 +151,7 @@ class MediaOrigin {
   std::map<int, Connection> connections_;
   std::map<std::string, Stream> streams_;
   obs::Counter* conns_ = nullptr;
+  obs::Counter* publish_refused_ = nullptr;
   obs::Counter* bytes_in_ = nullptr;
   obs::Counter* bytes_out_ = nullptr;
 };

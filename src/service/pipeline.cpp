@@ -50,6 +50,7 @@ LiveBroadcastPipeline::LiveBroadcastPipeline(sim::Simulation& sim,
       uplink_(sim, info.uplink_bitrate, cfg.uplink_latency),
       cdn_link_(sim, cfg.origin_to_cdn_rate, cfg.origin_to_cdn_latency) {
   uplink_.set_noise(rng_.fork(3), seconds(2), 0.75, 1.1);
+  origin_.set_config({source_.video().sps(), source_.video().pps()});
   // Rendition 0 is always the untouched source; the ladder follows.
   const auto add_rendition = [this](RenditionSpec spec) {
     const std::size_t r = renditions_.size();
@@ -127,39 +128,9 @@ void LiveBroadcastPipeline::produce_next() {
 void LiveBroadcastPipeline::on_sample_at_origin(TimePoint now,
                                                 media::MediaSample sample) {
   if (!running_) return;  // retired: in-flight uplink deliveries are no-ops
-  // Maintain the origin backlog: the most recent kBacklogGops GOPs in
-  // decode order, always starting at a keyframe. A joining viewer gets
-  // this burst, so a deeper backlog trades join speed on fat links for
-  // join *cost* on thin ones — the Fig. 4(a) mechanism.
-  static constexpr int kBacklogGops = 3;
-  if (sample.kind == media::SampleKind::Video && sample.keyframe) {
-    ++backlog_keyframes_;
-    if (backlog_keyframes_ > kBacklogGops) {
-      // Drop the oldest GOP: everything up to (excluding) the next
-      // keyframe after the front.
-      backlog_.pop_front();  // the front keyframe itself
-      while (!backlog_.empty() &&
-             !(backlog_.front().kind == media::SampleKind::Video &&
-               backlog_.front().keyframe)) {
-        backlog_.pop_front();
-      }
-      --backlog_keyframes_;
-    }
-  }
-  // The sample moves into the backlog and every consumer reads that one
-  // copy. Fan-out never retires the pipeline (retirement is a scheduled
-  // event), and deque pops at the front keep the back element in place.
-  const media::MediaSample* at_origin = &sample;
-  if (backlog_keyframes_ > 0) {
-    backlog_.push_back(std::move(sample));
-    at_origin = &backlog_.back();
-  }
-  static constexpr std::size_t kBacklogCap = 1024;
-  while (backlog_.size() > kBacklogCap) backlog_.pop_front();
-  const media::MediaSample& out = *at_origin;
-
-  // RTMP fan-out.
-  for (auto& [token, fn] : subscribers_) fn(now, out);
+  // RTMP: backlog and fan-out. The HLS packager reads the origin's copy;
+  // fan-out never retires the pipeline (retirement is a scheduled event).
+  const media::MediaSample& out = origin_.push(std::move(sample));
 
   // HLS: segment each rendition, package, ship to the edge. Ladder
   // renditions run the sample through the transcoder first.
@@ -194,16 +165,6 @@ void LiveBroadcastPipeline::on_sample_at_origin(TimePoint now,
                          });
         });
   }
-}
-
-int LiveBroadcastPipeline::subscribe(OriginSampleFn fn) {
-  const int token = next_token_++;
-  subscribers_[token] = std::move(fn);
-  return token;
-}
-
-void LiveBroadcastPipeline::unsubscribe(int token) {
-  subscribers_.erase(token);
 }
 
 std::string LiveBroadcastPipeline::master_playlist() const {

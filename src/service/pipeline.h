@@ -5,12 +5,12 @@
 //                                   '--> segmenter -> packaging delay
 //                                         -> CDN transfer -> HLS edge
 //
-// The origin keeps a backlog from the latest keyframe so a joining RTMP
-// viewer receives an immediately decodable burst (this is what makes RTMP
-// join fast). HLS viewers fetch segments from the edge; a segment only
-// exists once it has been cut (target 3.6 s), transcoded/packaged and
-// shipped to the CDN — the structural source of the 5 s+ delivery latency
-// the paper measured for HLS.
+// The origin keeps the last three GOPs so a joining RTMP viewer receives
+// an immediately decodable burst (this is what makes RTMP join fast).
+// HLS viewers fetch segments from the edge; a segment only exists once
+// it has been cut (target 3.6 s), transcoded/packaged and shipped to the
+// CDN — the structural source of the 5 s+ delivery latency the paper
+// measured for HLS.
 //
 // Broadcaster-side impairments: the uplink has throughput noise plus
 // occasional multi-second "hiccups" (rate collapse), which surface as
@@ -18,9 +18,6 @@
 // such stalls in the unlimited-bandwidth dataset.
 #pragma once
 
-#include <deque>
-#include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -31,6 +28,7 @@
 #include "net/link.h"
 #include "obs/bundle.h"
 #include "service/broadcast.h"
+#include "service/origin_server.h"
 #include "sim/simulation.h"
 
 namespace psc::service {
@@ -67,10 +65,6 @@ struct PipelineConfig {
 
 class LiveBroadcastPipeline {
  public:
-  /// Called at origin when a sample arrives there (RTMP fan-out hook).
-  using OriginSampleFn =
-      std::function<void(TimePoint, const media::MediaSample&)>;
-
   LiveBroadcastPipeline(sim::Simulation& sim, const BroadcastInfo& info,
                         const PipelineConfig& cfg);
 
@@ -85,9 +79,7 @@ class LiveBroadcastPipeline {
   /// retire() those events are no-ops.
   void retire() {
     running_ = false;
-    subscribers_.clear();
-    backlog_.clear();
-    backlog_keyframes_ = 0;
+    origin_.clear();
     for (auto& r : renditions_) {
       r.edge.clear();
       r.segmenter.discard();  // the open partial segment's buffer
@@ -95,13 +87,9 @@ class LiveBroadcastPipeline {
   }
 
   /// --- RTMP side ---
-  int subscribe(OriginSampleFn fn);
-  void unsubscribe(int token);
-  /// Decodable backlog: everything from the latest keyframe (what the
-  /// origin bursts to a joining viewer), in decode order.
-  const std::deque<media::MediaSample>& backlog() const { return backlog_; }
-  const media::Sps& sps() const { return source_.video().sps(); }
-  const media::Pps& pps() const { return source_.video().pps(); }
+  /// The origin's stream: RTMP viewers attach to it for the join burst
+  /// (the source's AVC config, then its GOP backlog) and live samples.
+  OriginStream& origin() { return origin_; }
 
   /// --- HLS side ---
   /// Number of renditions (1 = source only; ladder adds more).
@@ -160,10 +148,7 @@ class LiveBroadcastPipeline {
 
   bool running_ = false;
   TimePoint stop_at_{};
-  std::map<int, OriginSampleFn> subscribers_;
-  int next_token_ = 1;
-  std::deque<media::MediaSample> backlog_;
-  int backlog_keyframes_ = 0;
+  OriginStream origin_;
   std::vector<RenditionState> renditions_;
   std::uint64_t samples_produced_ = 0;
   obs::Obs* obs_ = nullptr;

@@ -14,6 +14,8 @@
 #include "gateway/gateway.h"
 #include "hls/playlist.h"
 #include "json/json.h"
+#include "rtmp/session.h"
+#include "service/origin_server.h"
 
 namespace psc {
 namespace {
@@ -206,6 +208,72 @@ TEST(GatewayStore, RepublishReopensPlaylist) {
   }
   store.on_publish_end(key, t0);
   EXPECT_TRUE(playlist().ended);
+}
+
+TEST(GatewayRtmp, PlayerGetsCalibratedBurstThenLive) {
+  gateway::Gateway gw(test_config());
+  ASSERT_TRUE(gw.start().ok());
+  const std::string key = "rtmpplay0001";
+  // 36-frame GOPs: 160 frames are four whole GOPs and the start of a
+  // fifth before the player joins, then 40 live frames.
+  const gateway::SyntheticMedia media = gateway::synthetic_frames(14, 200);
+  const std::size_t pre_join = 160;
+  std::vector<std::size_t> keyframe_at;
+  for (std::size_t i = 0; i < pre_join; ++i) {
+    if (media.samples[i].keyframe) keyframe_at.push_back(i);
+  }
+  ASSERT_GT(keyframe_at.size(), 3u);
+
+  gateway::PublishClient pub("live", key, 15);
+  ASSERT_TRUE(pub.connect(gw.rtmp_port()).ok());
+  ASSERT_TRUE(pump(gw, pub, [&] { return pub.publishing(); }));
+  pub.send_avc_config(media.sps, media.pps);
+  for (std::size_t i = 0; i < pre_join; ++i) pub.send_sample(media.samples[i]);
+  ASSERT_TRUE(pump(gw, pub, [&] { return pub.pending() == 0; }));
+  for (int i = 0; i < 500; ++i) gw.poll_once(0);  // ingest what is queued
+
+  std::vector<media::MediaSample> got;
+  int configs = 0;
+  rtmp::ClientSession::Callbacks cbs;
+  cbs.on_sample = [&](media::MediaSample smp) { got.push_back(std::move(smp)); };
+  cbs.on_avc_config = [&](const media::AvcDecoderConfig&) { ++configs; };
+  rtmp::ClientSession player("live", key, 16, std::move(cbs));
+  gateway::SocketPump sock;
+  ASSERT_TRUE(sock.connect(gw.rtmp_port()).ok());
+  const auto turn = [&] {
+    if (player.has_output()) sock.queue(player.take_output());
+    Bytes in;
+    ASSERT_TRUE(sock.step(in));
+    if (!in.empty()) {
+      ASSERT_TRUE(player.on_input(in).ok());
+    }
+    pub.step();
+    gw.poll_once(0);
+  };
+  for (int i = 0; i < 20000 && !player.playing(); ++i) turn();
+  ASSERT_TRUE(player.playing());
+  for (int i = 0; i < 500; ++i) turn();  // the whole burst arrives
+
+  // The burst: config, then everything from the third-latest IDR on.
+  EXPECT_EQ(configs, 1);
+  ASSERT_FALSE(got.empty());
+  EXPECT_EQ(got.front().kind, media::SampleKind::Video);
+  EXPECT_TRUE(got.front().keyframe);
+  int keyframes = 0;
+  for (const auto& smp : got) keyframes += smp.keyframe ? 1 : 0;
+  EXPECT_EQ(keyframes, service::OriginStream::kBacklogGops);
+  const std::size_t burst = got.size();
+  EXPECT_EQ(burst, pre_join - keyframe_at[keyframe_at.size() - 3]);
+  EXPECT_LE(burst, service::OriginStream::kBacklogCap);
+
+  // Live samples follow.
+  for (std::size_t i = pre_join; i < media.samples.size(); ++i) {
+    pub.send_sample(media.samples[i]);
+  }
+  const std::size_t want = burst + (media.samples.size() - pre_join);
+  for (int i = 0; i < 20000 && got.size() < want; ++i) turn();
+  EXPECT_EQ(got.size(), want);
+  EXPECT_EQ(gw.origin().viewer_count(key), 1u);
 }
 
 TEST(GatewayHttp, MalformedRequestGets400AndClose) {

@@ -37,7 +37,8 @@ TEST(Pipeline, SamplesReachOriginInDtsOrder) {
   service::LiveBroadcastPipeline pipe(sim, test_broadcast(1),
                                       quiet_pipeline());
   std::vector<double> dts;
-  pipe.subscribe([&](TimePoint, const media::MediaSample& s) {
+  rtmp::ServerSession viewer(1);
+  pipe.origin().attach(viewer, [&](const media::MediaSample& s) {
     dts.push_back(to_s(s.dts));
   });
   pipe.start(seconds(10));
@@ -54,7 +55,7 @@ TEST(Pipeline, BacklogStartsAtKeyframe) {
                                       quiet_pipeline());
   pipe.start(seconds(20));
   sim.run_until(time_at(10));
-  const auto& backlog = pipe.backlog();
+  const auto& backlog = pipe.origin().backlog();
   ASSERT_FALSE(backlog.empty());
   // First video sample in the backlog must be a keyframe.
   for (const media::MediaSample& s : backlog) {
@@ -109,7 +110,9 @@ TEST(Pipeline, RetireNeutersCallbacks) {
   service::LiveBroadcastPipeline pipe(sim, test_broadcast(5),
                                       quiet_pipeline());
   int delivered = 0;
-  pipe.subscribe([&](TimePoint, const media::MediaSample&) { ++delivered; });
+  rtmp::ServerSession viewer(1);
+  pipe.origin().attach(viewer,
+                       [&](const media::MediaSample&) { ++delivered; });
   pipe.start(seconds(30));
   sim.run_until(time_at(5));
   const int before = delivered;
@@ -117,7 +120,7 @@ TEST(Pipeline, RetireNeutersCallbacks) {
   pipe.retire();
   sim.run_until(time_at(30));  // drain remaining events — must not crash
   EXPECT_EQ(delivered, before);
-  EXPECT_TRUE(pipe.backlog().empty());
+  EXPECT_TRUE(pipe.origin().backlog().empty());
 }
 
 struct SessionHarness {

@@ -5,9 +5,27 @@
 #include "client/broadcaster_session.h"
 #include "media/encoder.h"
 #include "rtmp/session.h"
+#include "service/origin_server.h"
 
 namespace psc {
 namespace {
+
+/// What a MediaOrigin received from its publishers, via its stream hooks.
+struct OriginFeed {
+  explicit OriginFeed(service::MediaOrigin& origin) {
+    service::MediaOrigin::StreamHooks hooks;
+    hooks.on_avc_config = [this](const std::string&,
+                                 const media::AvcDecoderConfig& c) {
+      config = c;
+    };
+    hooks.on_sample = [this](const std::string&, const media::MediaSample& s,
+                             TimePoint) { samples.push_back(s); };
+    origin.set_stream_hooks(std::move(hooks));
+  }
+
+  std::optional<media::AvcDecoderConfig> config;
+  std::vector<media::MediaSample> samples;
+};
 
 void pump_loopback(rtmp::PublisherSession& pub, rtmp::ServerSession& srv) {
   for (int i = 0; i < 32; ++i) {
@@ -31,6 +49,7 @@ TEST(Publish, FullPublishFlow) {
   rtmp::ServerSession::PublishCallbacks cbs;
   cbs.on_publish_start = [&](const std::string& key) {
     published_key = key;
+    return true;
   };
   srv.set_publish_callbacks(std::move(cbs));
   pump_loopback(pub, srv);
@@ -120,14 +139,17 @@ TEST(Broadcaster, PublishesOverSimulatedNetwork) {
   const service::MediaServer& origin =
       pool.rtmp_origin_for(info.location, info.id);
 
-  client::BroadcasterSession bcast(sim, device, origin, info, 12);
+  service::MediaOrigin media_origin(12);
+  OriginFeed feed(media_origin);
+  client::BroadcasterSession bcast(sim, device, origin, media_origin, info,
+                                   12);
   bcast.start(seconds(20));
   sim.run_until(sim.now() + seconds(25));
 
   EXPECT_TRUE(bcast.publishing());
-  ASSERT_TRUE(bcast.origin_config().has_value());
+  ASSERT_TRUE(feed.config.has_value());
   // ~20 s at ~73 samples/s, minus handshake time.
-  EXPECT_GT(bcast.received_at_origin().size(), 1000u);
+  EXPECT_GT(feed.samples.size(), 1000u);
   // Upstream traffic volume consistent with ~300 kbps video + audio.
   const double bits =
       static_cast<double>(bcast.uplink_capture().total_bytes()) * 8;
@@ -135,7 +157,7 @@ TEST(Broadcaster, PublishesOverSimulatedNetwork) {
   EXPECT_LT(bits / 20.0, 1.5e6);
   // Samples arrive in decode (DTS) order.
   double last = -1;
-  for (const auto& s : bcast.received_at_origin()) {
+  for (const auto& s : feed.samples) {
     EXPECT_GE(to_s(s.dts) + 1e-9, last);
     last = to_s(s.dts);
   }
@@ -159,11 +181,14 @@ TEST(Broadcaster, ThinUplinkDelaysDelivery) {
     dcfg.up_rate = up_rate;
     client::Device device(sim, dcfg, 14);
     service::MediaServerPool pool(15);
+    service::MediaOrigin media_origin(16);
+    OriginFeed feed(media_origin);
     client::BroadcasterSession bcast(
-        sim, device, pool.rtmp_origin_for(info.location, info.id), info, 16);
+        sim, device, pool.rtmp_origin_for(info.location, info.id),
+        media_origin, info, 16);
     bcast.start(seconds(20));
     sim.run_until(sim.now() + seconds(22));
-    return bcast.received_at_origin().size();
+    return feed.samples.size();
   };
   const std::size_t fast = run(8e6);
   const std::size_t slow = run(0.25e6);

@@ -1,6 +1,8 @@
 // RTMP chunk stream and session state machine tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "media/encoder.h"
 #include "rtmp/chunk.h"
 #include "rtmp/handshake.h"
@@ -446,6 +448,62 @@ TEST(Session, GarbageHandshakeRejected) {
     SCOPED_TRACE("publisher");
     check_handshake("S2 does not echo C1", publisher, server, publishing);
   }
+}
+
+bool contains(const Bytes& haystack, const std::string& needle) {
+  return std::search(haystack.begin(), haystack.end(), needle.begin(),
+                     needle.end()) != haystack.end();
+}
+
+TEST(Session, RefusedPublishGetsBadNameAndNoMedia) {
+  PublisherSession pub("live", "takenkey", 1);
+  ServerSession server(2);
+  std::vector<std::string> asked;
+  int configs = 0;
+  int samples = 0;
+  ServerSession::PublishCallbacks cbs;
+  cbs.on_publish_start = [&](const std::string& key) {
+    asked.push_back(key);
+    return false;
+  };
+  cbs.on_avc_config = [&](const media::AvcDecoderConfig&) { ++configs; };
+  cbs.on_sample = [&](media::MediaSample) { ++samples; };
+  server.set_publish_callbacks(std::move(cbs));
+  Bytes replies;
+  const auto shuttle = [&] {
+    for (int i = 0; i < 32; ++i) {
+      bool any = false;
+      if (pub.has_output()) {
+        ASSERT_TRUE(server.on_input(pub.take_output()).ok());
+        any = true;
+      }
+      if (server.has_output()) {
+        const Bytes out = server.take_output();
+        replies.insert(replies.end(), out.begin(), out.end());
+        ASSERT_TRUE(pub.on_input(out).ok());
+        any = true;
+      }
+      if (!any) break;
+    }
+  };
+  shuttle();
+  EXPECT_EQ(asked, std::vector<std::string>{"takenkey"});
+  EXPECT_FALSE(server.publishing());
+  EXPECT_FALSE(pub.publishing());
+  EXPECT_TRUE(contains(replies, "NetStream.Publish.BadName"));
+  EXPECT_TRUE(contains(replies, "error"));
+  EXPECT_FALSE(contains(replies, "NetStream.Publish.Start"));
+
+  // Media from the refused peer is never decoded.
+  media::VideoEncoder enc(media::VideoConfig{}, media::ContentModelConfig{},
+                          0.0, Rng(3));
+  pub.send_avc_config(enc.sps(), enc.pps());
+  for (int i = 0; i < 10; ++i) {
+    if (auto s = enc.next_frame()) pub.send_sample(*s);
+  }
+  shuttle();
+  EXPECT_EQ(configs, 0);
+  EXPECT_EQ(samples, 0);
 }
 
 TEST(Session, TimestampsCarryDts) {
