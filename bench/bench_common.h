@@ -1,56 +1,15 @@
-// Shared helpers for the figure-regeneration benches.
-//
-// Every bench prints (1) the paper's reported shape, (2) the simulated
-// series, and (3) the ASCII rendering of the figure, and finishes with a
-// machine-readable `BENCH {...}` JSON line (see docs/PERFORMANCE.md) so
-// the perf trajectory can be tracked across commits. Scale knobs come
-// from the environment so CI can run small and a full reproduction can
-// run at paper scale:
-//   PSC_SESSIONS   viewing sessions in the unlimited-bandwidth campaign
-//                  (paper: 3382; default here: 240)
-//   PSC_BW_SESSIONS  sessions per bandwidth limit (paper: 18-91; 60)
-//   PSC_CRAWL_HOURS  targeted crawl length in sim hours (paper: 4-10; 2;
-//                    fractional values allowed)
-//   PSC_THREADS      worker threads for sharded campaigns (default:
-//                    hardware concurrency). Results are byte-identical
-//                    for a given seed regardless of this knob.
-//   PSC_SHARD_SESSIONS  sessions per shard (default 12). Part of the
-//                    deterministic shard plan: changing it changes which
-//                    per-shard worlds are simulated.
-//   PSC_MODE         campaign mode for sharded campaigns: "independent"
-//                    (default; per-shard worlds) or "shared" (one
-//                    recorded world + epoch-reconciled server load, see
-//                    docs/PERFORMANCE.md). Either way results are
-//                    byte-identical across PSC_THREADS.
-//   PSC_METRICS      truthy: collect campaign metrics; a value other than
-//                    "1" doubles as the snapshot output path. See
-//                    docs/OBSERVABILITY.md and the Reporter class below.
-//   PSC_TRACE_OUT    write a Chrome trace_event JSON to this path.
-//   PSC_FAULT_SEED   non-zero: enable fault injection with a plan
-//                    generated from this seed (docs/ROBUSTNESS.md).
-//   PSC_FAULT_PLAN   path to a fault-plan text file; enables fault
-//                    injection and overrides the generated plan.
-//   PSC_AGG_PEAK     hybrid-fidelity benches: flash-crowd spike scale in
-//                    viewers (default 150000; docs/EXPERIMENTS.md).
-//   PSC_AGG_SAMPLE   cohort sample-rate denominator (default 100: one
-//                    full-protocol session per 100 aggregate viewers).
-//   PSC_FLASH_SEED   flash-crowd schedule seed (default 11), used
-//                    verbatim — never mixed with shard seeds.
-// Every bench also accepts --metrics-out=FILE / --trace-out=FILE flags,
-// which enable collection and set the output path in one step.
+// Shared pieces of the bench binaries (psc_figures, bench_micro_*,
+// bench_gateway) and tools/psc_gateway: env knobs, the BENCH line and the
+// observability Reporter. The knobs are listed in bench/psc_figures.cpp.
 #pragma once
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "analysis/charts.h"
-#include "analysis/stats.h"
 #include "core/parallel.h"
 #include "core/study.h"
 #include "obs/attrib.h"
@@ -68,9 +27,6 @@ inline double env_double(const char* name, double fallback) {
   return v != nullptr ? std::atof(v) : fallback;
 }
 
-inline int sessions_unlimited() { return env_int("PSC_SESSIONS", 240); }
-inline int sessions_per_bw() { return env_int("PSC_BW_SESSIONS", 60); }
-inline double crawl_hours() { return env_double("PSC_CRAWL_HOURS", 2); }
 inline int threads() { return core::ShardedRunner::default_threads(); }
 inline int shard_sessions() { return env_int("PSC_SHARD_SESSIONS", 12); }
 
@@ -102,7 +58,7 @@ inline bool fault_env_enabled() {
 
 /// The fault fields every BENCH line carries (empty/0 = faults off).
 /// Defaults come from the env; benches that sweep several plans (e.g.
-/// bench_fault_qoe) overwrite them per BENCH line via set_fault_fields.
+/// fault_qoe) overwrite them per BENCH line via set_fault_fields.
 struct FaultBenchFields {
   std::string plan;  // plan label or file path; "" when faults are off
   std::uint64_t seed = 0;
@@ -122,78 +78,6 @@ inline FaultBenchFields& fault_bench_fields() {
 
 inline void set_fault_fields(const std::string& plan, std::uint64_t seed) {
   fault_bench_fields() = FaultBenchFields{plan, seed};
-}
-
-/// Turn the PSC_FAULT_SEED / PSC_FAULT_PLAN env knobs into StudyConfig
-/// fault settings. No-op when neither is set. An unreadable plan file
-/// exits the process (status 2): a run must never report a plan it did
-/// not replay. A malformed one makes the Study constructor throw.
-inline void apply_fault_env(core::StudyConfig& cfg) {
-  if (!fault_env_enabled()) return;
-  cfg.fault.enabled = true;
-  cfg.fault.seed = fault_seed() != 0 ? fault_seed() : 1;
-  const std::string path = fault_plan_path();
-  if (!path.empty()) {
-    if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-      char buf[4096];
-      std::size_t n;
-      while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-        cfg.fault.plan_text.append(buf, n);
-      }
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "psc: cannot read PSC_FAULT_PLAN %s\n",
-                   path.c_str());
-      std::exit(2);
-    }
-  }
-}
-
-/// --- Hybrid-fidelity aggregate-audience knobs (docs/EXPERIMENTS.md) ---
-
-inline double agg_peak() { return env_double("PSC_AGG_PEAK", 150e3); }
-inline double agg_sample_denominator() {
-  return env_double("PSC_AGG_SAMPLE", 100);
-}
-inline std::uint64_t flash_seed() {
-  const char* v = std::getenv("PSC_FLASH_SEED");
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : 11;
-}
-
-/// Turn on the fluid audience tier for a campaign: flash-crowd spikes
-/// scaled to PSC_AGG_PEAK over `horizon`, cohort at `sample_rate`.
-inline void configure_aggregate(core::StudyConfig& cfg, Duration horizon,
-                                double sample_rate) {
-  cfg.aggregate.enabled = true;
-  cfg.aggregate.schedule_seed = flash_seed();
-  cfg.aggregate.gen.horizon = horizon;
-  cfg.aggregate.gen.peak_xm = std::max(1e3, agg_peak() / 8);
-  cfg.aggregate.gen.peak_cap = agg_peak();
-  cfg.aggregate.sample_rate = sample_rate;
-}
-
-inline core::StudyConfig default_study_config(std::uint64_t seed = 2016) {
-  core::StudyConfig cfg;
-  cfg.seed = seed;
-  cfg.world.target_concurrent = 800;
-  cfg.world.hotspot_count = 120;
-  apply_fault_env(cfg);
-  return cfg;
-}
-
-/// A two-device (S3/S4) campaign for the sharded runner, configured from
-/// the usual env knobs.
-inline core::ShardedCampaign sharded_campaign(std::uint64_t seed, int n,
-                                              BitRate bandwidth_limit = 0,
-                                              bool analyze = false) {
-  core::ShardedCampaign c;
-  c.base = default_study_config(seed);
-  c.base.mode = campaign_mode();
-  c.sessions = n;
-  c.bandwidth_limit = bandwidth_limit;
-  c.analyze = analyze;
-  c.shard_size = shard_sessions();
-  return c;
 }
 
 /// Wall-clock timer for the BENCH line.
@@ -227,7 +111,7 @@ class WallTimer {
 /// special-casing collectors-off runs.
 inline void emit_bench_line(
     const char* bench, double wall_s, const obs::Registry& metrics,
-    std::initializer_list<std::pair<const char*, double>> extra = {},
+    const std::vector<std::pair<std::string, double>>& extra = {},
     const core::KernelTotals* kernel = nullptr,
     const std::vector<std::pair<std::string, std::string>>& str_extra = {}) {
   std::printf(
@@ -247,7 +131,7 @@ inline void emit_bench_line(
                 static_cast<unsigned long long>(kernel->wheel_inserts));
   }
   for (const auto& [key, value] : extra) {
-    std::printf(",\"%s\":%g", key, value);
+    std::printf(",\"%s\":%g", key.c_str(), value);
   }
   for (const auto& [key, value] : str_extra) {
     // String values are trusted literals (cause names, labels).
@@ -322,14 +206,9 @@ class Reporter {
     for (const auto& lane : r.shard_traces) lanes_.push_back(lane);
   }
 
-  /// Kernel/allocator totals aggregated over the added campaigns.
-  const core::KernelTotals& kernel() const { return kernel_; }
-
-  /// Metrics recorded by the bench itself (outside any campaign).
+  /// The added campaigns' merged metrics, plus any the bench records
+  /// itself outside a campaign.
   obs::Registry& local() { return merged_; }
-
-  /// The SLO observations aggregated over the added campaigns.
-  const obs::SloTrack& slo() const { return slo_; }
 
   /// Extra string-valued BENCH fields (e.g. the top stall causes),
   /// appended after the numeric extras on the next finish().
@@ -339,8 +218,7 @@ class Reporter {
 
   /// Emit the BENCH line and write the requested output files.
   void finish(double wall_s,
-              std::initializer_list<std::pair<const char*, double>> extra =
-                  {}) {
+              const std::vector<std::pair<std::string, double>>& extra = {}) {
     finished_ = true;
     emit_bench_line(bench_.c_str(), wall_s, merged_, extra, &kernel_,
                     string_extras_);
@@ -396,28 +274,6 @@ inline void print_header(const char* id, const char* title,
   std::printf("%s — %s\n", id, title);
   std::printf("paper shape: %s\n", paper_shape);
   std::printf("==============================================================\n");
-}
-
-/// The tc sweep used in §5: limits in Mbps, 0 = unlimited (plotted as
-/// "100" in the paper's figures).
-inline std::vector<double> bandwidth_limits_mbps() {
-  return {0.5, 1.0, 2.0, 4.0, 0.0};
-}
-
-inline std::string bw_label(double mbps) {
-  if (mbps <= 0) return "unlim";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g Mbps", mbps);
-  return buf;
-}
-
-inline std::vector<double> collect(
-    const std::vector<core::SessionRecord>& recs,
-    double (*fn)(const core::SessionRecord&)) {
-  std::vector<double> out;
-  out.reserve(recs.size());
-  for (const auto& r : recs) out.push_back(fn(r));
-  return out;
 }
 
 }  // namespace psc::bench

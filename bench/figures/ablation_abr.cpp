@@ -5,7 +5,7 @@
 // mechanism (they only saw one quality in the wild); with the transcode
 // ladder implemented, this bench runs the counterfactual: the same
 // broadcasts, the same thin links, with and without rate adaptation.
-#include "bench_common.h"
+#include "figure.h"
 #include "client/viewer_session.h"
 #include "service/pipeline.h"
 #include "service/servers.h"
@@ -76,14 +76,7 @@ Outcome run(BitRate bw, bool adaptive, int n_sessions) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::Reporter reporter("ablation_abr", argc, argv);
-  bench::print_header(
-      "Ablation", "Adaptive vs fixed-quality HLS under bandwidth limits",
-      "§5.1 hypothesis: HLS's fewer stalls 'may be achieved through "
-      "lowered bitrate' — rate adaptation trades rendition for smoothness");
-
-  const bench::WallTimer timer;
+bench::FigureResult figures::ablation_abr(bench::Reporter&) {
   const double limits[] = {0.25e6, 0.4e6, 1.0e6, 0.0};
   const int n = std::max(6, bench::sessions_per_bw() / 6);
 
@@ -117,7 +110,5 @@ int main(int argc, char** argv) {
       "(rendition > 0) and stalls far less than the fixed client at the "
       "cost of quality; on fat links both converge to the source "
       "rendition. This is the §5.1 trade-off, confirmed.\n");
-  reporter.finish(timer.elapsed_s(),
-                    {{"sessions", static_cast<double>(8 * n)}});
-  return 0;
+  return {.values = {{"sessions", static_cast<double>(8 * n)}}};
 }

@@ -7,18 +7,11 @@
 // (~2-4 s) sitting exactly where stalls become rare but latency stays low.
 // Each buffer depth is an independent sharded campaign; the whole sweep
 // runs on the PSC_THREADS pool.
-#include "bench_common.h"
+#include "figure.h"
 
 using namespace psc;
 
-int main(int argc, char** argv) {
-  bench::Reporter reporter("ablation_buffer", argc, argv);
-  bench::print_header(
-      "Ablation", "RTMP player buffer depth",
-      "deeper buffer -> fewer stalls, more playback latency; the paper's "
-      "hypothesis that RTMP runs a smaller buffer than HLS");
-
-  const bench::WallTimer timer;
+bench::FigureResult figures::ablation_buffer(bench::Reporter& reporter) {
   const double buffers_s[] = {0.4, 0.8, 1.8, 3.0, 5.0, 8.0};
 
   std::vector<core::ShardedCampaign> campaigns;
@@ -31,17 +24,13 @@ int main(int argc, char** argv) {
     c.device = core::Study::galaxy_s4();
     campaigns.push_back(std::move(c));
   }
-  core::ShardedRunner runner;
-  const std::vector<core::CampaignResult> results = runner.run_many(campaigns);
-  for (const auto& r : results) reporter.add(r);
+  const bench::Campaigns run = bench::run_campaigns(reporter, campaigns);
 
-  std::size_t total_sessions = 0;
   std::printf("\n%8s %10s %12s %12s %10s\n", "buffer", "stall%%>0",
               "mean stall s", "latency s", "join s");
   for (std::size_t i = 0; i < campaigns.size(); ++i) {
     const double buf = buffers_s[i];
-    const auto rtmp = results[i].rtmp();
-    total_sessions += results[i].sessions.size();
+    const auto rtmp = run.results[i].rtmp();
     if (rtmp.empty()) continue;
     int stalled = 0;
     double stall_s = 0, lat = 0, join = 0;
@@ -60,7 +49,5 @@ int main(int argc, char** argv) {
               "stall profile correspond to a ~2 s buffer; HLS's segment "
               "granularity forces an effectively 2-3x deeper buffer, "
               "explaining its rarer stalls and higher latency.\n");
-  reporter.finish(timer.elapsed_s(),
-                    {{"sessions", static_cast<double>(total_sessions)}});
-  return 0;
+  return {.values = {{"sessions", run.sessions}}};
 }

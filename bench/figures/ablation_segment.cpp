@@ -5,20 +5,13 @@
 // delivery latency scales roughly with segment duration (cut + package +
 // fetch), while per-segment overhead (PSI, PES headers, playlist churn)
 // rises as segments shrink.
-#include "bench_common.h"
+#include "figure.h"
 #include "client/viewer_session.h"
 #include "service/pipeline.h"
 
 using namespace psc;
 
-int main(int argc, char** argv) {
-  bench::Reporter reporter("ablation_segment", argc, argv);
-  bench::print_header(
-      "Ablation", "HLS segment duration",
-      "delivery latency ~ segment duration + packaging + fetch; 3.6 s is "
-      "the paper's observed operating point");
-
-  const bench::WallTimer timer;
+bench::FigureResult figures::ablation_segment(bench::Reporter&) {
   const double targets_s[] = {1.2, 2.4, 3.6, 6.0, 9.6};
 
   struct Row {
@@ -93,7 +86,5 @@ int main(int argc, char** argv) {
               "RTMP regime but raise container/request overhead and "
               "playlist churn; long segments push latency well past the "
               "paper's ~5 s.\n");
-  reporter.finish(timer.elapsed_s(),
-                    {{"targets", 5}});
-  return 0;
+  return {.values = {{"targets", 5}}};
 }

@@ -6,7 +6,7 @@
 // paper's bandwidth sweep, and compares the QoE that falls out. If the
 // approximation is sound, both transports put the stall/join knee in the
 // same place.
-#include "bench_common.h"
+#include "figure.h"
 #include "client/player.h"
 #include "media/encoder.h"
 #include "net/link.h"
@@ -107,14 +107,7 @@ QoE run_tcp(const std::vector<Msg>& trace, BitRate rate) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::Reporter reporter("ablation_transport", argc, argv);
-  bench::print_header(
-      "Ablation", "Transport model: fluid + shaped queue vs TCP Reno",
-      "the shaped-queue approximation should place the stall/join knee "
-      "at the same bandwidths as real TCP dynamics");
-
-  const bench::WallTimer timer;
+bench::FigureResult figures::ablation_transport(bench::Reporter&) {
   const double limits[] = {0.4e6, 0.5e6, 1e6, 2e6, 4e6};
   const int streams = 8;
 
@@ -155,7 +148,5 @@ int main(int argc, char** argv) {
       "comfortable at >=2 Mbps and degrades below; the fluid model's "
       "shaped-queue RTO approximation tracks TCP's loss-recovery stalls "
       "without per-packet simulation cost.\n");
-  reporter.finish(timer.elapsed_s(),
-                    {{"streams", static_cast<double>(5 * streams * 2)}});
-  return 0;
+  return {.values = {{"streams", static_cast<double>(5 * streams * 2)}}};
 }

@@ -7,14 +7,14 @@
 // under each fault mask and the CDFs differ only by the injected
 // episodes. The fault plan seed is used verbatim in every shard (see
 // docs/ROBUSTNESS.md), so results are byte-identical across PSC_THREADS
-// in both campaign modes — CI diffs this binary's output at 1 vs 4
+// in both campaign modes — CI diffs this figure's output at 1 vs 4
 // threads with faults enabled.
 //
-// Knobs on top of the usual ones (bench_common.h):
+// Knobs on top of the usual ones (bench/psc_figures.cpp):
 //   PSC_FAULT_SEED       plan seed for the sweeps (default 7)
 //   PSC_FAULT_PLAN       plan file; replaces the generated "all" sweep
 //   PSC_FAULT_INTENSITY  episode-count multiplier (default 1.0)
-#include "bench_common.h"
+#include "figure.h"
 
 #include "fault/plan.h"
 
@@ -27,26 +27,9 @@ struct Sweep {
   unsigned kinds;  // fault::kind_bit mask; 0 = faults off
 };
 
-double count_outcome(const std::vector<core::SessionRecord>& recs,
-                     client::Outcome o) {
-  double n = 0;
-  for (const auto& r : recs) {
-    if (r.stats.outcome == o) ++n;
-  }
-  return n;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::Reporter reporter("fault_qoe", argc, argv);
-  bench::print_header(
-      "Fault QoE", "Stall ratio under injected faults + resilience ledger",
-      "clean runs mostly stall-free (Fig. 3a); injected radio/server "
-      "faults shift the CDF right; every session still terminates as "
-      "Completed or GaveUp");
-
-  const bench::WallTimer timer;
+bench::FigureResult figures::fault_qoe(bench::Reporter& reporter) {
   const std::uint64_t fseed =
       bench::fault_seed() != 0 ? bench::fault_seed() : 7;
   const double intensity = bench::env_double("PSC_FAULT_INTENSITY", 1.0);
@@ -71,24 +54,20 @@ int main(int argc, char** argv) {
     if (s.kinds != fault::kAllKinds) c.base.fault.plan_text.clear();
     campaigns.push_back(std::move(c));
   }
-  core::ShardedRunner runner;
-  const std::vector<core::CampaignResult> results =
-      runner.run_many(campaigns);
+  const bench::Campaigns run = bench::run_campaigns(reporter, campaigns);
 
-  double total_sessions = 0, total_gave_up = 0;
-  double total_reconnects = 0, total_retries = 0;
+  double total_gave_up = 0, total_reconnects = 0, total_retries = 0;
   std::vector<analysis::Series> cdf_series;
   std::printf("\nper-sweep resilience ledger (n=%d attempted each):\n", n);
   std::printf("  %-8s %9s %9s %10s %8s %8s\n", "sweep", "recorded",
               "gave_up", "reconnects", "retries", "stall>0");
   for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    const core::CampaignResult& r = results[i];
-    const double gave_up =
-        count_outcome(r.sessions, client::Outcome::GaveUp);
-    double reconnects = 0, retries = 0, stalled = 0;
+    const core::CampaignResult& r = run.results[i];
+    double gave_up = 0, reconnects = 0, retries = 0, stalled = 0;
     std::vector<double> ratios;
     ratios.reserve(r.sessions.size());
     for (const core::SessionRecord& rec : r.sessions) {
+      if (rec.stats.outcome == client::Outcome::GaveUp) ++gave_up;
       reconnects += rec.stats.reconnects;
       retries += rec.stats.retries;
       if (rec.stats.stall_ratio > 0) ++stalled;
@@ -97,7 +76,6 @@ int main(int argc, char** argv) {
     std::printf("  %-8s %9zu %9.0f %10.0f %8.0f %8.0f\n", sweeps[i].label,
                 r.sessions.size(), gave_up, reconnects, retries, stalled);
     cdf_series.push_back({sweeps[i].label, std::move(ratios)});
-    total_sessions += static_cast<double>(r.sessions.size());
     total_gave_up += gave_up;
     total_reconnects += reconnects;
     total_retries += retries;
@@ -107,7 +85,6 @@ int main(int argc, char** argv) {
               analysis::render_cdf(cdf_series, 0, 0.6, "stall ratio")
                   .c_str());
 
-  for (const core::CampaignResult& r : results) reporter.add(r);
   bench::set_fault_fields(bench::fault_plan_path().empty()
                               ? "sweep"
                               : bench::fault_plan_path(),
@@ -118,22 +95,15 @@ int main(int argc, char** argv) {
   // All six fields are always present ("" / 0 when attribution found
   // fewer than three causes, e.g. collectors off or a clean run).
   const auto top = obs::top_causes(reporter.local(), 3);
-  double cause_s[3] = {0, 0, 0};
+  bench::FigureResult result{.values = {{"sessions", run.sessions},
+                                        {"gave_up", total_gave_up},
+                                        {"reconnects", total_reconnects},
+                                        {"retries", total_retries}}};
   for (std::size_t i = 0; i < 3; ++i) {
-    char key[16];
-    std::snprintf(key, sizeof(key), "cause_%zu", i + 1);
-    reporter.add_string_field(key,
-                              i < top.size() ? top[i].first : std::string());
-    if (i < top.size()) cause_s[i] = top[i].second;
+    const std::string key = "cause_" + std::to_string(i + 1);
+    result.values.emplace_back(key + "_s", i < top.size() ? top[i].second : 0);
+    result.labels.emplace_back(key,
+                               i < top.size() ? top[i].first : std::string());
   }
-
-  reporter.finish(timer.elapsed_s(),
-                  {{"sessions", total_sessions},
-                   {"gave_up", total_gave_up},
-                   {"reconnects", total_reconnects},
-                   {"retries", total_retries},
-                   {"cause_1_s", cause_s[0]},
-                   {"cause_2_s", cause_s[1]},
-                   {"cause_3_s", cause_s[2]}});
-  return 0;
+  return result;
 }

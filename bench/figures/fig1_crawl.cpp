@@ -6,7 +6,7 @@
 // to that hour (crawls are passive, so the timelines are equivalent to
 // crawling one world four times), which makes the four crawls independent
 // jobs for the PSC_THREADS pool.
-#include "bench_common.h"
+#include "figure.h"
 #include "crawler/crawler.h"
 
 using namespace psc;
@@ -58,16 +58,7 @@ CrawlOutcome run_crawl(double start_hour) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::Reporter reporter("fig1_crawl", argc, argv);
-  bench::print_header(
-      "Figure 1", "Deep-crawl coverage vs. ranked areas",
-      "crawls at different hours find 1K-4K broadcasts; curves concave; "
-      "top 50% of areas always contain >80% of all broadcasts; a deep "
-      "crawl takes a bit over 10 minutes");
-
-  const bench::WallTimer timer;
-
+bench::FigureResult figures::fig1_crawl(bench::Reporter&) {
   // Four crawls at different UTC hours (the diurnal process makes the
   // discoverable population swing).
   const double start_hours[] = {3.0, 9.0, 15.0, 21.0};
@@ -125,8 +116,6 @@ int main(int argc, char** argv) {
     }
     std::printf("  (at 10%%..100%% of areas)\n");
   }
-  reporter.finish(timer.elapsed_s(),
-                    {{"crawls", 4},
-                     {"requests", static_cast<double>(total_requests)}});
-  return 0;
+  return {.values = {{"crawls", 4},
+                     {"requests", static_cast<double>(total_requests)}}};
 }

@@ -1,22 +1,13 @@
 // Figure 2: usage patterns from targeted crawls.
 //  (a) CDFs of broadcast duration and average viewers;
 //  (b) average viewers vs. broadcaster local start hour.
-#include "bench_common.h"
+#include "figure.h"
 #include "crawler/crawler.h"
 #include "geo/geo.h"
 
 using namespace psc;
 
-int main(int argc, char** argv) {
-  bench::Reporter reporter("fig2_usage", argc, argv);
-  bench::print_header(
-      "Figure 2", "Broadcast durations and viewers (targeted crawls)",
-      "(a) most broadcasts 1-10 min, ~half <4 min, tail past a day; >90% "
-      "of broadcasts <20 avg viewers, some reach thousands; >10% have no "
-      "viewers and are much shorter (avg ~2 vs ~13 min). (b) viewers "
-      "dip in the early hours, peak in the morning, rise toward midnight");
-
-  const bench::WallTimer timer;
+bench::FigureResult figures::fig2_usage(bench::Reporter&) {
   sim::Simulation sim;
   service::WorldConfig wcfg;
   wcfg.target_concurrent = 2600;
@@ -34,7 +25,7 @@ int main(int argc, char** argv) {
   sim.run_until(sim.now() + hours(1));
   if (!deep_result) {
     std::printf("deep crawl did not finish\n");
-    return 1;
+    std::exit(1);
   }
   std::vector<geo::GeoRect> areas;
   for (const auto& a : deep_result->ranked()) {
@@ -53,7 +44,7 @@ int main(int argc, char** argv) {
   sim.run_until(sim.now() + hours(bench::crawl_hours()) + minutes(10));
   if (!ds) {
     std::printf("targeted crawl did not finish\n");
-    return 1;
+    std::exit(1);
   }
   std::printf("targeted crawl: %.1f h, %zu distinct broadcasts tracked, "
               "one sweep ~%.0f s (paper: ~50 s)\n\n",
@@ -133,8 +124,6 @@ int main(int argc, char** argv) {
   std::printf("%s", analysis::render_bars(bars, "avg viewers").c_str());
   std::printf("\npaper: slump in the early hours, morning peak, rising "
               "trend toward midnight (local time)\n");
-  reporter.finish(timer.elapsed_s(),
-                    {{"crawl_hours", bench::crawl_hours()},
-                     {"tracks", static_cast<double>(ds->tracks.size())}});
-  return 0;
+  return {.values = {{"crawl_hours", bench::crawl_hours()},
+                     {"tracks", static_cast<double>(ds->tracks.size())}}};
 }

@@ -6,20 +6,11 @@
 // All five campaigns (unlimited + the four tc limits) are independent, so
 // their shards feed one thread pool; PSC_THREADS controls the width and
 // never changes the numbers.
-#include "bench_common.h"
+#include "figure.h"
 
 using namespace psc;
 
-int main(int argc, char** argv) {
-  bench::Reporter reporter("fig3_stalls", argc, argv);
-  bench::print_header(
-      "Figure 3", "Stall ratio, RTMP, with and without bandwidth limits",
-      "(a) most streams do not stall; a notable mode at ratio 0.05-0.09 "
-      "(one 3-5 s stall in 60 s). (b) little stalling above 2 Mbps; "
-      "clear degradation at and below 2 Mbps. HLS stalls rarer than RTMP");
-
-  const bench::WallTimer timer;
-
+bench::FigureResult figures::fig3_stalls(bench::Reporter& reporter) {
   // One campaign per bandwidth limit; index 0 is the unlimited campaign
   // used for (a). Distinct campaign seeds keep the sweeps independent.
   std::vector<core::ShardedCampaign> campaigns;
@@ -31,11 +22,10 @@ int main(int argc, char** argv) {
         31 + static_cast<std::uint64_t>(campaigns.size()),
         bench::sessions_per_bw(), mbps * 1e6));
   }
-  core::ShardedRunner runner;
-  const std::vector<core::CampaignResult> results = runner.run_many(campaigns);
+  const bench::Campaigns run = bench::run_campaigns(reporter, campaigns);
 
   // (a) unlimited-bandwidth campaign.
-  const core::CampaignResult& unlimited = results[0];
+  const core::CampaignResult& unlimited = run.results[0];
   const auto rtmp = unlimited.rtmp();
   const auto hls = unlimited.hls();
   std::vector<double> ratios = bench::collect(
@@ -71,7 +61,7 @@ int main(int argc, char** argv) {
       box_series.push_back({bench::bw_label(mbps), ratios});
       continue;
     }
-    const core::CampaignResult& limited = results[next_limited++];
+    const core::CampaignResult& limited = run.results[next_limited++];
     box_series.push_back(
         {bench::bw_label(mbps),
          bench::collect(limited.rtmp(), [](const core::SessionRecord& r) {
@@ -88,27 +78,15 @@ int main(int argc, char** argv) {
 
   // RTMP vs HLS stall counts (the HLS metadata only has stall counts —
   // exactly the paper's constraint).
-  auto stall_counts = [](const std::vector<core::SessionRecord>& recs) {
-    std::vector<double> out;
-    for (const auto& r : recs) {
-      out.push_back(static_cast<double>(r.stats.stall_count));
-    }
-    return out;
+  const auto stall_count = [](const core::SessionRecord& r) {
+    return static_cast<double>(r.stats.stall_count);
   };
-  const std::vector<double> rtmp_counts = stall_counts(rtmp);
-  const std::vector<double> hls_counts = stall_counts(hls);
+  const std::vector<double> rtmp_counts = bench::collect(rtmp, stall_count);
+  const std::vector<double> hls_counts = bench::collect(hls, stall_count);
   std::printf("stall events per 60 s session (unlimited):\n");
   std::printf("  RTMP mean %.2f (n=%zu)   HLS mean %.2f (n=%zu)   "
               "paper: stalling rarer with HLS\n",
               analysis::mean(rtmp_counts), rtmp_counts.size(),
               analysis::mean(hls_counts), hls_counts.size());
-
-  std::size_t total_sessions = 0;
-  for (const auto& r : results) {
-    total_sessions += r.sessions.size();
-    reporter.add(r);
-  }
-  reporter.finish(timer.elapsed_s(),
-                  {{"sessions", static_cast<double>(total_sessions)}});
-  return 0;
+  return {.values = {{"sessions", run.sessions}}};
 }

@@ -1,21 +1,11 @@
 // Figure 4: join time (a) and playback latency (b) of RTMP streams vs.
 // access-bandwidth limit. One sharded campaign per limit, all run
 // concurrently on the PSC_THREADS pool.
-#include "bench_common.h"
+#include "figure.h"
 
 using namespace psc;
 
-int main(int argc, char** argv) {
-  bench::Reporter reporter("fig4_latency", argc, argv);
-  bench::print_header(
-      "Figure 4", "RTMP join time and playback latency vs. bandwidth",
-      "both increase when bandwidth is limited; join time grows "
-      "dramatically at 2 Mbps and below; unlimited playback latency is "
-      "'roughly a few seconds' (mostly buffering, since delivery is "
-      "<0.3 s)");
-
-  const bench::WallTimer timer;
-
+bench::FigureResult figures::fig4_latency(bench::Reporter& reporter) {
   const std::vector<double> limits = bench::bandwidth_limits_mbps();
   std::vector<core::ShardedCampaign> campaigns;
   for (std::size_t i = 0; i < limits.size(); ++i) {
@@ -25,16 +15,12 @@ int main(int argc, char** argv) {
     campaigns.push_back(bench::sharded_campaign(
         41 + static_cast<std::uint64_t>(i), n, mbps * 1e6));
   }
-  core::ShardedRunner runner;
-  const std::vector<core::CampaignResult> results = runner.run_many(campaigns);
-  for (const auto& r : results) reporter.add(r);
+  const bench::Campaigns run = bench::run_campaigns(reporter, campaigns);
 
   std::vector<analysis::Series> join_series, latency_series;
-  std::size_t total_sessions = 0;
   for (std::size_t i = 0; i < limits.size(); ++i) {
     const double mbps = limits[i];
-    const auto rtmp = results[i].rtmp();
-    total_sessions += results[i].sessions.size();
+    const auto rtmp = run.results[i].rtmp();
     join_series.push_back(
         {bench::bw_label(mbps),
          bench::collect(rtmp, [](const core::SessionRecord& r) {
@@ -67,16 +53,11 @@ int main(int argc, char** argv) {
           .c_str());
 
   // The 2 Mbps knee, quantified.
-  auto median_of = [](const analysis::Series& s) {
-    return analysis::median(s.values);
-  };
   std::printf("join-time medians: ");
   for (const auto& s : join_series) {
-    std::printf("%s=%.2fs  ", s.label.c_str(), median_of(s));
+    std::printf("%s=%.2fs  ", s.label.c_str(), analysis::median(s.values));
   }
   std::printf("\npaper: 2 Mbps is the knee — below it startup latency "
               "clearly increases\n");
-  reporter.finish(timer.elapsed_s(),
-                    {{"sessions", static_cast<double>(total_sessions)}});
-  return 0;
+  return {.values = {{"sessions", run.sessions}}};
 }

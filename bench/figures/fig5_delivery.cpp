@@ -1,22 +1,15 @@
 // Figure 5: video delivery latency, RTMP vs HLS, measured from the NTP
 // timestamps the broadcaster embeds in the video data (SEI) against the
 // capture arrival time of the packet containing them.
-#include "bench_common.h"
+#include "figure.h"
 
 using namespace psc;
 
-int main(int argc, char** argv) {
-  bench::Reporter reporter("fig5_delivery", argc, argv);
-  bench::print_header(
-      "Figure 5", "Video delivery latency: RTMP vs HLS",
-      "RTMP delivery <300 ms for 75% of broadcasts; HLS >5 s on average "
-      "(segmentation + packaging + pull); no bandwidth limiting");
-
-  const bench::WallTimer timer;
-  core::ShardedRunner runner;
-  const core::CampaignResult result = runner.run(bench::sharded_campaign(
-      51, bench::sessions_unlimited(), 0, /*analyze=*/true));
-  reporter.add(result);
+bench::FigureResult figures::fig5_delivery(bench::Reporter& reporter) {
+  const bench::Campaigns run = bench::run_campaigns(
+      reporter, {bench::sharded_campaign(51, bench::sessions_unlimited(), 0,
+                                         /*analyze=*/true)});
+  const core::CampaignResult& result = run.results[0];
 
   std::vector<double> rtmp_lat, hls_lat;
   std::vector<double> rtmp_means, hls_means;
@@ -67,8 +60,5 @@ int main(int argc, char** argv) {
               rtmp_lat.size(), hls_lat.size(),
               analysis::render_cdf(all_series, 0, 12, "delivery latency (s)")
                   .c_str());
-  reporter.finish(timer.elapsed_s(),
-                    {{"sessions",
-                      static_cast<double>(result.sessions.size())}});
-  return 0;
+  return {.values = {{"sessions", run.sessions}}};
 }

@@ -3,24 +3,15 @@
 //      higher, traced to I-only coding);
 //  (b) HLS segment duration CDF (mode 3.6 s = 108 frames at 30 fps);
 //  plus resolution / frame rate / audio findings from §5.2.
-#include "bench_common.h"
+#include "figure.h"
 
 using namespace psc;
 
-int main(int argc, char** argv) {
-  bench::Reporter reporter("fig6_video", argc, argv);
-  bench::print_header(
-      "Figure 6", "Captured video characteristics",
-      "(a) bitrates typically 200-400 kbps, RTMP max higher (I-only "
-      "streams); (b) segment duration mode at 3.6 s; resolution always "
-      "320x568 (or rotated); fps variable up to 30; AAC 44.1 kHz at ~32 "
-      "or ~64 kbps");
-
-  const bench::WallTimer timer;
-  core::ShardedRunner runner;
-  const core::CampaignResult result = runner.run(bench::sharded_campaign(
-      61, bench::sessions_unlimited(), 0, /*analyze=*/true));
-  reporter.add(result);
+bench::FigureResult figures::fig6_video(bench::Reporter& reporter) {
+  const bench::Campaigns run = bench::run_campaigns(
+      reporter, {bench::sharded_campaign(61, bench::sessions_unlimited(), 0,
+                                         /*analyze=*/true)});
+  const core::CampaignResult& result = run.results[0];
 
   std::vector<double> rtmp_kbps, hls_kbps, seg_durations, audio_kbps;
   int res_portrait = 0, res_landscape = 0, res_other = 0;
@@ -88,8 +79,5 @@ int main(int argc, char** argv) {
   std::printf("audio: median %.0f kbps (paper: AAC 44.1 kHz VBR at ~32 or "
               "~64 kbps)\n",
               analysis::median(audio_kbps));
-  reporter.finish(timer.elapsed_s(),
-                    {{"sessions",
-                      static_cast<double>(result.sessions.size())}});
-  return 0;
+  return {.values = {{"sessions", run.sessions}}};
 }

@@ -4,24 +4,15 @@
 //      range (content diversity);
 //  (b) stddev(segment bitrate) vs stddev(segment QP) per HLS broadcast:
 //      most sequences near the origin; tails along either axis.
-#include "bench_common.h"
+#include "figure.h"
 
 using namespace psc;
 
-int main(int argc, char** argv) {
-  bench::Reporter reporter("fig7_qp", argc, argv);
-  bench::print_header(
-      "Figure 7", "QP vs bitrate and their variability",
-      "(a) same QP spans a wide bitrate range across streams (static "
-      "talking heads vs soccer matches); (b) most HLS broadcasts have low "
-      "stddev in both bitrate and QP; outliers vary in one axis but not "
-      "the other");
-
-  const bench::WallTimer timer;
-  core::ShardedRunner runner;
-  const core::CampaignResult result = runner.run(bench::sharded_campaign(
-      71, bench::sessions_unlimited(), 0, /*analyze=*/true));
-  reporter.add(result);
+bench::FigureResult figures::fig7_qp(bench::Reporter& reporter) {
+  const bench::Campaigns run = bench::run_campaigns(
+      reporter, {bench::sharded_campaign(71, bench::sessions_unlimited(), 0,
+                                         /*analyze=*/true)});
+  const core::CampaignResult& result = run.results[0];
 
   // (a) one point per RTMP video, one per HLS segment.
   std::vector<double> qps, kbps;
@@ -92,8 +83,5 @@ int main(int argc, char** argv) {
                                                "stddev segment kbps",
                                                "stddev QP")
                           .c_str());
-  reporter.finish(timer.elapsed_s(),
-                    {{"sessions",
-                      static_cast<double>(result.sessions.size())}});
-  return 0;
+  return {.values = {{"sessions", run.sessions}}};
 }

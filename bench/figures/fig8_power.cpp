@@ -2,7 +2,7 @@
 // scenarios, WiFi vs LTE, driven by the byte traces of real simulated
 // sessions (the network events feeding the radio model come from actual
 // RTMP/HLS/chat traffic, not synthetic duty cycles).
-#include "bench_common.h"
+#include "figure.h"
 #include "client/chat_session.h"
 #include "client/viewer_session.h"
 #include "energy/power_model.h"
@@ -116,14 +116,7 @@ double measure_browse(energy::Radio radio) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::Reporter reporter("fig8_power", argc, argv);
-  bench::print_header(
-      "Figure 8", "Average power consumption (Monsoon-style model)",
-      "idle ~1000 mW; app-no-video 1670/2160 mW (WiFi/LTE); live == "
-      "replay; RTMP ~ HLS; chat jumps to 4170/4540 mW, slightly more than "
-      "broadcasting, draining the battery in just over 2 h");
-
+bench::FigureResult figures::fig8_power(bench::Reporter&) {
   const Scenario paper[] = {
       {"idle (menu)", 1000, 1000},
       {"app, no video", 1670, 2160},
@@ -134,16 +127,10 @@ int main(int argc, char** argv) {
       {"broadcasting", 0, 0},      // "slightly less than chat"
   };
 
-  const bench::WallTimer timer;
-
   // Every (scenario, radio) measurement owns its simulation, so the whole
   // grid fans out over the PSC_THREADS pool.
-  std::vector<Scenario> measured = {
-      {"idle (menu)", 0, 0},     {"app, no video", 0, 0},
-      {"watch live RTMP", 0, 0}, {"watch live HLS", 0, 0},
-      {"watch replay", 0, 0},    {"watch + chat", 0, 0},
-      {"broadcasting", 0, 0},
-  };
+  std::vector<Scenario> measured;
+  for (const Scenario& s : paper) measured.push_back({s.name, 0, 0});
   std::vector<std::function<void()>> jobs;
   for (const bool lte : {false, true}) {
     const energy::Radio radio = lte ? energy::Radio::Lte : energy::Radio::Wifi;
@@ -199,7 +186,5 @@ int main(int argc, char** argv) {
   std::printf("replay vs live difference: %.0f mW (paper: 'equal "
               "amount of power')\n",
               std::abs(measured[4].wifi_mw - measured[3].wifi_mw));
-  reporter.finish(timer.elapsed_s(),
-                    {{"scenarios", static_cast<double>(measured.size())}});
-  return 0;
+  return {.values = {{"scenarios", static_cast<double>(measured.size())}}};
 }

@@ -7,15 +7,15 @@
 // aggregate trajectories are identical and their reweighted QoE CDFs must
 // agree (weighted KS distance printed below, asserted in CI).
 //
-// Knobs on top of the usual ones (bench_common.h):
+// Knobs on top of the usual ones (bench/psc_figures.cpp):
 //   PSC_AGG_PEAK    spike-size scale/cap in viewers (default 150000)
 //   PSC_AGG_SAMPLE  coarse cohort denominator (default 100; the fine
 //                   cohort always runs at 10x that)
 //   PSC_FLASH_SEED  flash-crowd schedule seed (default 11)
 //
 // Output is byte-identical across PSC_THREADS in both campaign modes —
-// CI diffs this binary at 1 vs 4 threads.
-#include "bench_common.h"
+// CI diffs this figure at 1 vs 4 threads.
+#include "figure.h"
 
 #include <cmath>
 
@@ -44,15 +44,7 @@ Cohort collect_cohort(const core::CampaignResult& r) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::Reporter reporter("flashcrowd", argc, argv);
-  bench::print_header(
-      "Flash crowd", "Hybrid-fidelity million-viewer campaign",
-      "flash crowds spike n_watching past the HLS threshold; cohort QoE "
-      "CDFs are invariant to the cohort sample rate (weighted KS ~ 0) "
-      "because the fluid tier is a closed process");
-
-  const bench::WallTimer timer;
+bench::FigureResult figures::flashcrowd(bench::Reporter& reporter) {
   const int n_coarse = bench::sessions_unlimited();
   const int n_fine = std::max(8, n_coarse / 10);
   const double rate_coarse = 1.0 / bench::agg_sample_denominator();
@@ -120,11 +112,9 @@ int main(int argc, char** argv) {
       audience.peak_concurrent(), audience.total_arrivals(),
       audience.total_viewer_seconds());
 
-  core::ShardedRunner runner;
-  const std::vector<core::CampaignResult> results =
-      runner.run_many(campaigns);
-  const Cohort coarse = collect_cohort(results[0]);
-  const Cohort fine = collect_cohort(results[1]);
+  const bench::Campaigns run = bench::run_campaigns(reporter, campaigns);
+  const Cohort coarse = collect_cohort(run.results[0]);
+  const Cohort fine = collect_cohort(run.results[1]);
 
   std::printf("\ncohort QoE at two sample rates (same seed %llu):\n",
               static_cast<unsigned long long>(seed));
@@ -152,19 +142,14 @@ int main(int argc, char** argv) {
               "weighted):\n%s\n",
               analysis::render_cdf(cdfs, 0, 12, "join time (s)").c_str());
 
-  for (const core::CampaignResult& r : results) reporter.add(r);
-  reporter.finish(
-      timer.elapsed_s(),
-      {{"sessions",
-        static_cast<double>(results[0].sessions.size() +
-                            results[1].sessions.size())},
-       {"cohort_sessions",
-        static_cast<double>(coarse.join.size() + fine.join.size())},
-       {"spikes", static_cast<double>(audience.schedule().size())},
-       {"agg_peak_concurrent", audience.peak_concurrent()},
-       {"agg_arrivals", audience.total_arrivals()},
-       {"agg_viewer_seconds", audience.total_viewer_seconds()},
-       {"ks_join", ks_join},
-       {"ks_stall", ks_stall}});
-  return 0;
+  return {.values = {
+              {"sessions", run.sessions},
+              {"cohort_sessions",
+               static_cast<double>(coarse.join.size() + fine.join.size())},
+              {"spikes", static_cast<double>(audience.schedule().size())},
+              {"agg_peak_concurrent", audience.peak_concurrent()},
+              {"agg_arrivals", audience.total_arrivals()},
+              {"agg_viewer_seconds", audience.total_viewer_seconds()},
+              {"ks_join", ks_join},
+              {"ks_stall", ks_stall}}};
 }

@@ -9,19 +9,11 @@
 #include <map>
 #include <set>
 
-#include "bench_common.h"
+#include "figure.h"
 
 using namespace psc;
 
-int main(int argc, char** argv) {
-  bench::Reporter reporter("stats_text", argc, argv);
-  bench::print_header(
-      "§5 text", "Statistical findings",
-      "t-tests: stall/latency p=0.04-0.7 (not rejected), frame rate "
-      "differs; HLS boundary ~100 viewers; 87 RTMP servers / 2 HLS IPs; "
-      "IBP dominant, ~20% IP-only; no strong metric correlations");
-
-  const bench::WallTimer timer;
+bench::FigureResult figures::stats_text(bench::Reporter& reporter) {
   const int n = bench::sessions_unlimited();
   // The S3 and S4 datasets are independent campaigns; both shard onto the
   // same PSC_THREADS pool.
@@ -33,13 +25,10 @@ int main(int argc, char** argv) {
       bench::sharded_campaign(92, n / 2, 0, /*analyze=*/true);
   s4_campaign.two_device = false;
   s4_campaign.device = core::Study::galaxy_s4();
-  core::ShardedRunner runner;
-  std::vector<core::CampaignResult> results =
-      runner.run_many({s3_campaign, s4_campaign});
-  const core::CampaignResult s3 = std::move(results[0]);
-  const core::CampaignResult s4 = std::move(results[1]);
-  reporter.add(s3);
-  reporter.add(s4);
+  const bench::Campaigns run =
+      bench::run_campaigns(reporter, {s3_campaign, s4_campaign});
+  const core::CampaignResult& s3 = run.results[0];
+  const core::CampaignResult& s4 = run.results[1];
 
   auto metric = [](const core::CampaignResult& r, auto fn) {
     std::vector<double> out;
@@ -204,8 +193,5 @@ int main(int argc, char** argv) {
               analysis::spearman(distance, latency));
   std::printf("  paper: QoE does not degrade with popularity or distance "
               "— 'stream delivery is provisioned in a balanced way'\n");
-  reporter.finish(timer.elapsed_s(),
-                    {{"sessions",
-                      static_cast<double>(all.sessions.size())}});
-  return 0;
+  return {.values = {{"sessions", run.sessions}}};
 }

@@ -1,6 +1,6 @@
 // Table 1: the relevant Periscope API commands — exercises each request
 // against the simulated service and prints the request/response contents.
-#include "bench_common.h"
+#include "figure.h"
 #include "json/json.h"
 
 using namespace psc;
@@ -19,14 +19,7 @@ void show(const char* name, const json::Value& req, const json::Value& resp,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::Reporter reporter("table1_api", argc, argv);
-  bench::print_header(
-      "Table 1", "Relevant Periscope API commands",
-      "mapGeoBroadcastFeed(rect)->broadcast list; getBroadcasts(ids)->"
-      "descriptions incl. viewers; playbackMeta(stats)->nothing");
-
-  const bench::WallTimer timer;
+bench::FigureResult figures::table1_api(bench::Reporter&) {
   const core::StudyConfig cfg = bench::default_study_config();
   core::Study study(cfg, core::own_world(cfg, 1));
   study.sim().run_until(study.sim().now() + seconds(30));
@@ -111,7 +104,5 @@ int main(int argc, char** argv) {
               "(paper: 'too frequent requests will be answered with "
               "HTTP 429')\n",
               served, throttled);
-  reporter.finish(timer.elapsed_s(),
-                    {{"requests", 40 + 5}});
-  return 0;
+  return {.values = {{"requests", 40 + 5}}};
 }
