@@ -80,7 +80,7 @@ Result<MediaPlaylist> parse_m3u8(const std::string& text) {
       const auto d = parse_duration_s(line.c_str() + 8);
       if (!d) return make_error("m3u8", "bad #EXTINF duration");
       pending_duration = seconds(*d);
-    } else if (starts_with(line, "#EXT-X-DISCONTINUITY")) {
+    } else if (line == "#EXT-X-DISCONTINUITY") {
       pending_discontinuity = true;
     } else if (starts_with(line, "#EXT-X-ENDLIST")) {
       pl.ended = true;

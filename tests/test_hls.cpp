@@ -35,6 +35,19 @@ TEST(Playlist, EndlistMarksVod) {
   EXPECT_TRUE(parsed.value().ended);
 }
 
+TEST(Playlist, DiscontinuitySequenceDoesNotMarkASegment) {
+  // #EXT-X-DISCONTINUITY-SEQUENCE numbers the discontinuities before the
+  // window; only the exact #EXT-X-DISCONTINUITY tag marks a segment.
+  auto parsed = parse_m3u8(
+      "#EXTM3U\n#EXT-X-TARGETDURATION:4\n#EXT-X-MEDIA-SEQUENCE:5\n"
+      "#EXT-X-DISCONTINUITY-SEQUENCE:2\n#EXTINF:3.600,\nseg_5.ts\n"
+      "#EXT-X-DISCONTINUITY\n#EXTINF:3.600,\nseg_6.ts\n");
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_EQ(parsed.value().segments.size(), 2u);
+  EXPECT_FALSE(parsed.value().segments[0].discontinuity);
+  EXPECT_TRUE(parsed.value().segments[1].discontinuity);
+}
+
 TEST(Playlist, MissingHeaderRejected) {
   EXPECT_FALSE(parse_m3u8("#EXT-X-VERSION:3\n").ok());
 }
