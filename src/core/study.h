@@ -61,8 +61,8 @@ struct StudyConfig {
   client::PlayerConfig hls_player{millis(500), millis(2000)};
   Duration watch_time = seconds(60);
   /// Enable the HLS transcode ladder + adaptive client (an extension the
-  /// paper hypothesised but did not observe in production; see
-  /// bench_ablation_abr). Off by default to match the measured service.
+  /// paper hypothesised but did not observe in production; see the
+  /// ablation_abr figure). Off by default to match the measured service.
   bool hls_adaptive = false;
   /// Broadcast runs this long before the viewer teleports in, so the
   /// origin backlog and the CDN edge have content (a real broadcast has
