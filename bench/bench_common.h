@@ -210,18 +210,16 @@ class Reporter {
   /// itself outside a campaign.
   obs::Registry& local() { return merged_; }
 
-  /// Extra string-valued BENCH fields (e.g. the top stall causes),
-  /// appended after the numeric extras on the next finish().
-  void add_string_field(const std::string& key, const std::string& value) {
-    string_extras_.emplace_back(key, value);
-  }
-
   /// Emit the BENCH line and write the requested output files.
-  void finish(double wall_s,
-              const std::vector<std::pair<std::string, double>>& extra = {}) {
+  /// `str_extra` (e.g. the top stall causes) follows the numeric `extra`.
+  void finish(
+      double wall_s,
+      const std::vector<std::pair<std::string, double>>& extra = {},
+      const std::vector<std::pair<std::string, std::string>>& str_extra =
+          {}) {
     finished_ = true;
     emit_bench_line(bench_.c_str(), wall_s, merged_, extra, &kernel_,
-                    string_extras_);
+                    str_extra);
     write_outputs();
   }
 
@@ -265,7 +263,6 @@ class Reporter {
   obs::SloTrack slo_;
   core::KernelTotals kernel_;
   std::vector<std::vector<obs::TraceEvent>> lanes_;
-  std::vector<std::pair<std::string, std::string>> string_extras_;
 };
 
 inline void print_header(const char* id, const char* title,

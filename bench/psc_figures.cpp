@@ -180,9 +180,6 @@ int main(int argc, char** argv) {
   bench::print_header(figure->id, figure->title, figure->paper_shape);
   const bench::WallTimer timer;
   const bench::FigureResult result = figure->run(reporter);
-  for (const auto& [key, value] : result.labels) {
-    reporter.add_string_field(key, value);
-  }
-  reporter.finish(timer.elapsed_s(), result.values);
+  reporter.finish(timer.elapsed_s(), result.values, result.labels);
   return 0;
 }
