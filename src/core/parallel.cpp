@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "media/filler.h"
+#include "util/buffer.h"
 #include "util/rng.h"
 
 namespace psc::core {
@@ -97,9 +98,13 @@ void harvest_obs(Study& study, CampaignResult& r) {
 
 /// Every shard on every thread shares one filler table, and which thread
 /// builds which chunk depends on scheduling, so the table's totals are
-/// process figures, not campaign metrics.
-void publish_filler_stats() {
+/// process figures, not campaign metrics. So is the storage parked
+/// shards handed back from their arena pools: a process-wide total.
+void publish_process_gauges() {
   if (!obs::enabled()) return;
+  obs::process_gauge_max(
+      "arena_pooled_bytes_released",
+      static_cast<double>(util::BufferArena::process_pooled_bytes_released()));
   const media::FillerTable::Stats s = media::FillerTable::process().stats();
   obs::process_gauge_max("filler_table_bytes", static_cast<double>(s.bytes));
   obs::process_gauge_max("filler_table_chunks",
@@ -189,7 +194,7 @@ std::vector<CampaignResult> ShardedRunner::run_many(
   for (std::size_t ci : shared_campaigns) {
     merged[ci] = run_shared(campaigns[ci]);
   }
-  publish_filler_stats();
+  publish_process_gauges();
   return merged;
 }
 

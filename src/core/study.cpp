@@ -570,6 +570,10 @@ int Study::run_sessions_until(TimePoint deadline, int max_sessions,
     ++attempted;
     step_session(device, analyze, out);
   }
+  // The shard now parks until the next epoch: give back the pooled
+  // segment storage, keeping the pool entries so the arena counters and
+  // every result stay as they were.
+  arena_.release_pooled_storage();
   return attempted;
 }
 

@@ -236,6 +236,8 @@ class Study {
   /// in total. A session that starts before the deadline may finish past
   /// it (its load lands in later epochs and is merged at later barriers).
   /// Completed records append to `out`. Returns sessions attempted now.
+  /// Before returning (the shard then parks at the epoch barrier) it
+  /// frees the storage pooled in the shard's arena.
   int run_sessions_until(TimePoint deadline, int max_sessions, bool analyze,
                          CampaignResult* out);
   /// Total sessions attempted via run_sessions_until so far.

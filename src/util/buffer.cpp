@@ -13,6 +13,8 @@ constexpr std::size_t kMaxFreeBlocks = 4096;
 constexpr std::size_t kMaxFreeBuffers = 1024;
 constexpr std::size_t kMaxPooledCapacity = std::size_t{8} << 20;  // 8 MiB
 
+std::atomic<std::uint64_t> g_pooled_bytes_released{0};
+
 }  // namespace
 
 void release_block(BufferBlock* b) {
@@ -100,6 +102,24 @@ BufferSlice BufferArena::adopt(Bytes&& data) {
   b->data = std::move(data);
   b->core = core_;
   return BufferSlice(b);
+}
+
+std::size_t BufferArena::release_pooled_storage() {
+  std::size_t freed = 0;
+  {
+    std::lock_guard<std::mutex> lock(core_->mu);
+    for (Bytes& b : core_->free_buffers) {
+      freed += b.capacity();
+      Bytes().swap(b);
+    }
+  }
+  detail::g_pooled_bytes_released.fetch_add(freed,
+                                            std::memory_order_relaxed);
+  return freed;
+}
+
+std::uint64_t BufferArena::process_pooled_bytes_released() {
+  return detail::g_pooled_bytes_released.load(std::memory_order_relaxed);
 }
 
 BufferArena::Stats BufferArena::stats() const {

@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -56,7 +57,7 @@ struct ArenaCore {
 
   // --- accounting (guarded by mu except `retains`) ---
   std::uint64_t buffers_allocated = 0;  // fresh vector allocations
-  std::uint64_t buffers_reused = 0;     // pool hits
+  std::uint64_t buffers_reused = 0;     // pool hits (see Stats)
   std::uint64_t blocks_allocated = 0;   // fresh header allocations
   std::uint64_t blocks_reused = 0;
   std::uint64_t slices_adopted = 0;
@@ -205,8 +206,24 @@ class BufferArena {
   /// this arena when the last reference drops.
   BufferSlice adopt(Bytes&& data);
 
+  /// Free the storage of every pooled buffer but keep the pool entries.
+  /// A parked owner (a shard waiting at an epoch barrier) hands its
+  /// memory back this way, while every later obtain()/adopt()/release
+  /// takes the same pool branch as before: stats() and all it feeds do
+  /// not move. An entry freed here is handed out by obtain() with
+  /// capacity 0 (or `reserve_hint`) and grows through the allocator.
+  /// Returns the bytes freed; they also count into
+  /// process_pooled_bytes_released().
+  std::size_t release_pooled_storage();
+
+  /// Bytes freed by release_pooled_storage() in every arena of this
+  /// process so far.
+  static std::uint64_t process_pooled_bytes_released();
+
   struct Stats {
     std::uint64_t buffers_allocated = 0;
+    /// Pool hits. After release_pooled_storage() a hit no longer implies
+    /// an avoided allocation: the entry may carry no storage.
     std::uint64_t buffers_reused = 0;
     std::uint64_t blocks_allocated = 0;
     std::uint64_t blocks_reused = 0;

@@ -118,6 +118,78 @@ TEST(BufferArena, SteadyStateLoopAllocatesOnce) {
   EXPECT_EQ(arena.stats().slices_adopted, 50u);
 }
 
+void expect_same_stats(const BufferArena::Stats& a,
+                       const BufferArena::Stats& b) {
+  EXPECT_EQ(a.buffers_allocated, b.buffers_allocated);
+  EXPECT_EQ(a.buffers_reused, b.buffers_reused);
+  EXPECT_EQ(a.blocks_allocated, b.blocks_allocated);
+  EXPECT_EQ(a.blocks_reused, b.blocks_reused);
+  EXPECT_EQ(a.slices_adopted, b.slices_adopted);
+  EXPECT_EQ(a.blocks_released, b.blocks_released);
+  EXPECT_EQ(a.outstanding, b.outstanding);
+  EXPECT_EQ(a.outstanding_peak, b.outstanding_peak);
+  EXPECT_EQ(a.slice_retains, b.slice_retains);
+}
+
+/// Four 4 KiB segments adopted, three dropped back into the pool; the
+/// first stays live and is returned.
+BufferSlice pool_three(BufferArena& arena) {
+  std::vector<BufferSlice> segs;
+  for (int i = 0; i < 4; ++i) {
+    Bytes b = arena.obtain(0);
+    b.resize(4096, static_cast<std::uint8_t>(0x40 + i));
+    segs.push_back(arena.adopt(std::move(b)));
+  }
+  return segs.front();
+}
+
+TEST(BufferArena, ReleasedPoolKeepsEntriesAndCounters) {
+  BufferArena arena;
+  BufferArena twin;  // the same traffic, never released
+  const BufferSlice live = pool_three(arena);
+  const BufferSlice twin_live = pool_three(twin);
+
+  const BufferArena::Stats before = arena.stats();
+  const std::uint64_t process_before =
+      BufferArena::process_pooled_bytes_released();
+  const std::size_t freed = arena.release_pooled_storage();
+  EXPECT_GE(freed, 3u * 4096);
+  EXPECT_GE(BufferArena::process_pooled_bytes_released(),
+            process_before + freed);
+  expect_same_stats(arena.stats(), before);
+  EXPECT_EQ(arena.release_pooled_storage(), 0u);  // nothing left to free
+
+  // The live slice's bytes are untouched.
+  ASSERT_EQ(live.size(), 4096u);
+  for (std::size_t i = 0; i < live.size(); ++i) ASSERT_EQ(live[i], 0x40);
+
+  // The next obtain() is a pool hit with no storage behind it.
+  Bytes b = arena.obtain(0);
+  EXPECT_EQ(b.capacity(), 0u);
+  EXPECT_EQ(arena.stats().buffers_reused, before.buffers_reused + 1);
+  EXPECT_EQ(arena.stats().buffers_allocated, before.buffers_allocated);
+  Bytes tb = twin.obtain(0);
+  EXPECT_GE(tb.capacity(), 4096u);
+
+  // Later adopt/release cycles count exactly as in the twin.
+  for (Bytes* buf : {&b, &tb}) buf->resize(4096, 0x11);
+  BufferSlice s = arena.adopt(std::move(b));
+  BufferSlice ts = twin.adopt(std::move(tb));
+  s.reset();
+  ts.reset();
+  for (BufferArena* a : {&arena, &twin}) {
+    for (int i = 0; i < 6; ++i) {
+      Bytes more = a->obtain(i % 2 == 0 ? 0 : 2048);
+      more.resize(1000, 0x22);
+      BufferSlice seg = a->adopt(std::move(more));
+      BufferSlice copy = seg;
+    }
+  }
+  expect_same_stats(arena.stats(), twin.stats());
+  EXPECT_EQ(live[4095], 0x40);
+  EXPECT_EQ(twin_live[0], 0x40);
+}
+
 TEST(BufferArena, AliasedSubslicesHoldTheBlockAcrossArenaDeath) {
   BufferSlice tail;
   {
