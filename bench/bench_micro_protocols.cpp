@@ -5,6 +5,7 @@
 // consolidated BENCH line as every other binary.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <memory>
 
 #include "bench_common.h"
@@ -14,6 +15,7 @@
 #include "analysis/reconstruct.h"
 #include "hls/edge_log.h"
 #include "hls/playlist.h"
+#include "hls/segmenter.h"
 #include "json/json.h"
 #include "media/aac.h"
 #include "media/encoder.h"
@@ -308,6 +310,86 @@ void BM_SliceHeaderParse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SliceHeaderParse);
+
+/// A viewer's two captures of the same 60 s of one broadcast: RTMP
+/// (handshake and control messages, then each sample's chunks as one
+/// packet, 200 ms after its DTS) and HLS (each 3.6 s segment as one
+/// packet). No one calls payload() on these, so every copy starts with
+/// no flattened stream cached.
+struct MinuteCaptures {
+  net::Capture rtmp;
+  net::Capture hls;
+};
+
+const MinuteCaptures& minute_captures() {
+  static const MinuteCaptures caps = [] {
+    MinuteCaptures c;
+    media::BroadcastSource src(media::VideoConfig{}, media::AudioConfig{},
+                               media::ContentModelConfig{}, 0.0, Rng(8));
+    rtmp::ClientSession client("live", "bench", 1, {});
+    rtmp::ServerSession server(2);
+    for (int i = 0; i < 16 && !client.playing(); ++i) {
+      if (client.has_output()) (void)server.on_input(client.take_output());
+      if (server.has_output()) {
+        Bytes b = server.take_output();
+        c.rtmp.record_copy(time_at(0.1), b);
+        (void)client.on_input(b);
+      }
+    }
+    server.send_avc_config(src.video().sps(), src.video().pps());
+    c.rtmp.record(time_at(0.2), server.take_output());
+    hls::Segmenter segmenter;
+    for (;;) {
+      const media::MediaSample s = src.next_sample();
+      if (to_s(s.dts) >= 60.0) break;
+      server.send_sample(s);
+      c.rtmp.record(time_at(to_s(s.dts) + 0.2), server.take_output());
+      if (auto seg = segmenter.push(s)) {
+        c.hls.record(time_at(to_s(s.dts) + 1.0), seg->ts_data);
+      }
+    }
+    if (auto seg = segmenter.flush()) c.hls.record(time_at(61.0), seg->ts_data);
+    return c;
+  }();
+  return caps;
+}
+
+/// Reconstruct a fresh copy of `cap` per iteration (the copy shares the
+/// recorded buffers and is made outside the timed region); reports
+/// `ns_per_byte` of captured bytes.
+template <typename Reconstruct>
+void run_reconstruct(benchmark::State& state, const net::Capture& cap,
+                     Reconstruct reconstruct) {
+  std::uint64_t bytes = 0;
+  std::chrono::nanoseconds busy{0};
+  for (auto _ : state) {
+    state.PauseTiming();
+    const net::Capture fresh = cap;
+    state.ResumeTiming();
+    const auto t0 = std::chrono::steady_clock::now();
+    auto a = reconstruct(fresh);
+    busy += std::chrono::steady_clock::now() - t0;
+    if (!a.ok() || a.value().frames.empty()) {
+      state.SkipWithError("reconstruction recovered no frames");
+      return;
+    }
+    benchmark::DoNotOptimize(a.value().frames.data());
+    bytes += fresh.total_bytes();
+  }
+  state.counters["ns_per_byte"] =
+      static_cast<double>(busy.count()) / static_cast<double>(bytes);
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+
+void BM_ReconstructRtmp(benchmark::State& state) {
+  run_reconstruct(state, minute_captures().rtmp, analysis::reconstruct_rtmp);
+}
+BENCHMARK(BM_ReconstructRtmp);
+
+void BM_ReconstructHls(benchmark::State& state) {
+  run_reconstruct(state, minute_captures().hls, analysis::reconstruct_hls);
+}
+BENCHMARK(BM_ReconstructHls);
 
 void BM_JsonParse(benchmark::State& state) {
   json::Object inner;

@@ -16,26 +16,54 @@ namespace {
 
 constexpr double kNominalFps = 30.0;
 
-/// Shared per-stream decoding state: active parameter sets.
+/// Shared per-stream decoding state: active parameter sets, plus the
+/// caller-kept NAL view list (a steady stream allocates it once).
 struct DecodeState {
   std::optional<media::Sps> sps;
   std::optional<media::Pps> pps;
+  std::vector<BytesView> nals;
 };
 
-/// Analyse one video access unit (a list of NALs): update parameter sets,
-/// extract slice header + NTP SEI.
-void analyze_access_unit(const std::vector<media::NalUnit>& nals,
-                         DecodeState& state, Duration pts, TimePoint arrival,
+/// Escaped slice-payload bytes unescaped to parse a slice header. The
+/// header takes a few bytes; the rest of the slice is never read.
+constexpr std::size_t kSliceHeadBytes = 64;
+
+/// Parse a slice header from the unescaped head of the slice's escaped
+/// payload. A cut through an emulation-prevention run can keep its 03
+/// (the byte after it, which decides, is past the cut), so the last two
+/// unescaped bytes are dropped; a header that does not fit what is left
+/// is parsed from the whole payload instead — the same answer either way.
+Result<media::SliceHeader> parse_slice_view(media::NalUnit& nal,
+                                            BytesView payload,
+                                            const DecodeState& state) {
+  if (payload.size() > kSliceHeadBytes) {
+    nal.rbsp = media::unescape_ebsp(payload.first(kSliceHeadBytes));
+    nal.rbsp.resize(nal.rbsp.size() - 2);
+    auto hdr = media::parse_slice_header(nal, *state.sps, *state.pps);
+    if (hdr) return hdr;
+  }
+  nal.rbsp = media::unescape_ebsp(payload);
+  return media::parse_slice_header(nal, *state.sps, *state.pps);
+}
+
+/// Analyse one video access unit (its NALs as views: header byte plus
+/// escaped payload): update parameter sets, extract slice header + NTP
+/// SEI. Parameter sets and SEIs are small and unescaped whole.
+void analyze_access_unit(DecodeState& state, Duration pts, TimePoint arrival,
                          std::size_t wire_bytes, StreamAnalysis& out) {
   FrameRecord rec;
   rec.pts = pts;
   rec.arrival = arrival;
   rec.bytes = wire_bytes;
   bool have_slice = false;
-  for (const media::NalUnit& nal : nals) {
+  for (const BytesView raw : state.nals) {
+    media::NalUnit nal;
+    nal.nal_ref_idc = (raw[0] >> 5) & 0x3;
+    nal.type = static_cast<media::NalType>(raw[0] & 0x1F);
+    const BytesView payload = raw.subspan(1);
     switch (nal.type) {
       case media::NalType::Sps: {
-        auto sps = media::parse_sps_rbsp(nal.rbsp);
+        auto sps = media::parse_sps_rbsp(media::unescape_ebsp(payload));
         if (sps) {
           state.sps = sps.value();
           out.width = sps.value().width;
@@ -44,11 +72,12 @@ void analyze_access_unit(const std::vector<media::NalUnit>& nals,
         break;
       }
       case media::NalType::Pps: {
-        auto pps = media::parse_pps_rbsp(nal.rbsp);
+        auto pps = media::parse_pps_rbsp(media::unescape_ebsp(payload));
         if (pps) state.pps = pps.value();
         break;
       }
       case media::NalType::Sei: {
+        nal.rbsp = media::unescape_ebsp(payload);
         auto ntp = media::parse_ntp_sei(nal);
         if (ntp) {
           out.ntp_marks.push_back(
@@ -59,7 +88,7 @@ void analyze_access_unit(const std::vector<media::NalUnit>& nals,
       case media::NalType::IdrSlice:
       case media::NalType::NonIdrSlice: {
         if (!state.sps || !state.pps) break;
-        auto hdr = media::parse_slice_header(nal, *state.sps, *state.pps);
+        auto hdr = parse_slice_view(nal, payload, state);
         if (hdr) {
           rec.type = hdr.value().type;
           rec.qp = hdr.value().qp;
@@ -152,25 +181,24 @@ std::size_t StreamAnalysis::missing_frames() const {
 
 Result<StreamAnalysis> reconstruct_rtmp(const net::Capture& cap) {
   StreamAnalysis out;
-  const Bytes& payload = cap.payload();
-  // Skip S0+S1+S2.
-  const std::size_t hs = 1 + 2 * rtmp::kHandshakeBlobSize;
-  if (payload.size() < hs) {
+  // Skip S0+S1+S2, which may end anywhere inside a packet.
+  std::size_t handshake_left = 1 + 2 * rtmp::kHandshakeBlobSize;
+  if (cap.total_bytes() < handshake_left) {
     return make_error("capture", "capture shorter than RTMP handshake");
   }
   DecodeState state;
   std::size_t audio_bytes = 0;
   rtmp::ChunkReader reader;
-  // Feed packet by packet so message completion times are known.
-  for (const net::Capture::Packet& pkt : cap.packets()) {
-    const std::size_t begin = std::max(pkt.offset, hs);
-    const std::size_t end = pkt.offset + pkt.size;
-    if (end <= begin) continue;
-    if (auto s = reader.push(
-            BytesView(payload).subspan(begin, end - begin));
-        !s) {
-      return s.error();
-    }
+  // Feed packet by packet, in place, so message completion times are
+  // known.
+  for (std::size_t i = 0; i < cap.packets().size(); ++i) {
+    const net::Capture::Packet& pkt = cap.packets()[i];
+    BytesView data = cap.packet_data(i);
+    const std::size_t skip = std::min(handshake_left, data.size());
+    handshake_left -= skip;
+    data = data.subspan(skip);
+    if (data.empty()) continue;
+    if (auto s = reader.push(data); !s) return s.error();
     reader.drain([&](const rtmp::Message& msg) {
       if (msg.type == rtmp::MessageType::Video) {
         auto tag = flv::parse_video_tag(msg.payload);
@@ -185,13 +213,11 @@ Result<StreamAnalysis> reconstruct_rtmp(const net::Capture& cap) {
           }
           return;
         }
-        auto nals = media::split_avcc(tag.value().data);
-        if (!nals) return;
+        if (!media::avcc_nal_views(tag.value().data, state.nals)) return;
         const Duration pts =
             millis(static_cast<double>(msg.timestamp_ms) +
                    tag.value().composition_time_ms);
-        analyze_access_unit(nals.value(), state, pts, pkt.time,
-                            msg.payload.size(), out);
+        analyze_access_unit(state, pts, pkt.time, msg.payload.size(), out);
       } else if (msg.type == rtmp::MessageType::Audio) {
         auto tag = flv::parse_audio_tag(msg.payload);
         if (!tag) return;
@@ -210,15 +236,12 @@ Result<StreamAnalysis> reconstruct_hls(const net::Capture& cap) {
   StreamAnalysis out;
   DecodeState state;
   std::size_t audio_bytes = 0;
-  const Bytes& payload = cap.payload();
 
-  for (const net::Capture::Packet& pkt : cap.packets()) {
+  for (std::size_t i = 0; i < cap.packets().size(); ++i) {
+    const net::Capture::Packet& pkt = cap.packets()[i];
     // Each capture record is one GET response = one MPEG-TS file.
     mpegts::TsDemuxer demux;
-    if (auto s = demux.push(BytesView(payload).subspan(pkt.offset, pkt.size));
-        !s) {
-      return s.error();
-    }
+    if (auto s = demux.push(cap.packet_data(i)); !s) return s.error();
     demux.flush();
 
     SegmentInfo seg;
@@ -228,11 +251,9 @@ Result<StreamAnalysis> reconstruct_hls(const net::Capture& cap) {
     std::vector<double> seg_qps;
     for (const mpegts::TsSample& s : demux.take_samples()) {
       if (s.kind == media::SampleKind::Video) {
-        auto nals = media::split_annexb(s.data);
-        if (!nals) continue;
+        if (!media::annexb_nal_views(s.data, state.nals)) continue;
         const std::size_t before = out.frames.size();
-        analyze_access_unit(nals.value(), state, s.pts, pkt.time,
-                            s.data.size(), out);
+        analyze_access_unit(state, s.pts, pkt.time, s.data.size(), out);
         if (out.frames.size() > before) {
           seg_qps.push_back(out.frames.back().qp);
           ++seg.frames;

@@ -189,9 +189,10 @@ Status annexb_nal_views(BytesView data, std::vector<BytesView>& nals) {
   return close(n);
 }
 
-Result<std::vector<NalUnit>> split_annexb(BytesView data) {
-  std::vector<BytesView> views;
-  if (auto s = annexb_nal_views(data, views); !s) return s.error();
+namespace {
+
+Result<std::vector<NalUnit>> parse_nal_views(
+    const std::vector<BytesView>& views) {
   std::vector<NalUnit> out;
   out.reserve(views.size());
   for (const BytesView v : views) {
@@ -200,6 +201,14 @@ Result<std::vector<NalUnit>> split_annexb(BytesView data) {
     out.push_back(std::move(nal).value());
   }
   return out;
+}
+
+}  // namespace
+
+Result<std::vector<NalUnit>> split_annexb(BytesView data) {
+  std::vector<BytesView> views;
+  if (auto s = annexb_nal_views(data, views); !s) return s.error();
+  return parse_nal_views(views);
 }
 
 Bytes avcc_wrap(const std::vector<NalUnit>& nals) {
@@ -263,19 +272,27 @@ Result<Bytes> avcc_to_annexb(BytesView data) {
   return out;
 }
 
-Result<std::vector<NalUnit>> split_avcc(BytesView data) {
-  std::vector<NalUnit> out;
+Status avcc_nal_views(BytesView data, std::vector<BytesView>& nals) {
+  nals.clear();
   ByteReader r(data);
   while (!r.at_end()) {
     auto len = r.u32be();
     if (!len) return len.error();
     auto raw = r.view(len.value());
     if (!raw) return raw.error();
-    auto nal = parse_nal_bytes(raw.value());
-    if (!nal) return nal.error();
-    out.push_back(std::move(nal).value());
+    if (raw.value().empty()) return make_error("malformed", "empty NAL");
+    if (raw.value()[0] & 0x80) {
+      return make_error("malformed", "forbidden_zero_bit set");
+    }
+    nals.push_back(raw.value());
   }
-  return out;
+  return {};
+}
+
+Result<std::vector<NalUnit>> split_avcc(BytesView data) {
+  std::vector<BytesView> views;
+  if (auto s = avcc_nal_views(data, views); !s) return s.error();
+  return parse_nal_views(views);
 }
 
 Bytes write_sps_rbsp(const Sps& sps) {

@@ -97,6 +97,11 @@ Result<std::vector<NalUnit>> split_avcc(BytesView data);
 /// first empty or forbidden_zero_bit NAL, or when no start code is found;
 /// split_annexb and annexb_to_avcc report the same errors.
 Status annexb_nal_views(BytesView data, std::vector<BytesView>& nals);
+/// The NAL units of an AVCC buffer as views into it (header byte plus
+/// escaped payload, length prefixes stripped), written over `nals`.
+/// Fails on the first truncated length or NAL, empty NAL or
+/// forbidden_zero_bit NAL; split_avcc reports the same errors.
+Status avcc_nal_views(BytesView data, std::vector<BytesView>& nals);
 
 /// Direct re-framers for the fan-out hot path: switch between Annex-B and
 /// AVCC framing without materialising NalUnits or touching emulation

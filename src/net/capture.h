@@ -8,9 +8,10 @@
 //
 // Storage is chunked: each record keeps a ref-counted BufferSlice, so
 // recording a delivered network buffer shares it instead of copying.
-// payload() flattens the chunks into one contiguous buffer lazily — only
-// the offline analysis paths (RTMP re-dissection, pcap export) pay for
-// that; per-packet consumers use packet_data().
+// Consumers, the reconstruction in analysis/ included, read packet by
+// packet through packet_data(). payload() flattens the chunks into one
+// contiguous buffer and caches it for the capture's lifetime; it now
+// serves only pcap export, which writes the stream out whole.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,8 @@
 // round trips, NAL framing (Annex-B and AVCC), NTP SEI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "media/h264.h"
 
 namespace psc::media {
@@ -166,11 +168,19 @@ TEST(NalFraming, AvccRoundtrip) {
   std::vector<NalUnit> nals;
   nals.push_back(make_ntp_sei(12345));
   nals.push_back(make_slice_nal(SliceHeader{}, sps, pps, 900, 3));
-  auto split = split_avcc(avcc_wrap(nals));
+  const Bytes avcc = avcc_wrap(nals);
+  auto split = split_avcc(avcc);
   ASSERT_TRUE(split.ok());
   ASSERT_EQ(split.value().size(), 2u);
   EXPECT_EQ(split.value()[0].rbsp, nals[0].rbsp);
   EXPECT_EQ(split.value()[1].rbsp, nals[1].rbsp);
+  // The views are the serialised NALs, in place.
+  std::vector<BytesView> views;
+  ASSERT_TRUE(avcc_nal_views(avcc, views).ok());
+  ASSERT_EQ(views.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(std::ranges::equal(views[i], serialize_nal(nals[i]))) << i;
+  }
 }
 
 TEST(NalFraming, AnnexBNoStartCodeFails) {
