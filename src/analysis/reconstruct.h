@@ -74,11 +74,13 @@ struct StreamAnalysis {
   std::size_t missing_frames() const;
 };
 
-/// Dissect a client-side RTMP capture (handshake + chunk stream).
+/// Dissect a client-side RTMP capture (handshake + chunk stream). A
+/// records-only capture is an error.
 Result<StreamAnalysis> reconstruct_rtmp(const net::Capture& cap);
 
 /// Demux an HLS capture where each capture record is one complete
-/// MPEG-TS segment (one HTTP GET response).
+/// MPEG-TS segment (one HTTP GET response). A records-only capture is an
+/// error.
 Result<StreamAnalysis> reconstruct_hls(const net::Capture& cap);
 
 }  // namespace psc::analysis

@@ -98,6 +98,7 @@ void ViewerSession::finish() {
 
 void ViewerSession::retire() {
   finish();
+  retired_ = true;
   capture_.clear();
 }
 
@@ -221,7 +222,10 @@ void RtmpViewerSession::pump() {
       device_.downlink().send(std::move(data),
                               [this, gen](TimePoint t,
                                           util::BufferSlice d) {
-                                capture_.record(t, d);
+                                // Bytes reach the device after the
+                                // finish, but not the cleared capture
+                                // of a retired session.
+                                if (!retired_) capture_.record(t, d);
                                 if (finished_ || gen != conn_gen_) return;
                                 (void)client_->on_input(d);
                                 pump();

@@ -91,6 +91,8 @@ struct SessionStats {
   int reconnects = 0;
   /// Retry attempts made (RTMP reconnect attempts / HLS refetches).
   int retries = 0;
+
+  bool operator==(const SessionStats&) const = default;
 };
 
 /// The viewer-session core; RtmpViewerSession and HlsViewerSession are
@@ -107,8 +109,12 @@ class ViewerSession {
   bool finished() const { return finished_; }
   SessionStats stats() const;
   const net::Capture& capture() const { return capture_; }
+  /// Capture only arrival times and sizes, not the bytes: for a session
+  /// whose capture is never reconstructed. Call before start().
+  void capture_records_only() { capture_.set_keep_bytes(false); }
   /// Stop and free bulk buffers (capture trace). The object must outlive
-  /// any simulation events still referencing it; they become no-ops.
+  /// any simulation events still referencing it; they become no-ops and
+  /// record nothing.
   void retire();
   /// Earliest simulation time at which no scheduled event can still
   /// reference this object (poll chains, link deliveries and retry
@@ -151,6 +157,7 @@ class ViewerSession {
   TimePoint session_start_{};
   TimePoint stop_at_{};
   bool finished_ = false;
+  bool retired_ = false;
   bool gave_up_ = false;
   /// Retry attempts made (RTMP reconnect attempts / HLS refetches).
   int retries_ = 0;

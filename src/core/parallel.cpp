@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "media/filler.h"
+#include "net/capture.h"
 #include "util/buffer.h"
 #include "util/rng.h"
 
@@ -99,12 +100,16 @@ void harvest_obs(Study& study, CampaignResult& r) {
 /// Every shard on every thread shares one filler table, and which thread
 /// builds which chunk depends on scheduling, so the table's totals are
 /// process figures, not campaign metrics. So is the storage parked
-/// shards handed back from their arena pools: a process-wide total.
+/// shards handed back from their arena pools, and the bytes records-only
+/// captures did not keep: process-wide totals.
 void publish_process_gauges() {
   if (!obs::enabled()) return;
   obs::process_gauge_max(
       "arena_pooled_bytes_released",
       static_cast<double>(util::BufferArena::process_pooled_bytes_released()));
+  obs::process_gauge_max(
+      "capture_bytes_not_kept",
+      static_cast<double>(net::Capture::process_bytes_not_kept()));
   const media::FillerTable::Stats s = media::FillerTable::process().stats();
   obs::process_gauge_max("filler_table_bytes", static_cast<double>(s.bytes));
   obs::process_gauge_max("filler_table_chunks",

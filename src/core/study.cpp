@@ -304,6 +304,8 @@ std::optional<SessionRecord> Study::run_one_session(client::Device& device,
         sim_, pipeline, device, origin, pc, rng_.engine()(), penalty_paid,
         obs_ptr(), fault_plan_, cfg_.fault.policy);
   }
+  // A session that is not reconstructed needs only its capture's sizes.
+  if (!analyze) session->capture_records_only();
   const TimePoint watch_begin = sim_.now();
   session->start(cfg_.watch_time);
   sim_.run_until(sim_.now() + cfg_.watch_time + seconds(2));

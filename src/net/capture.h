@@ -6,12 +6,16 @@
 // consumes Capture objects the same way — it never looks at sender-side
 // ground truth.
 //
-// Storage is chunked: each record keeps a ref-counted BufferSlice, so
-// recording a delivered network buffer shares it instead of copying.
-// Consumers, the reconstruction in analysis/ included, read packet by
-// packet through packet_data(). payload() flattens the chunks into one
-// contiguous buffer and caches it for the capture's lifetime; it now
-// serves only pcap export, which writes the stream out whole.
+// A capture keeps bytes by default: each record holds a ref-counted
+// BufferSlice, so recording a delivered network buffer shares it instead
+// of copying. Consumers, the reconstruction in analysis/ and pcap export
+// included, read packet by packet through packet_data(); payload()
+// flattens a copy of the whole stream on each call.
+//
+// A records-only capture (set_keep_bytes(false)) keeps each record's
+// {time, offset, size} and total_bytes() but drops the slice, so a
+// session that is never reconstructed holds no media buffers. Its
+// packet_data() and payload() throw; reconstruction returns an error.
 #pragma once
 
 #include <cstdint>
@@ -32,23 +36,33 @@ class Capture {
     std::size_t size = 0;
   };
 
+  /// Keep each record's bytes (the default) or only its time, offset and
+  /// size. Throws std::logic_error once anything is recorded.
+  void set_keep_bytes(bool keep);
+  bool keeps_bytes() const { return keep_bytes_; }
+
   /// Record by view: the bytes are copied (callers without a slice).
   void record_copy(TimePoint t, BytesView data) {
-    record(t, util::BufferSlice::copy_of(data));
+    note(t, data.size());
+    if (keep_bytes_) chunks_.push_back(util::BufferSlice::copy_of(data));
   }
   /// Record by slice: shares the buffer, no copy (an owning Bytes
   /// converts implicitly).
   void record(TimePoint t, util::BufferSlice data) {
-    packets_.push_back(Packet{t, total_, data.size()});
-    total_ += data.size();
-    chunks_.push_back(std::move(data));
+    note(t, data.size());
+    if (keep_bytes_) chunks_.push_back(std::move(data));
   }
 
   const std::vector<Packet>& packets() const { return packets_; }
-  /// Bytes of packet `i` without flattening.
-  BytesView packet_data(std::size_t i) const { return chunks_[i].view(); }
-  /// The reassembled contiguous stream; materialised on first call.
-  const Bytes& payload() const;
+  /// Bytes of packet `i` without flattening. Throws std::logic_error on a
+  /// records-only capture.
+  BytesView packet_data(std::size_t i) const {
+    if (!keep_bytes_) throw_no_bytes();
+    return chunks_[i].view();
+  }
+  /// The reassembled contiguous stream, copied out. Throws
+  /// std::logic_error on a records-only capture.
+  Bytes payload() const;
   std::uint64_t total_bytes() const { return total_; }
 
   /// Arrival time of the packet containing payload byte `offset`
@@ -57,16 +71,13 @@ class Capture {
   TimePoint time_of_byte(std::size_t offset) const;
 
   /// Drop recorded data (a retired session frees its trace memory once
-  /// analysis has consumed it).
-  void clear() {
-    packets_.clear();
-    packets_.shrink_to_fit();
-    chunks_.clear();
-    chunks_.shrink_to_fit();
-    payload_.clear();
-    payload_.shrink_to_fit();
-    total_ = 0;
-  }
+  /// analysis has consumed it). A records-only capture adds what it
+  /// recorded to process_bytes_not_kept() here.
+  void clear();
+
+  /// Bytes that records-only captures of this process recorded without
+  /// keeping, counted as each is cleared.
+  static std::uint64_t process_bytes_not_kept();
 
   bool empty() const { return packets_.empty(); }
   TimePoint first_time() const {
@@ -77,10 +88,16 @@ class Capture {
   }
 
  private:
+  [[noreturn]] static void throw_no_bytes();
+  void note(TimePoint t, std::size_t size) {
+    packets_.push_back(Packet{t, total_, size});
+    total_ += size;
+  }
+
   std::vector<Packet> packets_;
-  std::vector<util::BufferSlice> chunks_;  // aligned with packets_
+  std::vector<util::BufferSlice> chunks_;  // aligned with packets_ if kept
   std::uint64_t total_ = 0;
-  mutable Bytes payload_;  // lazy flatten cache; valid when size()==total_
+  bool keep_bytes_ = true;
 };
 
 }  // namespace psc::net

@@ -39,9 +39,9 @@ Bytes write_pcap(const Capture& cap, const PcapEndpoints& ep,
   w.u32be(kLinkTypeRaw);
 
   std::uint32_t seq = 1;
-  for (const Capture::Packet& pkt : cap.packets()) {
-    const BytesView payload =
-        BytesView(cap.payload()).subspan(pkt.offset, pkt.size);
+  for (std::size_t i = 0; i < cap.packets().size(); ++i) {
+    const Capture::Packet& pkt = cap.packets()[i];
+    const BytesView payload = cap.packet_data(i);
     for (std::size_t off = 0; off < payload.size(); off += mtu) {
       const std::size_t n = std::min(mtu, payload.size() - off);
       const double t = to_s(pkt.time);

@@ -225,6 +225,26 @@ TEST(RtmpViewer, BandwidthLimitCausesStallsAndSlowJoin) {
   EXPECT_GE(s.stalled_s, f.stalled_s);
 }
 
+TEST(RtmpViewer, RetiredSessionRecordsNothingWhileItsLinkDrains) {
+  // A slow access link keeps chunks in flight when the session retires.
+  SessionHarness h(16, 10, 0.5e6);
+  h.pipe.start(seconds(90));
+  h.sim.run_until(time_at(10));
+  const service::MediaServer& origin =
+      h.pool.rtmp_origin_for(h.info.location, h.info.id);
+  client::RtmpViewerSession session(
+      h.sim, h.pipe, h.device, origin,
+      client::PlayerConfig{millis(1800), millis(1000)}, 101);
+  session.start(seconds(60));
+  h.sim.run_until(time_at(30));
+  ASSERT_GT(h.device.downlink().busy_until(), h.sim.now());
+  session.retire();
+  EXPECT_TRUE(session.capture().empty());
+  h.sim.run_until(session.safe_destroy_at());
+  EXPECT_TRUE(session.capture().empty());
+  EXPECT_EQ(session.capture().total_bytes(), 0u);
+}
+
 TEST(HlsViewer, SessionFetchesSegmentsAndPlays) {
   SessionHarness h(13, 500);
   h.pipe.start(seconds(120));

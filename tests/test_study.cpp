@@ -1,6 +1,7 @@
 // Study-level integration tests: protocol selection under Teleport,
 // bandwidth sweeps, the S3-vs-S4 Welch comparison, playbackMeta quirks,
-// and the one world path (own_world, world_horizon, horizon overrun).
+// the one world path (own_world, world_horizon, horizon overrun), and
+// the records-only capture of unanalysed sessions.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -8,6 +9,7 @@
 
 #include "analysis/stats.h"
 #include "core/study.h"
+#include "net/capture.h"
 
 namespace psc::core {
 namespace {
@@ -139,6 +141,34 @@ TEST(Study, DeterministicForSeed) {
     EXPECT_EQ(ra.sessions[i].stats.bytes_received,
               rb.sessions[i].stats.bytes_received);
   }
+}
+
+TEST(Study, AnalyzeFlagLeavesEverySessionStatEqual) {
+  // analyze=false captures records only; the stats must not notice.
+  Study lean = study_of(medium_config(12), 10);
+  Study full = study_of(medium_config(12), 10);
+  const std::uint64_t not_kept = net::Capture::process_bytes_not_kept();
+  const CampaignResult rl =
+      lean.run_campaign(10, 0, Study::galaxy_s4(), /*analyze=*/false);
+  const std::uint64_t lean_not_kept =
+      net::Capture::process_bytes_not_kept() - not_kept;
+  const CampaignResult rf =
+      full.run_campaign(10, 0, Study::galaxy_s4(), /*analyze=*/true);
+  EXPECT_GT(lean_not_kept, 0u);
+  EXPECT_EQ(net::Capture::process_bytes_not_kept(), not_kept + lean_not_kept);
+  ASSERT_EQ(rl.sessions.size(), rf.sessions.size());
+  ASSERT_GE(rl.sessions.size(), 8u);
+  bool analysed = false;
+  for (std::size_t i = 0; i < rl.sessions.size(); ++i) {
+    EXPECT_GT(rl.sessions[i].stats.bytes_received, 0u) << i;
+    EXPECT_EQ(rl.sessions[i].stats.bytes_received,
+              rf.sessions[i].stats.bytes_received)
+        << i;
+    EXPECT_TRUE(rl.sessions[i].stats == rf.sessions[i].stats) << i;
+    EXPECT_TRUE(rl.sessions[i].analysis.frames.empty()) << i;
+    analysed = analysed || !rf.sessions[i].analysis.frames.empty();
+  }
+  EXPECT_TRUE(analysed);
 }
 
 TEST(Study, RtmpServersVaryHlsEdgesDoNot) {
