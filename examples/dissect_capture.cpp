@@ -80,8 +80,8 @@ int main() {
   std::printf("\nfirst frames (type/QP/bytes):\n  ");
   for (std::size_t i = 0; i < std::min<std::size_t>(a.frames.size(), 12);
        ++i) {
-    std::printf("%c/%d/%zuB ", media::frame_type_char(a.frames[i].type),
-                a.frames[i].qp, a.frames[i].bytes);
+    std::printf("%c/%d/%uB ", media::frame_type_char(a.frames[i].type),
+                a.frames[i].qp, static_cast<unsigned>(a.frames[i].bytes));
   }
   std::printf("\n");
   return 0;

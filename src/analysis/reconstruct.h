@@ -7,12 +7,15 @@
 //    For RTMP, we exploit the wireshark dissector which can extract the
 //    audio and video chunks."
 //
-// reconstruct_rtmp() re-dissects the raw RTMP chunk stream (skipping the
-// handshake) from a client-side capture; reconstruct_hls() demuxes each
-// captured MPEG-TS segment. Both recover per-frame QP (slice headers),
-// frame types, resolution (SPS), per-frame sizes, ADTS audio parameters
-// and the broadcaster's NTP timestamp SEIs — everything §5.2 reports.
-// Nothing here reads encoder-side ground truth.
+// StreamReconstructor reads one delivered record at a time: it re-dissects
+// the raw RTMP chunk stream (skipping the handshake), or demuxes each
+// MPEG-TS segment of an HLS session. It recovers per-frame QP (slice
+// headers), frame types, resolution (SPS), per-frame sizes, ADTS audio
+// parameters and the broadcaster's NTP timestamp SEIs — everything §5.2
+// reports. Fed as the bytes arrive (a campaign taps the viewer's capture),
+// it needs no stored trace; reconstruct_rtmp()/reconstruct_hls() run the
+// same reconstructor over a capture that kept its bytes. Nothing here
+// reads encoder-side ground truth.
 #pragma once
 
 #include <optional>
@@ -22,17 +25,24 @@
 #include "media/h264.h"
 #include "media/types.h"
 #include "net/capture.h"
+#include "rtmp/chunk.h"
 #include "util/result.h"
 
 namespace psc::analysis {
 
+/// One video access unit. A round's analysed sessions hold millions of
+/// these, so the record is kept to 16 bytes: slice QP is in [0, 51] (the
+/// slice-header parse rejects anything else), and an access unit is one
+/// RTMP message (24-bit length) or lies inside one in-memory TS segment.
 struct FrameRecord {
-  media::FrameType type = media::FrameType::I;
-  int qp = 0;
-  std::size_t bytes = 0;  // access-unit size on the wire
   Duration pts{0};
-  TimePoint arrival{};
+  std::uint32_t bytes = 0;  // access-unit size on the wire
+  std::int16_t qp = 0;
+  media::FrameType type = media::FrameType::I;
+
+  bool operator==(const FrameRecord&) const = default;
 };
+static_assert(sizeof(FrameRecord) == 16);
 
 /// An NTP timestamp SEI observed in the stream, with the arrival time of
 /// the packet that contained it.
@@ -41,6 +51,7 @@ struct NtpMark {
   TimePoint arrival{};
 
   double delivery_latency_s() const { return to_s(arrival) - ntp_s; }
+  bool operator==(const NtpMark&) const = default;
 };
 
 /// Per-HLS-segment statistics (paper Fig. 6(b), 7(b)).
@@ -50,6 +61,8 @@ struct SegmentInfo {
   double video_bitrate_bps = 0;
   double avg_qp = 0;
   std::size_t frames = 0;
+
+  bool operator==(const SegmentInfo&) const = default;
 };
 
 enum class FramePattern { IBP, IPOnly, IOnly };
@@ -72,10 +85,50 @@ struct StreamAnalysis {
   FramePattern frame_pattern() const;
   /// Frames missing from the PTS timeline (concealment required).
   std::size_t missing_frames() const;
+
+  /// Field by field; doubles compare exactly.
+  bool operator==(const StreamAnalysis&) const = default;
 };
 
-/// Dissect a client-side RTMP capture (handshake + chunk stream). A
-/// records-only capture is an error.
+/// Reconstructs one session's stream from its delivered records, in
+/// arrival order, without keeping them.
+class StreamReconstructor {
+ public:
+  enum class Kind { Rtmp, Hls };
+
+  explicit StreamReconstructor(Kind kind) : kind_(kind) {}
+
+  /// One delivered record: RTMP chunk-stream bytes (the handshake is
+  /// skipped, wherever it ends), or one complete HLS GET response (one
+  /// MPEG-TS file). The first error is latched; later records are
+  /// ignored.
+  void feed(TimePoint t, BytesView record);
+
+  /// The analysis of everything fed, or the latched error. Call once.
+  Result<StreamAnalysis> finish();
+
+ private:
+  void feed_rtmp(TimePoint t, BytesView data);
+  void feed_hls(TimePoint t, BytesView segment);
+  /// Parse one video access unit (NAL views in nals_) into a frame record
+  /// and any NTP SEI marks.
+  void analyze_access_unit(Duration pts, TimePoint arrival,
+                           std::size_t wire_bytes);
+  void note_adts(BytesView data);
+
+  Kind kind_;
+  StreamAnalysis out_;
+  std::optional<Error> error_;
+  std::optional<media::Sps> sps_;  // active parameter sets
+  std::optional<media::Pps> pps_;
+  std::vector<BytesView> nals_;  // reused: a steady stream allocates once
+  std::size_t audio_bytes_ = 0;
+  std::uint64_t fed_bytes_ = 0;  // RTMP bytes fed, handshake included
+  rtmp::ChunkReader reader_;  // RTMP only
+};
+
+/// Dissect a client-side RTMP capture (handshake + chunk stream), packet
+/// by packet. A records-only capture is an error.
 Result<StreamAnalysis> reconstruct_rtmp(const net::Capture& cap);
 
 /// Demux an HLS capture where each capture record is one complete

@@ -109,9 +109,14 @@ class ViewerSession {
   bool finished() const { return finished_; }
   SessionStats stats() const;
   const net::Capture& capture() const { return capture_; }
-  /// Capture only arrival times and sizes, not the bytes: for a session
-  /// whose capture is never reconstructed. Call before start().
+  /// Capture only arrival times and sizes, not the bytes (a tap still
+  /// sees them). Call before start().
   void capture_records_only() { capture_.set_keep_bytes(false); }
+  /// Hand each delivered record to `tap` as the capture takes it (see
+  /// net::Capture::set_tap); retire() detaches it.
+  void set_capture_tap(net::Capture::Tap tap) {
+    capture_.set_tap(std::move(tap));
+  }
   /// Stop and free bulk buffers (capture trace). The object must outlive
   /// any simulation events still referencing it; they become no-ops and
   /// record nothing.

@@ -304,8 +304,17 @@ std::optional<SessionRecord> Study::run_one_session(client::Device& device,
         sim_, pipeline, device, origin, pc, rng_.engine()(), penalty_paid,
         obs_ptr(), fault_plan_, cfg_.fault.policy);
   }
-  // A session that is not reconstructed needs only its capture's sizes.
-  if (!analyze) session->capture_records_only();
+  // Captures keep records only; an analysed session's reconstructor reads
+  // each record's bytes as it is delivered (a check keeps them, to
+  // reconstruct from the capture as well).
+  std::optional<analysis::StreamReconstructor> recon;
+  if (analyze) {
+    recon.emplace(use_hls ? analysis::StreamReconstructor::Kind::Hls
+                          : analysis::StreamReconstructor::Kind::Rtmp);
+    session->set_capture_tap(
+        [&r = *recon](TimePoint t, BytesView d) { r.feed(t, d); });
+  }
+  if (!analyze || !analysis_check_) session->capture_records_only();
   const TimePoint watch_begin = sim_.now();
   session->start(cfg_.watch_time);
   sim_.run_until(sim_.now() + cfg_.watch_time + seconds(2));
@@ -334,10 +343,11 @@ std::optional<SessionRecord> Study::run_one_session(client::Device& device,
     ledger.add_session(load_ip_b, watch_begin, watch_end, load_weight,
                        bytes);
   }
-  if (analyze) {
-    auto analysis = use_hls
-                        ? analysis::reconstruct_hls(session->capture())
-                        : analysis::reconstruct_rtmp(session->capture());
+  if (recon) {
+    auto analysis = recon->finish();
+    if (analysis_check_) {
+      analysis_check_(rec.stats.protocol, session->capture(), analysis);
+    }
     if (analysis) rec.analysis = std::move(analysis).value();
   }
   if (obs::Obs* o = obs_ptr()) {

@@ -13,6 +13,7 @@
 // examples/quickstart.cpp.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -265,6 +266,18 @@ class Study {
     return aggregate_.get();
   }
 
+  /// Called for every analysed session before it retires, with its
+  /// protocol, its capture and the analysis streamed from it. While a
+  /// check is set, analysed sessions' captures keep their bytes, so the
+  /// check can reconstruct them again (tests pin the streamed analysis to
+  /// reconstruct_rtmp/reconstruct_hls this way).
+  using AnalysisCheck =
+      std::function<void(client::Protocol, const net::Capture&,
+                         const Result<analysis::StreamAnalysis>&)>;
+  void set_analysis_check(AnalysisCheck check) {
+    analysis_check_ = std::move(check);
+  }
+
   sim::Simulation& sim() { return sim_; }
   service::WorldView& world_view() { return world_; }
   service::ApiServer& api() { return api_; }
@@ -344,6 +357,7 @@ class Study {
   std::vector<std::pair<TimePoint, std::unique_ptr<client::ViewerSession>>>
       retired_sessions_;
   std::vector<std::unique_ptr<client::Device>> devices_;
+  AnalysisCheck analysis_check_;
 };
 
 }  // namespace psc::core

@@ -21,21 +21,18 @@ Result<int> adts_sampling_index(int sample_rate) {
   return make_error("unsupported", "no ADTS index for this sample rate");
 }
 
-Bytes write_adts_frame(const AudioConfig& cfg, std::size_t payload_bytes,
-                       std::uint64_t filler_seed) {
-  const auto sf_index = adts_sampling_index(cfg.sample_rate);
-  if (!sf_index) {
-    throw std::invalid_argument("ADTS has no index for sample rate " +
-                                std::to_string(cfg.sample_rate));
-  }
+namespace {
+
+/// write_adts_frame with the sampling index already resolved.
+Bytes adts_frame(int sf_index, int channel_cfg, std::size_t payload_bytes,
+                 std::uint64_t filler_seed) {
   const std::size_t frame_len = kAdtsHeaderSize + payload_bytes;
   Bytes out(frame_len);
   // Header: syncword(12) ID(1)=0 layer(2)=0 protection_absent(1)=1
   out[0] = 0xFF;
   out[1] = 0xF1;
   // profile(2)=01 (AAC-LC), sf_index(4), private(1)=0, channel_cfg(3) hi bit
-  const int channel_cfg = cfg.channels;
-  out[2] = static_cast<std::uint8_t>((1 << 6) | (sf_index.value() << 2) |
+  out[2] = static_cast<std::uint8_t>((1 << 6) | (sf_index << 2) |
                                      ((channel_cfg >> 2) & 0x1));
   // channel_cfg lo 2 bits, orig/copy, home, copyright id bit/start,
   // frame_length hi 2 bits
@@ -79,6 +76,26 @@ Bytes write_adts_frame(const AudioConfig& cfg, std::size_t payload_bytes,
   return out;
 }
 
+/// The ADTS index of `sample_rate`; throws std::invalid_argument when it
+/// has none.
+int checked_sampling_index(int sample_rate, const char* who) {
+  const auto sf_index = adts_sampling_index(sample_rate);
+  if (!sf_index) {
+    throw std::invalid_argument(std::string(who) +
+                                "ADTS has no index for sample rate " +
+                                std::to_string(sample_rate));
+  }
+  return sf_index.value();
+}
+
+}  // namespace
+
+Bytes write_adts_frame(const AudioConfig& cfg, std::size_t payload_bytes,
+                       std::uint64_t filler_seed) {
+  return adts_frame(checked_sampling_index(cfg.sample_rate, ""), cfg.channels,
+                    payload_bytes, filler_seed);
+}
+
 Result<AdtsFrameInfo> parse_adts_header(BytesView data) {
   if (data.size() < kAdtsHeaderSize) {
     return make_error("truncated", "ADTS header needs 7 bytes");
@@ -102,12 +119,9 @@ Result<AdtsFrameInfo> parse_adts_header(BytesView data) {
 }
 
 AacEncoder::AacEncoder(const AudioConfig& cfg, std::uint64_t seed)
-    : cfg_(cfg), state_(seed) {
-  if (!adts_sampling_index(cfg.sample_rate)) {
-    throw std::invalid_argument("AAC encoder: ADTS has no index for sample "
-                                "rate " + std::to_string(cfg.sample_rate));
-  }
-}
+    : cfg_(cfg),
+      sf_index_(checked_sampling_index(cfg.sample_rate, "AAC encoder: ")),
+      state_(seed) {}
 
 MediaSample AacEncoder::next_frame() {
   // VBR: frame sizes fluctuate ~±30% around the mean implied by the
@@ -128,7 +142,7 @@ MediaSample AacEncoder::next_frame() {
   s.pts = seconds(static_cast<double>(frame_index_) / frames_per_s);
   s.dts = s.pts;
   s.keyframe = true;
-  s.data = write_adts_frame(cfg_, payload, state_);
+  s.data = adts_frame(sf_index_, cfg_.channels, payload, state_);
   ++frame_index_;
   return s;
 }

@@ -52,6 +52,7 @@ class AacEncoder {
 
  private:
   AudioConfig cfg_;
+  int sf_index_;  // ADTS sampling index of cfg_.sample_rate
   std::uint64_t state_;
   std::uint64_t frame_index_ = 0;
 };

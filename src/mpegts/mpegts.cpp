@@ -1,6 +1,7 @@
 #include "mpegts/mpegts.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -144,7 +145,9 @@ void TsMuxer::write_payload(ByteWriter& out, std::uint16_t pid, BytesView head,
   // The first packet's adaptation field carries the flags (and PCR);
   // every later packet is bare except the last, which stuffing shortens
   // but never drops. So the packet count is fixed before any byte is
-  // written, and the whole PES is written into one block.
+  // written, and room for the whole PES is reserved at once. Packets are
+  // built in a stack batch and appended a batch at a time: growing the
+  // output in place would zero-fill bytes that are all overwritten.
   const bool want_flags = keyframe || pcr.has_value();
   const std::size_t flags_af = want_flags ? 1 + (pcr ? 6 : 0) : 0;
   const std::size_t first_room = kRoom - (flags_af > 0 ? flags_af + 1 : 0);
@@ -152,8 +155,11 @@ void TsMuxer::write_payload(ByteWriter& out, std::uint16_t pid, BytesView head,
       total == 0            ? 0
       : total <= first_room ? 1
                             : 1 + (total - first_room + kRoom - 1) / kRoom;
-  std::uint8_t* p = out.extend(packets * kTsPacketSize);
+  out.reserve_more(packets * kTsPacketSize);
   std::uint8_t& cc = continuity_[pid];
+  constexpr std::size_t kBatch = 8;
+  std::array<std::uint8_t, kBatch * kTsPacketSize> batch;
+  std::uint8_t* p = batch.data();
 
   std::size_t offset = 0;
   bool first = true;
@@ -231,6 +237,10 @@ void TsMuxer::write_payload(ByteWriter& out, std::uint16_t pid, BytesView head,
     assert(p == packet_end);
     offset += payload_room;
     first = false;
+    if (p == batch.data() + batch.size() || offset >= total) {
+      out.raw(BytesView(batch.data(), p));
+      p = batch.data();
+    }
   }
 }
 

@@ -42,6 +42,7 @@ void Capture::clear() {
   chunks_.clear();
   chunks_.shrink_to_fit();
   total_ = 0;
+  tap_ = nullptr;
 }
 
 std::uint64_t Capture::process_bytes_not_kept() {

@@ -14,11 +14,14 @@
 //
 // A records-only capture (set_keep_bytes(false)) keeps each record's
 // {time, offset, size} and total_bytes() but drops the slice, so a
-// session that is never reconstructed holds no media buffers. Its
-// packet_data() and payload() throw; reconstruction returns an error.
+// session holds no media buffers. Its packet_data() and payload() throw;
+// reconstruction from it returns an error. A tap (set_tap) sees every
+// record's bytes as they are recorded, kept or not: campaigns reconstruct
+// analysed sessions that way, from records-only captures.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -41,15 +44,20 @@ class Capture {
   void set_keep_bytes(bool keep);
   bool keeps_bytes() const { return keep_bytes_; }
 
+  /// Called with each record's time and bytes as it is recorded, before
+  /// any later record. Replaces the previous tap; an empty one detaches.
+  using Tap = std::function<void(TimePoint, BytesView)>;
+  void set_tap(Tap tap) { tap_ = std::move(tap); }
+
   /// Record by view: the bytes are copied (callers without a slice).
   void record_copy(TimePoint t, BytesView data) {
-    note(t, data.size());
+    note(t, data);
     if (keep_bytes_) chunks_.push_back(util::BufferSlice::copy_of(data));
   }
   /// Record by slice: shares the buffer, no copy (an owning Bytes
   /// converts implicitly).
   void record(TimePoint t, util::BufferSlice data) {
-    note(t, data.size());
+    note(t, data.view());
     if (keep_bytes_) chunks_.push_back(std::move(data));
   }
 
@@ -70,9 +78,9 @@ class Capture {
   /// packet containing the NTP timestamp").
   TimePoint time_of_byte(std::size_t offset) const;
 
-  /// Drop recorded data (a retired session frees its trace memory once
-  /// analysis has consumed it). A records-only capture adds what it
-  /// recorded to process_bytes_not_kept() here.
+  /// Drop recorded data and the tap (a retired session frees its trace
+  /// memory once analysis has consumed it). A records-only capture adds
+  /// what it recorded to process_bytes_not_kept() here.
   void clear();
 
   /// Bytes that records-only captures of this process recorded without
@@ -89,15 +97,17 @@ class Capture {
 
  private:
   [[noreturn]] static void throw_no_bytes();
-  void note(TimePoint t, std::size_t size) {
-    packets_.push_back(Packet{t, total_, size});
-    total_ += size;
+  void note(TimePoint t, BytesView data) {
+    packets_.push_back(Packet{t, total_, data.size()});
+    total_ += data.size();
+    if (tap_) tap_(t, data);
   }
 
   std::vector<Packet> packets_;
   std::vector<util::BufferSlice> chunks_;  // aligned with packets_ if kept
   std::uint64_t total_ = 0;
   bool keep_bytes_ = true;
+  Tap tap_;
 };
 
 }  // namespace psc::net

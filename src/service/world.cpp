@@ -39,8 +39,9 @@ World::World(sim::Simulation& sim, const WorldConfig& cfg, std::uint64_t seed)
     while (h.center.lon_deg >= 180) h.center.lon_deg -= 360;
     while (h.center.lon_deg < -180) h.center.lon_deg += 360;
     h.spread_deg = rng_.uniform(0.2, 1.5);
-    h.weight = 1.0 / std::pow(static_cast<double>(i + 1), cfg_.hotspot_zipf_s);
     hotspots_.push_back(h);
+    hotspot_weights_.push_back(
+        1.0 / std::pow(static_cast<double>(i + 1), cfg_.hotspot_zipf_s));
   }
 
   // Arrival rate so that E[concurrent] = rate * E[duration] matches the
@@ -59,10 +60,7 @@ geo::GeoPoint World::draw_location() {
     return geo::GeoPoint{rng_.uniform(-55, 68), rng_.uniform(-180, 180)};
   }
   // Weighted hotspot choice + Gaussian scatter around it.
-  std::vector<double> weights;
-  weights.reserve(hotspots_.size());
-  for (const auto& h : hotspots_) weights.push_back(h.weight);
-  const Hotspot& h = hotspots_[rng_.weighted_index(weights)];
+  const Hotspot& h = hotspots_[rng_.weighted_index(hotspot_weights_)];
   geo::GeoPoint p;
   p.lat_deg =
       std::clamp(h.center.lat_deg + rng_.normal(0, h.spread_deg), -89.0, 89.0);

@@ -70,7 +70,6 @@ class World : public WorldView {
   struct Hotspot {
     geo::GeoPoint center;
     double spread_deg = 1.0;
-    double weight = 1.0;
   };
 
   void schedule_next_arrival();
@@ -82,6 +81,7 @@ class World : public WorldView {
   WorldConfig cfg_;
   Rng rng_;
   std::vector<Hotspot> hotspots_;
+  std::vector<double> hotspot_weights_;  // Zipf draw weight of hotspots_[i]
   double arrival_rate_hz_ = 1.0;
   std::map<BroadcastId, std::unique_ptr<BroadcastInfo>> broadcasts_;
   std::size_t total_created_ = 0;

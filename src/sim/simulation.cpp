@@ -1,5 +1,7 @@
 #include "sim/simulation.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <utility>
@@ -45,7 +47,9 @@ EventHandle Simulation::schedule_at(TimePoint when, Callback fn) {
       bi >= static_cast<double>(cursor_ + buckets_.size())) {
     heap_push(n);
   } else {
-    buckets_[static_cast<std::uint64_t>(bi) % buckets_.size()].push_back(n);
+    const std::size_t k = static_cast<std::uint64_t>(bi) % buckets_.size();
+    buckets_[k].push_back(n);
+    occupied_[k / 64] |= std::uint64_t{1} << (k % 64);
     ++wheel_count_;
     ++wheel_inserts_;
   }
@@ -110,11 +114,33 @@ void Simulation::run_until(TimePoint until) {
 }
 
 void Simulation::dump_bucket() {
-  std::vector<Node>& b = buckets_[cursor_ % buckets_.size()];
+  const std::size_t k = cursor_ % buckets_.size();
+  std::vector<Node>& b = buckets_[k];
   if (b.empty()) return;
   wheel_count_ -= b.size();
   for (const Node& n : b) heap_push(n);
   b.clear();  // keeps capacity: steady-state wheel traffic never allocates
+  occupied_[k / 64] &= ~(std::uint64_t{1} << (k % 64));
+}
+
+std::uint64_t Simulation::next_occupied(std::uint64_t from) const {
+  const std::size_t n = buckets_.size();
+  const std::size_t start = from % n;
+  // Index of the first set bit in [lo, hi) of the map, or hi.
+  const auto scan = [this](std::size_t lo, std::size_t hi) {
+    std::size_t w = lo / 64;
+    std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (lo % 64));
+    for (;;) {
+      if (bits != 0) {
+        return std::min<std::size_t>(hi, w * 64 + std::countr_zero(bits));
+      }
+      if (++w * 64 >= hi) return hi;
+      bits = occupied_[w];
+    }
+  };
+  const std::size_t k = scan(start, n);
+  if (k < n) return from + (k - start);
+  return from + (n - start) + scan(0, start);
 }
 
 void Simulation::run_events_until(TimePoint until) {
@@ -152,10 +178,17 @@ void Simulation::run_events_until(TimePoint until) {
       cursor_ = static_cast<std::uint64_t>(bucket_index(heap_.front().when));
       continue;
     }
-    // Wheel traffic ahead: advance one bucket and pull it into the heap.
-    // Bounded by the wheel span — resident nodes sit within the horizon.
+    // Wheel traffic ahead: move to the next bucket where anything can
+    // happen — the first occupied one, the heap top's, or the bucket of
+    // `until` — and pull it into the heap. A one-bucket walk would stop at
+    // the same bucket: the ones in between are empty and nothing fires
+    // there. Bounded by the wheel span — resident nodes sit within it.
     if (static_cast<double>(cursor_) >= until_bi) return;
-    ++cursor_;
+    double next = static_cast<double>(next_occupied(cursor_ + 1));
+    if (!heap_.empty()) {
+      next = std::min(next, bucket_index(heap_.front().when));
+    }
+    cursor_ = static_cast<std::uint64_t>(std::min(next, until_bi));
     dump_bucket();
   }
 }
@@ -171,13 +204,10 @@ std::optional<TimePoint> Simulation::next_due_bound() const {
   if (wheel_count_ > 0) {
     // First occupied bucket at or ahead of the cursor; its floor time
     // bounds every node resident in it from below.
-    for (std::uint64_t k = cursor_; k < cursor_ + buckets_.size(); ++k) {
-      if (buckets_[k % buckets_.size()].empty()) continue;
-      const TimePoint floor_t{Duration{static_cast<double>(k) * tick_s_}};
-      if (!found || floor_t < bound) bound = floor_t;
-      found = true;
-      break;
-    }
+    const std::uint64_t k = next_occupied(cursor_);
+    const TimePoint floor_t{Duration{static_cast<double>(k) * tick_s_}};
+    if (!found || floor_t < bound) bound = floor_t;
+    found = true;
   }
   if (!found) return std::nullopt;  // only cancelled nodes remain queued
   return bound < now_ ? now_ : bound;

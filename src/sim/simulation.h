@@ -11,6 +11,10 @@
 //     bucket. As the cursor reaches a bucket, its nodes are dumped into
 //     the heap — so the heap only ever holds the events of the bucket
 //     being drained plus the far-future tail, keeping sift depth tiny.
+//     A one-bit-per-bucket occupancy map lets the cursor jump over empty
+//     buckets straight to the next one that can fire (an occupied bucket,
+//     the heap top's, or the run's `until`), landing where a one-bucket
+//     walk would have stopped.
 //   * 4-ary min-heap: the ordering tier. Events due in the cursor bucket
 //     (or clamped into the past) and events beyond the wheel horizon
 //     (far-future overflow) live here; overflow nodes are "promoted"
@@ -69,7 +73,8 @@ class Simulation {
   Simulation(Duration wheel_tick, std::size_t wheel_buckets)
       : tick_s_(wheel_tick.count() > 0 ? wheel_tick.count() : 0.004),
         inv_tick_s_(1.0 / tick_s_),
-        buckets_(wheel_buckets > 0 ? wheel_buckets : 1) {}
+        buckets_(wheel_buckets > 0 ? wheel_buckets : 1),
+        occupied_((buckets_.size() + 63) / 64, 0) {}
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
@@ -103,8 +108,8 @@ class Simulation {
   /// its floor, both pull it down — but it is never late, which is the
   /// contract a wall-clock pacer needs to size its poll timeout
   /// (gateway::SimBridge): waking too early costs one extra poll, waking
-  /// too late would stall due events. O(buckets) worst case, O(1) when the
-  /// heap is non-empty and no wheel traffic is ahead of it.
+  /// too late would stall due events. O(buckets / 64) worst case, O(1)
+  /// when no node rests in the wheel.
   std::optional<TimePoint> next_due_bound() const;
 
   /// --- Kernel counters (always on; a handful of arithmetic ops per
@@ -156,6 +161,10 @@ class Simulation {
   void sift_down(std::size_t i);
   /// Move every node of the cursor bucket into the heap.
   void dump_bucket();
+  /// Absolute index of the first occupied bucket in [from, from +
+  /// buckets). Requires wheel_count_ > 0 and from in [cursor_, cursor_ + 1]:
+  /// every resident node lies less than one wheel span past the cursor.
+  std::uint64_t next_occupied(std::uint64_t from) const;
   void run_events_until(TimePoint until);
 
   std::vector<Node> heap_;
@@ -164,6 +173,7 @@ class Simulation {
   double tick_s_;
   double inv_tick_s_ = 250.0;
   std::vector<std::vector<Node>> buckets_;
+  std::vector<std::uint64_t> occupied_;  // bit k%64 of word k/64: bucket k
   std::uint64_t cursor_ = 0;      // absolute index of the bucket being drained
   std::size_t wheel_count_ = 0;   // nodes resident in buckets_
   TimePoint now_{};

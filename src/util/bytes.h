@@ -81,14 +81,6 @@ class ByteWriter {
       buf_.reserve(std::max(buf_.size() + n, 2 * buf_.capacity()));
     }
   }
-  /// Append `n` zero bytes and return where they start, for writers that
-  /// fill a block of known size in place. Valid until the next append.
-  std::uint8_t* extend(std::size_t n) {
-    reserve_more(n);
-    const std::size_t at = buf_.size();
-    buf_.resize(at + n);
-    return buf_.data() + at;
-  }
 
   std::size_t size() const { return buf_.size(); }
   const Bytes& bytes() const& { return buf_; }

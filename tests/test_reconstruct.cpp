@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <random>
 
 #include "analysis/reconstruct.h"
 #include "analysis/stats.h"
@@ -278,8 +279,7 @@ void analyze_access_unit(const std::vector<media::NalUnit>& nals,
                          std::size_t wire_bytes, StreamAnalysis& out) {
   FrameRecord rec;
   rec.pts = pts;
-  rec.arrival = arrival;
-  rec.bytes = wire_bytes;
+  rec.bytes = static_cast<std::uint32_t>(wire_bytes);
   bool have_slice = false;
   for (const media::NalUnit& nal : nals) {
     switch (nal.type) {
@@ -455,8 +455,6 @@ void expect_same(const Result<StreamAnalysis>& got,
     EXPECT_EQ(a.frames[i].qp, b.frames[i].qp) << "frame " << i;
     EXPECT_EQ(a.frames[i].bytes, b.frames[i].bytes) << "frame " << i;
     EXPECT_EQ(to_s(a.frames[i].pts), to_s(b.frames[i].pts)) << "frame " << i;
-    EXPECT_EQ(to_s(a.frames[i].arrival), to_s(b.frames[i].arrival))
-        << "frame " << i;
   }
   ASSERT_EQ(a.ntp_marks.size(), b.ntp_marks.size());
   for (std::size_t i = 0; i < b.ntp_marks.size(); ++i) {
@@ -791,6 +789,144 @@ TEST(ReconstructPin, BrokenFramingDropsTheAccessUnit) {
   ASSERT_TRUE(hls_got.ok()) << hls_got.error().to_string();
   EXPECT_EQ(hls_got.value().frames.size(), 2u);
   expect_same(hls_got, reference::hls(hls_cap));
+}
+
+// ---- StreamReconstructor: the same bytes, however they arrive ----
+
+using Kind = StreamReconstructor::Kind;
+
+/// Feed `cap`'s records to a reconstructor, each cut into pieces at
+/// `cuts_per_record` random offsets (0: whole records); every piece
+/// carries its record's arrival time.
+Result<StreamAnalysis> streamed(const net::Capture& cap, Kind kind,
+                                std::uint64_t seed = 0,
+                                int cuts_per_record = 0) {
+  std::mt19937_64 rng(seed);
+  StreamReconstructor r(kind);
+  for (std::size_t i = 0; i < cap.packets().size(); ++i) {
+    const BytesView data = cap.packet_data(i);
+    std::vector<std::size_t> cuts = {0, data.size()};
+    for (int c = 0; c < cuts_per_record && !data.empty(); ++c) {
+      cuts.push_back(rng() % (data.size() + 1));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
+      r.feed(cap.packets()[i].time,
+             data.subspan(cuts[k], cuts[k + 1] - cuts[k]));
+    }
+  }
+  return r.finish();
+}
+
+/// The whole capture as one record, arriving with its last byte.
+net::Capture whole(const net::Capture& cap) {
+  net::Capture out;
+  out.record(cap.last_time(), cap.payload());
+  return out;
+}
+
+static_assert(sizeof(FrameRecord) == 16);
+
+TEST(StreamReconstructorPin, RtmpWholeByRecordOrRandomSplits) {
+  const RtmpFixture fx(media::VideoConfig{});
+  // One capture record at a time: what reconstruct_rtmp and the
+  // whole-NAL reference read.
+  const auto by_record = streamed(fx.capture, Kind::Rtmp);
+  ASSERT_TRUE(by_record.ok()) << by_record.error().to_string();
+  EXPECT_EQ(by_record.value().frames.size(), fx.true_qps.size());
+  expect_same(by_record, reference::rtmp(fx.capture));
+  expect_same(by_record, reconstruct_rtmp(fx.capture));
+  // The whole stream in one record: every mark arrives with it.
+  const net::Capture one = whole(fx.capture);
+  const auto at_once = streamed(one, Kind::Rtmp);
+  expect_same(at_once, reference::rtmp(one));
+  EXPECT_EQ(at_once.value().frames, by_record.value().frames);
+  // Records cut at random offsets, handshake included: the pieces of a
+  // record share its time, so nothing may move.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    expect_same(streamed(fx.capture, Kind::Rtmp, seed, 3), by_record);
+    expect_same(streamed(one, Kind::Rtmp, seed, 200), at_once);
+  }
+}
+
+TEST(StreamReconstructorPin, RtmpHandshakeEndsMidRecord) {
+  const RtmpFixture fx(media::VideoConfig{}, 100.0, 60);
+  // Records of 1 and 3 bytes around the handshake's end, then the
+  // handshake ending inside a record that also carries the first chunks.
+  for (const std::vector<std::size_t>& sizes :
+       {std::vector<std::size_t>{kHandshake - 2, 1, 3, 1, 500},
+        std::vector<std::size_t>{kHandshake - 7, 20, 4096},
+        std::vector<std::size_t>{rtmp::kHandshakeBlobSize, 1,
+                                 rtmp::kHandshakeBlobSize + 64, 333}}) {
+    SCOPED_TRACE(sizes.front());
+    const net::Capture cap = rechunk(fx.capture, sizes);
+    const auto got = streamed(cap, Kind::Rtmp);
+    ASSERT_TRUE(got.ok()) << got.error().to_string();
+    EXPECT_EQ(got.value().frames.size(), fx.true_qps.size());
+    expect_same(got, reference::rtmp(cap));
+    expect_same(streamed(cap, Kind::Rtmp, 9, 2), got);
+  }
+}
+
+TEST(StreamReconstructorPin, RtmpShortStreamIsAnError) {
+  const RtmpFixture fx(media::VideoConfig{}, 100.0, 10);
+  const net::Capture cap =
+      rechunk(fx.capture, {kHandshake / 3, kHandshake / 3});
+  StreamReconstructor r(Kind::Rtmp);
+  r.feed(cap.packets()[0].time, cap.packet_data(0));
+  r.feed(cap.packets()[1].time, cap.packet_data(1));
+  const auto got = r.finish();
+  ASSERT_FALSE(got.ok());
+  net::Capture short_cap;
+  short_cap.record_copy(time_at(1), cap.packet_data(0));
+  short_cap.record_copy(time_at(2), cap.packet_data(1));
+  expect_same(got, reconstruct_rtmp(short_cap));
+}
+
+TEST(StreamReconstructorPin, HlsRecordAtATime) {
+  const HlsFixture fx(media::VideoConfig{});
+  const auto got = streamed(fx.capture, Kind::Hls);
+  ASSERT_TRUE(got.ok()) << got.error().to_string();
+  EXPECT_EQ(got.value().segments.size(), fx.segments);
+  expect_same(got, reference::hls(fx.capture));
+  expect_same(got, reconstruct_hls(fx.capture));
+}
+
+TEST(StreamReconstructorPin, HlsDemuxErrorMidStreamLatches) {
+  const HlsFixture fx(media::VideoConfig{});
+  ASSERT_GT(fx.segments, 3u);
+  // A segment cut one byte short is not a whole number of TS packets.
+  const BytesView bad_seg = fx.capture.packet_data(2).first(
+      fx.capture.packet_data(2).size() - 1);
+  mpegts::TsDemuxer demux;
+  const Status bad = demux.push(bad_seg);
+  ASSERT_FALSE(bad.ok());
+
+  // A later segment fails differently: its PAT no longer matches its CRC.
+  Bytes bad_crc(fx.capture.packet_data(3).begin(),
+                fx.capture.packet_data(3).end());
+  bad_crc[9] ^= 0x01;  // transport_stream_id, inside the CRC'd section
+  const Status crc = mpegts::TsDemuxer().push(bad_crc);
+  ASSERT_FALSE(crc.ok());
+  ASSERT_NE(crc.error().to_string(), bad.error().to_string());
+
+  net::Capture cap;
+  StreamReconstructor r(Kind::Hls);
+  for (std::size_t i = 0; i < fx.capture.packets().size(); ++i) {
+    const BytesView seg = i == 2   ? bad_seg
+                          : i == 3 ? BytesView(bad_crc)
+                                   : fx.capture.packet_data(i);
+    cap.record_copy(fx.capture.packets()[i].time, seg);
+    r.feed(fx.capture.packets()[i].time, seg);
+  }
+  const auto got = r.finish();
+  ASSERT_FALSE(got.ok());
+  // The first error stands: neither the good segments after it nor the
+  // second failure replace it.
+  EXPECT_EQ(got.error().to_string(), bad.error().to_string());
+  expect_same(got, reconstruct_hls(cap));
+  expect_same(got, reference::hls(cap));
 }
 
 }  // namespace

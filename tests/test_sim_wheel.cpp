@@ -206,5 +206,124 @@ TEST(SimWheel, GeometryIsConfigurableAndDefaultsSane) {
   EXPECT_EQ(fired, 1);
 }
 
+// ---- Sparse schedules: the cursor jumps over empty buckets ----
+//
+// Where the cursor rests decides each new event's tier (its own bucket
+// or behind: heap; within the span: wheel), so wheel_inserts() pins the
+// bucket the cursor landed on. Every count below is the one the
+// one-bucket-at-a-time walk gives.
+
+TEST(Simulation, SparseWheelRunUntilInsideAndAcrossEmptyStretches) {
+  Simulation s(Duration{0.004}, 64);  // buckets of 4 ms, 256 ms span
+  std::vector<int> order;
+  s.schedule_at(time_at(0.0102), [&] { order.push_back(1); });  // bucket 2
+  s.schedule_at(time_at(0.2002), [&] { order.push_back(4); });  // bucket 50
+  EXPECT_EQ(s.wheel_inserts(), 2u);
+  // Cut inside the empty stretch 3..49: the cursor stops on the cut's
+  // bucket (25), not on bucket 2 and not on bucket 50.
+  s.run_until(time_at(0.1002));
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  s.schedule_at(time_at(0.1003), [&] { order.push_back(2); });  // bucket 25
+  EXPECT_EQ(s.wheel_inserts(), 2u);
+  s.schedule_at(time_at(0.1042), [&] { order.push_back(3); });  // bucket 26
+  EXPECT_EQ(s.wheel_inserts(), 3u);
+  EXPECT_EQ(to_s(*s.next_due_bound()), 0.1003);  // the heap node
+  // Cut across the stretch 27..49 and past bucket 50: everything fires;
+  // with nothing left the cursor stays on the last fired bucket (50).
+  s.run_until(time_at(0.3002));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(to_s(s.now()), 0.3002);
+  s.schedule_at(time_at(0.4002), [&] { order.push_back(7); });  // bucket 100
+  EXPECT_EQ(s.wheel_inserts(), 4u);
+  // A wheel-only queue: the bound is the floor of the occupied bucket.
+  EXPECT_NEAR(to_s(*s.next_due_bound()), 0.400, 1e-12);
+  // Cut inside the stretch 51..99: the cursor stops on the cut's bucket
+  // (87), so an event there goes to the heap and one past it to the wheel.
+  s.run_until(time_at(0.3502));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  s.schedule_at(time_at(0.3503), [&] { order.push_back(5); });  // bucket 87
+  EXPECT_EQ(s.wheel_inserts(), 4u);
+  s.schedule_at(time_at(0.3522), [&] { order.push_back(6); });  // bucket 88
+  EXPECT_EQ(s.wheel_inserts(), 5u);
+  s.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(Simulation, SparseWheelFarFutureHeapNodeLandsAmongWheelNodes) {
+  Simulation s(Duration{0.004}, 64);
+  std::vector<int> order;
+  std::size_t inserts_in_far = 0;
+  // Past the span when scheduled: heap tier.
+  s.schedule_at(time_at(0.6002), [&] {  // bucket 150
+    order.push_back(3);
+    // The cursor is on bucket 150: its own bucket goes to the heap, the
+    // next one to the wheel.
+    const std::size_t before = s.wheel_inserts();
+    s.schedule_at(time_at(0.6003), [&] { order.push_back(4); });
+    s.schedule_at(time_at(0.6042), [&] { order.push_back(5); });
+    inserts_in_far = s.wheel_inserts() - before;
+  });
+  s.schedule_at(time_at(0.4002), [&] {  // bucket 100, heap tier too
+    order.push_back(0);
+    // Wheel nodes on both sides of the far node's bucket.
+    s.schedule_at(time_at(0.5902), [&] { order.push_back(1); });  // 147
+    s.schedule_at(time_at(0.6202), [&] { order.push_back(6); });  // 155
+  });
+  EXPECT_EQ(s.wheel_inserts(), 0u);
+  s.run_until(time_at(0.5942));  // bucket 148, between 147 and 150
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(s.wheel_inserts(), 2u);
+  s.schedule_at(time_at(0.5943), [&] { order.push_back(2); });  // 148: heap
+  EXPECT_EQ(s.wheel_inserts(), 2u);
+  s.schedule_at(time_at(0.5962), [&] { order.push_back(2); });  // 149: wheel
+  EXPECT_EQ(s.wheel_inserts(), 3u);
+  EXPECT_EQ(to_s(*s.next_due_bound()), 0.5943);
+  s.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(inserts_in_far, 1u);
+  EXPECT_EQ(s.wheel_inserts(), 4u);
+}
+
+TEST(Simulation, SparseWheelMatchesHeapOrderAndWalkInsertCount) {
+  // Events seconds apart on the default 16.4 s wheel, random cuts: the
+  // firing order and clock equal a heap-only kernel's, and the wheel
+  // insert count is the one-bucket walk's.
+  std::mt19937_64 rng(2024);
+  Simulation wheel;
+  Simulation heap(Duration{0.004}, 1);  // one bucket: every node heaps
+  std::vector<std::pair<int, double>> fired_wheel, fired_heap;
+  int next_id = 0;
+  std::function<void(Simulation&, std::vector<std::pair<int, double>>&,
+                     double, int)>
+      sched = [&](Simulation& sim, std::vector<std::pair<int, double>>& log,
+                  double gap, int id) {
+        sim.schedule_after(seconds(gap), [&sim, &log, &sched, id] {
+          log.push_back({id, to_s(sim.now())});
+          if (id % 3 != 0 && id < 600) {
+            sched(sim, log, 0.5 + (id * 7919 % 997) * 0.025, id + 1000);
+          }
+        });
+      };
+  for (int i = 0; i < 400; ++i) {
+    const double gap = static_cast<double>(rng() % 400000) * 1e-4;  // 0-40 s
+    sched(wheel, fired_wheel, gap, next_id);
+    sched(heap, fired_heap, gap, next_id);
+    ++next_id;
+  }
+  for (double cut = 0.0; cut < 90.0;) {
+    cut += static_cast<double>(rng() % 50000) * 1e-4;  // up to 5 s
+    wheel.run_until(time_at(cut));
+    heap.run_until(time_at(cut));
+    ASSERT_EQ(to_s(wheel.now()), to_s(heap.now()));
+    ASSERT_EQ(wheel.next_due_bound().has_value(),
+              heap.next_due_bound().has_value());
+  }
+  wheel.run_all();
+  heap.run_all();
+  EXPECT_EQ(fired_wheel, fired_heap);
+  EXPECT_EQ(wheel.events_executed(), heap.events_executed());
+  EXPECT_EQ(wheel.wheel_inserts(), 341u);
+}
+
 }  // namespace
 }  // namespace psc

@@ -1,12 +1,13 @@
 // Study-level integration tests: protocol selection under Teleport,
 // bandwidth sweeps, the S3-vs-S4 Welch comparison, playbackMeta quirks,
 // the one world path (own_world, world_horizon, horizon overrun), and
-// the records-only capture of unanalysed sessions.
+// the records-only captures that analysis streams from.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <string>
 
+#include "analysis/reconstruct.h"
 #include "analysis/stats.h"
 #include "core/study.h"
 #include "net/capture.h"
@@ -144,7 +145,8 @@ TEST(Study, DeterministicForSeed) {
 }
 
 TEST(Study, AnalyzeFlagLeavesEverySessionStatEqual) {
-  // analyze=false captures records only; the stats must not notice.
+  // Every campaign capture keeps records only, analysed or not (analysis
+  // streams from the records as they arrive); the stats must not notice.
   Study lean = study_of(medium_config(12), 10);
   Study full = study_of(medium_config(12), 10);
   const std::uint64_t not_kept = net::Capture::process_bytes_not_kept();
@@ -155,7 +157,8 @@ TEST(Study, AnalyzeFlagLeavesEverySessionStatEqual) {
   const CampaignResult rf =
       full.run_campaign(10, 0, Study::galaxy_s4(), /*analyze=*/true);
   EXPECT_GT(lean_not_kept, 0u);
-  EXPECT_EQ(net::Capture::process_bytes_not_kept(), not_kept + lean_not_kept);
+  EXPECT_EQ(net::Capture::process_bytes_not_kept(),
+            not_kept + 2 * lean_not_kept);
   ASSERT_EQ(rl.sessions.size(), rf.sessions.size());
   ASSERT_GE(rl.sessions.size(), 8u);
   bool analysed = false;
@@ -169,6 +172,50 @@ TEST(Study, AnalyzeFlagLeavesEverySessionStatEqual) {
     analysed = analysed || !rf.sessions[i].analysis.frames.empty();
   }
   EXPECT_TRUE(analysed);
+}
+
+TEST(Study, StreamedAnalysisEqualsKeptCaptureReconstruction) {
+  // A rerun whose analysed sessions keep their captured bytes: each
+  // session's streamed analysis must equal reconstruct_rtmp/_hls over the
+  // kept capture, and keeping the bytes must move no session record.
+  // Faults make RTMP sessions reconnect mid-capture and HLS fetches retry.
+  StudyConfig cfg = medium_config(21);
+  cfg.fault.enabled = true;
+  cfg.fault.seed = 5;
+  cfg.fault.gen.intensity = 6.0;
+  Study streamed = study_of(cfg, 12);
+  Study kept = study_of(cfg, 12);
+  std::size_t checked = 0, rtmp = 0, hls = 0, failed = 0;
+  kept.set_analysis_check([&](client::Protocol proto, const net::Capture& cap,
+                              const Result<analysis::StreamAnalysis>& got) {
+    ASSERT_TRUE(cap.keeps_bytes());
+    const Result<analysis::StreamAnalysis> want =
+        proto == client::Protocol::Hls ? analysis::reconstruct_hls(cap)
+                                       : analysis::reconstruct_rtmp(cap);
+    ++checked;
+    ++(proto == client::Protocol::Hls ? hls : rtmp);
+    ASSERT_EQ(got.ok(), want.ok()) << checked;
+    if (!want.ok()) {
+      ++failed;
+      EXPECT_EQ(got.error().to_string(), want.error().to_string());
+      return;
+    }
+    EXPECT_FALSE(want.value().frames.empty()) << checked;
+    EXPECT_TRUE(got.value() == want.value()) << checked;
+  });
+  const CampaignResult rs =
+      streamed.run_campaign(12, 0, Study::galaxy_s4(), /*analyze=*/true);
+  const CampaignResult rk =
+      kept.run_campaign(12, 0, Study::galaxy_s4(), /*analyze=*/true);
+  EXPECT_EQ(checked, rk.sessions.size());
+  EXPECT_GT(rtmp, 0u);
+  EXPECT_GT(hls, 0u);
+  EXPECT_LT(failed, checked);
+  ASSERT_EQ(rs.sessions.size(), rk.sessions.size());
+  for (std::size_t i = 0; i < rs.sessions.size(); ++i) {
+    EXPECT_TRUE(rs.sessions[i].stats == rk.sessions[i].stats) << i;
+    EXPECT_TRUE(rs.sessions[i].analysis == rk.sessions[i].analysis) << i;
+  }
 }
 
 TEST(Study, RtmpServersVaryHlsEdgesDoNot) {
