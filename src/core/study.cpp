@@ -251,6 +251,8 @@ std::optional<SessionRecord> Study::run_one_session(client::Device& device,
     return std::nullopt;
   }
   const bool use_hls = (*access)["protocol"].as_string() == "hls";
+  // An RTMP viewer is served from the origin; nobody fetches the edge.
+  if (!use_hls) pipeline.release_hls();
   if (obs::Obs* o = obs_ptr()) {
     o->log.set_proto(use_hls ? "hls" : "rtmp");
   }

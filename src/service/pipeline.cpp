@@ -68,10 +68,23 @@ void LiveBroadcastPipeline::set_obs(obs::Obs* obs) {
   if (obs == nullptr) {
     segments_shipped_ = nullptr;
     segment_delivery_ = nullptr;
+    hls_released_total_ = nullptr;
     return;
   }
   segments_shipped_ = &obs->metrics.counter("pipeline_segments_total");
   segment_delivery_ = &obs->metrics.histogram("pipeline_segment_delivery_s");
+  hls_released_total_ = &obs->metrics.counter("pipeline_hls_released_total");
+}
+
+void LiveBroadcastPipeline::release_hls() {
+  if (hls_released_) return;
+  hls_released_ = true;
+  // Counted only while producing: a retirement is not an RTMP viewer.
+  if (running_ && hls_released_total_ != nullptr) hls_released_total_->add(1);
+  for (auto& r : renditions_) {
+    r.edge.clear();
+    r.segmenter.discard();  // the open partial segment's buffer
+  }
 }
 
 void LiveBroadcastPipeline::start(Duration run_for) {
@@ -131,6 +144,7 @@ void LiveBroadcastPipeline::on_sample_at_origin(TimePoint now,
   // RTMP: backlog and fan-out. The HLS packager reads the origin's copy;
   // fan-out never retires the pipeline (retirement is a scheduled event).
   const media::MediaSample& out = origin_.push(std::move(sample));
+  if (hls_released_) return;
 
   // HLS: segment each rendition, package, ship to the edge. Ladder
   // renditions run the sample through the transcoder first.
@@ -149,12 +163,14 @@ void LiveBroadcastPipeline::on_sample_at_origin(TimePoint now,
     const TimePoint cut = now;
     sim_.schedule_after(
         cfg_.packaging_delay, [this, r, cut, seg = std::move(seg)]() mutable {
+          if (hls_released_) return;
           // Pacing-only send: the edge cache receives the segment object
           // itself; nobody reads the wire bytes.
           const std::size_t wire_size = seg.ts_data.size();
           cdn_link_.send(wire_size,
                          [this, r, cut, seg = std::move(seg)](
                              TimePoint t, util::BufferSlice /*d*/) mutable {
+                           if (hls_released_) return;
                            renditions_[r].edge.append(std::move(seg), t);
                            if (segments_shipped_ != nullptr) {
                              segments_shipped_->add(1);

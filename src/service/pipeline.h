@@ -12,6 +12,16 @@
 // CDN — the structural source of the 5 s+ delivery latency the paper
 // measured for HLS.
 //
+// Segment lifetimes: a segment is cut when a keyframe closes it, lives in
+// the packaging-delay event and then on the CDN link, and lands in its
+// rendition's edge log, which keeps it until the pipeline retires. The
+// HLS half is released (release_hls()) as soon as it cannot be fetched:
+// when the session's viewer plays RTMP — in the paper, Periscope put a
+// broadcast on the HLS/CDN path only past ~100 viewers — and at
+// retirement. After that the open segment and the edge logs are gone,
+// samples stop at the origin, and a segment still in flight is dropped
+// where it lands.
+//
 // Broadcaster-side impairments: the uplink has throughput noise plus
 // occasional multi-second "hiccups" (rate collapse), which surface as
 // viewer-side stalls even on unconstrained access links — the paper saw
@@ -80,11 +90,16 @@ class LiveBroadcastPipeline {
   void retire() {
     running_ = false;
     origin_.clear();
-    for (auto& r : renditions_) {
-      r.edge.clear();
-      r.segmenter.discard();  // the open partial segment's buffer
-    }
+    release_hls();
   }
+
+  /// Stop packaging HLS for good: every rendition's open segment and edge
+  /// log are discarded, later samples stop at the origin, and a segment
+  /// still in packaging or on the CDN link is dropped when it lands. A
+  /// session whose viewer plays RTMP calls this once accessVideo answers,
+  /// since nobody fetches its edge. Idempotent; the RTMP side is untouched.
+  void release_hls();
+  bool hls_released() const { return hls_released_; }
 
   /// --- RTMP side ---
   /// The origin's stream: RTMP viewers attach to it for the join burst
@@ -147,12 +162,14 @@ class LiveBroadcastPipeline {
   net::Link cdn_link_;
 
   bool running_ = false;
+  bool hls_released_ = false;
   TimePoint stop_at_{};
   OriginStream origin_;
   std::vector<RenditionState> renditions_;
   std::uint64_t samples_produced_ = 0;
   obs::Obs* obs_ = nullptr;
   obs::Counter* segments_shipped_ = nullptr;
+  obs::Counter* hls_released_total_ = nullptr;
   obs::Histogram* segment_delivery_ = nullptr;
 };
 

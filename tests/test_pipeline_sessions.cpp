@@ -7,8 +7,10 @@
 #include "analysis/stats.h"
 #include "client/device.h"
 #include "client/viewer_session.h"
+#include "obs/bundle.h"
 #include "service/pipeline.h"
 #include "service/servers.h"
+#include "testing/fuzz_target.h"
 
 namespace psc {
 namespace {
@@ -121,6 +123,105 @@ TEST(Pipeline, RetireNeutersCallbacks) {
   sim.run_until(time_at(30));  // drain remaining events — must not crash
   EXPECT_EQ(delivered, before);
   EXPECT_TRUE(pipe.origin().backlog().empty());
+}
+
+service::PipelineConfig laddered_pipeline() {
+  service::PipelineConfig cfg = quiet_pipeline();
+  cfg.transcode_ladder = {{"low", media::TranscodeProfile{0.3, 10}, 120e3}};
+  return cfg;
+}
+
+/// A pipeline with an RTMP player attached, drained in steps: the digest
+/// and length of every byte the origin wrote to the player.
+struct OriginTap {
+  explicit OriginTap(std::uint64_t seed)
+      : pipe(sim, test_broadcast(seed), laddered_pipeline()), viewer(1) {
+    pipe.origin().attach(viewer);
+    pipe.start(seconds(40));
+  }
+  void run_until(double t_s) {
+    sim.run_until(time_at(t_s));
+    const Bytes out = viewer.take_output();
+    digest = testing::fnv1a(out, digest);
+    bytes += out.size();
+  }
+
+  sim::Simulation sim;
+  service::LiveBroadcastPipeline pipe;
+  rtmp::ServerSession viewer;
+  std::uint64_t digest = testing::fnv1a(BytesView{});
+  std::size_t bytes = 0;
+};
+
+TEST(Pipeline, ReleasedHlsEdgeStaysEmptyPastSegmentsInFlight) {
+  // The twin keeps packaging; it tells when segment 3 lands.
+  OriginTap twin(6);
+  twin.run_until(40);
+  ASSERT_GE(twin.pipe.edge_log(0).size(), 6u);
+  ASSERT_GE(twin.pipe.edge_log(1).size(), 6u);
+  const double landed = to_s(twin.pipe.edge_log(0)[3].available_at);
+
+  // Release while segment 3 is past its cut but not yet on the edge.
+  OriginTap tap(6);
+  tap.run_until(landed - 0.5);
+  ASSERT_EQ(tap.pipe.edge_log(0).size(), 3u);
+  tap.pipe.release_hls();
+  EXPECT_TRUE(tap.pipe.hls_released());
+  for (std::size_t r = 0; r < tap.pipe.rendition_count(); ++r) {
+    EXPECT_EQ(tap.pipe.edge_log(r).size(), 0u) << r;
+  }
+  for (double t = landed; t <= 40; t += 1.0) {
+    tap.run_until(t);
+    for (std::size_t r = 0; r < tap.pipe.rendition_count(); ++r) {
+      EXPECT_EQ(tap.pipe.edge_log(r).size(), 0u) << r << " at " << t;
+    }
+  }
+}
+
+TEST(Pipeline, ReleaseLeavesOriginFanOutBytesEqual) {
+  OriginTap kept(7);
+  OriginTap released(7);
+  for (double t = 1; t <= 40; t += 1.0) {
+    if (t == 12) released.pipe.release_hls();
+    kept.run_until(t);
+    released.run_until(t);
+  }
+  EXPECT_GT(kept.bytes, 100000u);
+  EXPECT_EQ(released.bytes, kept.bytes);
+  EXPECT_EQ(released.digest, kept.digest);
+  EXPECT_EQ(released.pipe.samples_produced(), kept.pipe.samples_produced());
+  EXPECT_GE(kept.pipe.edge_log().size(), 6u);
+  EXPECT_EQ(released.pipe.edge_log().size(), 0u);
+}
+
+TEST(Pipeline, RetireAfterReleaseIsHarmlessAndCountedOnce) {
+  obs::Obs obs;
+  sim::Simulation sim;
+  service::LiveBroadcastPipeline released(sim, test_broadcast(8),
+                                          laddered_pipeline());
+  service::LiveBroadcastPipeline retired_only(sim, test_broadcast(9),
+                                              laddered_pipeline());
+  released.set_obs(&obs);
+  retired_only.set_obs(&obs);
+  released.start(seconds(30));
+  retired_only.start(seconds(30));
+  sim.run_until(time_at(10));
+  released.release_hls();
+  released.release_hls();
+  sim.run_until(time_at(15));
+  released.stop();
+  released.retire();
+  retired_only.stop();
+  retired_only.retire();
+  sim.run_until(time_at(40));  // drain every in-flight event
+  EXPECT_TRUE(released.origin().backlog().empty());
+  for (std::size_t r = 0; r < released.rendition_count(); ++r) {
+    EXPECT_EQ(released.edge_log(r).size(), 0u) << r;
+    EXPECT_EQ(retired_only.edge_log(r).size(), 0u) << r;
+  }
+  // Only the release of a producing pipeline counts: not the repeat, not
+  // either retirement.
+  EXPECT_EQ(obs.metrics.counter("pipeline_hls_released_total").value(), 1);
 }
 
 struct SessionHarness {
