@@ -8,6 +8,7 @@
 
 #include "gateway/clients.h"
 #include "gateway/gateway.h"
+#include "rtmp/handshake.h"
 #include "testing/fuzz_target.h"
 #include "testing/mutator.h"
 
@@ -79,6 +80,40 @@ bool healthz_ok(Gateway& gw) {
   return ok;
 }
 
+/// The RTMP reassembly budget over a real socket: a peer that completes
+/// the handshake, then starts messages on 64 chunk streams and finishes
+/// none, must be cut off with exactly one counted protocol error and
+/// leave no connection behind. Returns "" or what went wrong.
+std::string chunk_flood_refused(Gateway& gw) {
+  obs::Counter& errors =
+      gw.metrics().counter("gateway_rtmp_protocol_errors_total");
+  const double before = errors.value();
+  SocketPump peer;
+  if (!peer.connect(gw.rtmp_port()).ok()) return "connect refused";
+  peer.queue(rtmp::make_hello(0, 1));
+  Bytes s0s1;
+  constexpr std::size_t kHello = 1 + rtmp::kHandshakeBlobSize;
+  for (int i = 0; i < 10000 && s0s1.size() < kHello; ++i) {
+    if (!peer.step(s0s1)) break;
+    gw.poll_once(0);
+  }
+  if (s0s1.size() < kHello) return "no S0+S1 from the gateway";
+  peer.queue(Bytes(s0s1.begin() + 1, s0s1.begin() + kHello));  // C2
+  peer.queue(testing::rtmp_chunk_stream_flood(64, 4096, 8192));
+  Bytes discard;
+  for (int i = 0; i < 20000; ++i) {
+    if (!peer.step(discard) || peer.peer_closed()) break;
+    discard.clear();
+    gw.poll_once(0);
+  }
+  const bool cut_off = peer.closed() || peer.peer_closed();
+  peer.close();
+  if (!settle(gw, 2000)) return "connection leaked";
+  if (!cut_off) return "flooding peer still connected";
+  if (errors.value() != before + 1) return "protocol error not counted once";
+  return "";
+}
+
 }  // namespace
 
 int run_gateway_oracle(const OracleOptions& opts, std::ostream& out) {
@@ -148,6 +183,11 @@ int run_gateway_oracle(const OracleOptions& opts, std::ostream& out) {
       ++violations;
       out << "gateway oracle: iter " << iter << ": /healthz failed\n";
     }
+  }
+
+  if (const std::string why = chunk_flood_refused(gw); !why.empty()) {
+    ++violations;
+    out << "gateway oracle: chunk-stream flood: " << why << "\n";
   }
 
   const bool healthy = healthz_ok(gw);

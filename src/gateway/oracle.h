@@ -9,7 +9,10 @@
 // gateway alive (a /healthz probe answers 200) and with its connection
 // count back at baseline. Mutation is seed-deterministic (the digest on
 // the FUZZ line witnesses it); only TCP arrival boundaries vary run to
-// run, which is exactly the point of the exercise.
+// run, which is exactly the point of the exercise. A last property floods
+// a handshaken RTMP connection with unfinished chunk streams: the
+// reader's reassembly budget must cut it off with one counted protocol
+// error.
 #pragma once
 
 #include <cstdint>

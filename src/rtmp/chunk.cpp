@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "util/strings.h"
+
 namespace psc::rtmp {
 
 namespace {
@@ -197,6 +199,11 @@ Result<bool> ChunkReader::parse_one(BytesView in, std::size_t& cursor) {
                 (static_cast<std::uint32_t>(avail[pos + 10]) << 24);
   }
   pos += hdr_size;
+  // A header alone decides whether a new message fits the budget, so an
+  // over-budget one fails before its payload arrives, at any push size.
+  if (!continuation) {
+    if (Status s = admit(type, length); !s) return s.error();
+  }
 
   // Extended timestamp.
   bool ext = false;
@@ -252,7 +259,15 @@ Result<bool> ChunkReader::parse_one(BytesView in, std::size_t& cursor) {
   cursor += pos;
   consumed_ += pos;
 
-  if (st.assembly.size() == st.length) {
+  const bool complete = st.assembly.size() == st.length;
+  if (continuation && complete) {
+    --partial_streams_;
+    partial_bytes_ -= st.length;
+  } else if (!continuation && !complete) {
+    ++partial_streams_;
+    partial_bytes_ += st.length;
+  }
+  if (complete) {
     Message msg;
     msg.type = st.type;
     msg.timestamp_ms = st.timestamp;
@@ -274,6 +289,29 @@ Result<bool> ChunkReader::parse_one(BytesView in, std::size_t& cursor) {
     messages_.push_back(std::move(msg));
   }
   return true;
+}
+
+Status ChunkReader::admit(MessageType type, std::uint32_t length) const {
+  if (length > limits_.max_length(type)) {
+    return make_error("rtmp_chunk",
+                      strf("type %u message declares %u bytes, over its "
+                           "cap of %u",
+                           static_cast<unsigned>(type), length,
+                           limits_.max_length(type)));
+  }
+  if (length <= chunk_size_) return {};  // completes in this chunk
+  if (partial_streams_ + 1 > limits_.max_partial_streams) {
+    return make_error("rtmp_chunk",
+                      strf("more than %zu chunk streams hold a partial "
+                           "message",
+                           limits_.max_partial_streams));
+  }
+  if (partial_bytes_ + length > limits_.max_partial_bytes) {
+    return make_error("rtmp_chunk",
+                      strf("partial messages declare more than %zu bytes",
+                           limits_.max_partial_bytes));
+  }
+  return {};
 }
 
 std::vector<Message> ChunkReader::take_messages() {

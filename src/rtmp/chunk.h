@@ -63,11 +63,44 @@ class ChunkWriter {
   std::map<std::uint32_t, PrevHeader> prev_;
 };
 
+/// The reassembly budget of one ChunkReader. A message that spans chunks
+/// is held until its last chunk arrives, so a peer that starts messages on
+/// many chunk streams, or declares huge ones, could make the reader hold
+/// memory it never gives back. Going over any cap fails the connection
+/// with an `rtmp_chunk` error. The defaults sit far above what this
+/// project's writers send: a few chunk streams, media messages of at most
+/// a few hundred KiB.
+struct ChunkLimits {
+  /// Chunk streams holding a partial message at once.
+  std::size_t max_partial_streams = 16;
+  /// Declared lengths of all partial messages, summed: a partial message's
+  /// buffer never outgrows its declared length, so this bounds the bytes
+  /// held for reassembly.
+  std::size_t max_partial_bytes = 8u << 20;
+  /// Declared message length, by type: protocol control (types 1-6),
+  /// media (audio, video) and everything else (commands, data, shared
+  /// objects, aggregates).
+  std::uint32_t max_control_length = 4u << 10;
+  std::uint32_t max_media_length = 4u << 20;
+  std::uint32_t max_other_length = 256u << 10;
+
+  std::uint32_t max_length(MessageType type) const {
+    const auto t = static_cast<std::uint8_t>(type);
+    if (t >= 1 && t <= 6) return max_control_length;
+    if (type == MessageType::Audio || type == MessageType::Video) {
+      return max_media_length;
+    }
+    return max_other_length;
+  }
+};
+
 /// Incremental chunk stream parser: feed arbitrary byte slices; complete
 /// messages come out in order. Handles interleaved chunk streams and
-/// inbound SetChunkSize messages transparently.
+/// inbound SetChunkSize messages transparently, within `ChunkLimits`.
 class ChunkReader {
  public:
+  explicit ChunkReader(ChunkLimits limits = {}) : limits_(limits) {}
+
   /// Append bytes; parses as many complete chunks as possible.
   /// Complete messages are appended to the internal queue.
   Status push(BytesView data);
@@ -96,6 +129,8 @@ class ChunkReader {
   void discard() {
     Bytes{}.swap(buffer_);
     streams_.clear();
+    partial_streams_ = 0;
+    partial_bytes_ = 0;
     messages_.clear();
     std::vector<Message>{}.swap(spare_);
   }
@@ -114,10 +149,16 @@ class ChunkReader {
   /// Try to parse one chunk from in[cursor...]. Returns false if more
   /// bytes are needed (cursor unchanged).
   Result<bool> parse_one(BytesView in, std::size_t& cursor);
+  /// Whether a message of `type` and `length` starting now fits the
+  /// budget (it stays partial when it spans more than one chunk).
+  Status admit(MessageType type, std::uint32_t length) const;
 
+  ChunkLimits limits_;
   Bytes buffer_;  // an incomplete chunk left over from earlier pushes
   std::uint32_t chunk_size_ = kDefaultChunkSize;
   std::map<std::uint32_t, StreamState> streams_;
+  std::size_t partial_streams_ = 0;  // streams with a partial message
+  std::size_t partial_bytes_ = 0;    // their declared lengths, summed
   std::vector<Message> messages_;
   std::vector<Message> spare_;  // drain()'s second queue
   std::uint64_t consumed_ = 0;

@@ -52,6 +52,14 @@ class TargetRegistry {
 /// Registers every wire-format target (idempotent).
 void register_builtin_targets();
 
+/// An RTMP chunk stream, as sent after the handshake, that sets the chunk
+/// size to `chunk_size`, then opens chunk streams 3, 4, ... `streams` of
+/// them, each with the first chunk of a `message_length`-byte video
+/// message that is never finished: the reassembly-exhaustion probe that a
+/// reader's ChunkLimits must stop.
+Bytes rtmp_chunk_stream_flood(std::size_t streams, std::uint32_t chunk_size,
+                              std::uint32_t message_length);
+
 /// FNV-1a 64-bit, used for run digests and reproducer file names.
 std::uint64_t fnv1a(BytesView data, std::uint64_t h = 0xcbf29ce484222325ull);
 

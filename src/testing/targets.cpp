@@ -277,6 +277,43 @@ std::vector<Bytes> rtmp_chunk_corpus() {
   return out;
 }
 
+}  // namespace
+
+Bytes rtmp_chunk_stream_flood(std::size_t streams, std::uint32_t chunk_size,
+                              std::uint32_t message_length) {
+  rtmp::ChunkWriter writer;
+  ByteWriter w;
+  rtmp::Message scs;
+  scs.type = rtmp::MessageType::SetChunkSize;
+  ByteWriter size;
+  size.u32be(chunk_size);
+  scs.payload = size.take();
+  writer.write(w, rtmp::kCsidProtocol, scs);
+  const Bytes chunk(std::min(chunk_size, message_length), 0x5A);
+  for (std::size_t i = 0; i < streams; ++i) {
+    const std::uint32_t csid = 3 + static_cast<std::uint32_t>(i);
+    // Basic header, fmt 0, in its 1-, 2- or 3-byte form.
+    if (csid <= 63) {
+      w.u8(static_cast<std::uint8_t>(csid));
+    } else if (csid <= 319) {
+      w.u8(0);
+      w.u8(static_cast<std::uint8_t>(csid - 64));
+    } else {
+      w.u8(1);
+      w.u8(static_cast<std::uint8_t>((csid - 64) & 0xFF));
+      w.u8(static_cast<std::uint8_t>((csid - 64) >> 8));
+    }
+    w.u24be(0);  // timestamp
+    w.u24be(message_length);
+    w.u8(static_cast<std::uint8_t>(rtmp::MessageType::Video));
+    w.u32le(1);  // message stream id
+    w.raw(chunk);
+  }
+  return w.take();
+}
+
+namespace {
+
 Status rtmp_chunk_execute(BytesView data) {
   rtmp::ChunkReader reader;
   auto st = reader.push(data);

@@ -7,6 +7,8 @@
 #include "rtmp/chunk.h"
 #include "rtmp/handshake.h"
 #include "rtmp/session.h"
+#include "testing/fuzz_target.h"
+#include "util/rng.h"
 
 namespace psc::rtmp {
 namespace {
@@ -207,6 +209,124 @@ TEST(Chunk, InterleavedMidMessageChunks) {
   EXPECT_EQ(msgs[1].type, MessageType::Video);
   EXPECT_EQ(msgs[1].payload, video);
   EXPECT_EQ(msgs[1].timestamp_ms, 100u);
+}
+
+// ---- Reassembly budget (ChunkLimits) ----
+
+/// Feed `wire` in slices of `step` bytes (0 = random 1..4096, seeded) and
+/// return the first error, or "" when every push succeeds.
+std::string first_error(ChunkReader& reader, BytesView wire,
+                        std::size_t step) {
+  Rng rng(17);
+  std::size_t off = 0;
+  while (off < wire.size()) {
+    const std::size_t n = std::min(
+        wire.size() - off,
+        step != 0 ? step : static_cast<std::size_t>(rng.uniform_int(1, 4096)));
+    const Status st = reader.push(wire.subspan(off, n));
+    if (!st) return st.error().to_string();
+    off += n;
+  }
+  return "";
+}
+
+TEST(ChunkBudget, ChunkStreamFloodFailsAtTheStreamCap) {
+  // The unbounded-reassembly probe, scaled down: at a 64 KiB chunk size,
+  // the first 64 KiB chunk of a 128 KiB message on each of 200 chunk
+  // streams. Without a cap the reader holds every partial message.
+  const Bytes wire = testing::rtmp_chunk_stream_flood(200, 64 << 10, 128 << 10);
+  ChunkReader reader;
+  const std::string err = first_error(reader, wire, wire.size());
+  EXPECT_EQ(err, "rtmp_chunk: more than 16 chunk streams hold a partial "
+                 "message");
+  // The SetChunkSize message completed; no flood message did, and the
+  // reader stopped after the 16 streams it admitted.
+  EXPECT_EQ(reader.take_messages().size(), 1u);
+  EXPECT_EQ(reader.chunk_size(), 64u << 10);
+  EXPECT_LT(reader.bytes_consumed(), 17u * (64u << 10));
+}
+
+TEST(ChunkBudget, PartialBytesCapFailsBeforeTheStreamCap) {
+  // 1 MiB messages: the ninth partial one would hold 9 MiB > 8 MiB.
+  const Bytes wire = testing::rtmp_chunk_stream_flood(12, 64 << 10, 1 << 20);
+  ChunkReader reader;
+  EXPECT_EQ(first_error(reader, wire, wire.size()),
+            "rtmp_chunk: partial messages declare more than 8388608 bytes");
+  EXPECT_LT(reader.bytes_consumed(), 9u * (64u << 10));
+}
+
+TEST(ChunkBudget, DeclaredLengthCapPerType) {
+  const ChunkLimits limits;
+  // The original probe's 16 MB message fails on its first chunk header.
+  const Bytes huge = testing::rtmp_chunk_stream_flood(1, 64 << 10, 16000000);
+  ChunkReader reader;
+  EXPECT_EQ(first_error(reader, huge, huge.size()),
+            "rtmp_chunk: type 9 message declares 16000000 bytes, over its "
+            "cap of 4194304");
+  // Each type class at its cap passes and one byte over fails.
+  for (MessageType type : {MessageType::UserControl, MessageType::Audio,
+                           MessageType::Video, MessageType::DataAmf0,
+                           MessageType::CommandAmf0}) {
+    for (std::uint32_t extra : {0u, 1u}) {
+      const std::uint32_t length = limits.max_length(type) + extra;
+      ChunkWriter writer(64 << 10);
+      ByteWriter w;
+      writer.write(w, kCsidCommand, make_msg(type, 0, 1, length, 0x11));
+      ChunkReader r;
+      // The header states the writer's chunk size, not the reader's:
+      // tell the reader first.
+      ChunkWriter control;
+      ByteWriter scs;
+      Message set = make_msg(MessageType::SetChunkSize, 0, 0, 0, 0);
+      ByteWriter size;
+      size.u32be(64 << 10);
+      set.payload = size.take();
+      control.write(scs, kCsidProtocol, set);
+      ASSERT_TRUE(r.push(scs.bytes()).ok());
+      const Status st = r.push(w.bytes());
+      EXPECT_EQ(st.ok(), extra == 0) << static_cast<int>(type);
+      if (!st) {
+        EXPECT_EQ(st.error().code, "rtmp_chunk");
+      }
+    }
+  }
+}
+
+TEST(ChunkBudget, SameTerminalErrorAtEveryPushGranularity) {
+  const Bytes floods[] = {
+      testing::rtmp_chunk_stream_flood(200, 64 << 10, 128 << 10),
+      testing::rtmp_chunk_stream_flood(12, 64 << 10, 1 << 20),
+      testing::rtmp_chunk_stream_flood(40, 4096, 8192),
+  };
+  for (const Bytes& wire : floods) {
+    ChunkReader whole;
+    const std::string want = first_error(whole, wire, wire.size());
+    ASSERT_FALSE(want.empty());
+    for (std::size_t step : {1u, 7u, 0u}) {
+      ChunkReader reader;
+      EXPECT_EQ(first_error(reader, wire, step), want) << step;
+      EXPECT_EQ(reader.bytes_consumed(), whole.bytes_consumed()) << step;
+      // Terminal: any later push fails the same way.
+      const Bytes more(64, 0xC3);
+      const Status again = reader.push(more);
+      ASSERT_FALSE(again.ok());
+      EXPECT_EQ(again.error().to_string(), want);
+    }
+  }
+}
+
+TEST(ChunkBudget, CompletedMessagesReturnTheirBudget) {
+  // 100 multi-chunk messages, each on its own chunk stream and each
+  // finished before the next starts: never more than one partial, though
+  // their declared lengths sum past the 8 MiB partial-bytes cap.
+  ChunkWriter writer;
+  ByteWriter w;
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    writer.write(w, 3 + i, make_msg(MessageType::Video, i, 1, 100000, 0x22));
+  }
+  ChunkReader reader;
+  ASSERT_TRUE(reader.push(w.bytes()).ok());
+  EXPECT_EQ(reader.take_messages().size(), 100u);
 }
 
 TEST(Handshake, HelloRoundtrip) {
