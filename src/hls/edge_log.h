@@ -56,7 +56,11 @@ class EdgeLog {
   void append(Segment seg, TimePoint available_at);
   /// Drop the oldest segments until at most `keep` remain.
   void retain_last(std::size_t keep);
-  void clear() { segments_.clear(); }
+  void clear() {
+    segments_.clear();
+    dropped_discontinuities_ = 0;
+    discontinuities_ = 0;
+  }
 
   /// The stream ended: the live playlist carries #EXT-X-ENDLIST.
   void end_stream() { ended_ = true; }
@@ -66,7 +70,9 @@ class EdgeLog {
   bool ended() const { return ended_; }
 
   /// The live playlist as served at `now`: the last `window` segments
-  /// servable by then.
+  /// servable by then. Once a segment that follows a discontinuity has
+  /// left the window, #EXT-X-DISCONTINUITY-SEQUENCE counts it (RFC 8216
+  /// §6.2.2).
   MediaPlaylist live(TimePoint now) const;
   /// The replay playlist: every segment, #EXT-X-ENDLIST set.
   MediaPlaylist vod() const;
@@ -89,6 +95,10 @@ class EdgeLog {
   Duration target_;
   std::size_t window_;
   std::deque<EdgeSegment> segments_;
+  /// Discontinuities among the segments held, and among those dropped
+  /// from the front by retain_last().
+  std::uint64_t discontinuities_ = 0;
+  std::uint64_t dropped_discontinuities_ = 0;
   bool ended_ = false;
   bool discontinuity_next_ = false;
 };

@@ -24,6 +24,14 @@ std::optional<double> parse_duration_s(const char* text) {
   return v;
 }
 
+/// A decimal-integer attribute value (a sequence number).
+std::optional<std::uint64_t> parse_count(const char* digits) {
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(digits, &end, 10);
+  if (end == digits || *digits == '-') return std::nullopt;
+  return v;
+}
+
 }  // namespace
 
 std::string write_m3u8(const MediaPlaylist& pl) {
@@ -33,6 +41,10 @@ std::string write_m3u8(const MediaPlaylist& pl) {
               static_cast<int>(std::ceil(to_s(pl.target_duration))));
   out += strf("#EXT-X-MEDIA-SEQUENCE:%llu\n",
               static_cast<unsigned long long>(pl.media_sequence));
+  if (pl.discontinuity_sequence != 0) {
+    out += strf("#EXT-X-DISCONTINUITY-SEQUENCE:%llu\n",
+                static_cast<unsigned long long>(pl.discontinuity_sequence));
+  }
   for (const SegmentRef& seg : pl.segments) {
     if (seg.discontinuity) out += "#EXT-X-DISCONTINUITY\n";
     out += strf("#EXTINF:%.3f,\n", to_s(seg.duration));
@@ -67,15 +79,17 @@ Result<MediaPlaylist> parse_m3u8(const std::string& text) {
       if (!d) return make_error("m3u8", "bad #EXT-X-TARGETDURATION value");
       pl.target_duration = seconds(*d);
     } else if (starts_with(line, "#EXT-X-MEDIA-SEQUENCE:")) {
-      char* end = nullptr;
-      const char* digits = line.c_str() + 22;
-      const unsigned long long v = std::strtoull(digits, &end, 10);
-      if (end == digits || *digits == '-') {
-        return make_error("m3u8", "bad #EXT-X-MEDIA-SEQUENCE value");
-      }
-      pl.media_sequence = v;
+      const auto v = parse_count(line.c_str() + 22);
+      if (!v) return make_error("m3u8", "bad #EXT-X-MEDIA-SEQUENCE value");
+      pl.media_sequence = *v;
       seq = pl.media_sequence;
       seq_set = true;
+    } else if (starts_with(line, "#EXT-X-DISCONTINUITY-SEQUENCE:")) {
+      const auto v = parse_count(line.c_str() + 30);
+      if (!v) {
+        return make_error("m3u8", "bad #EXT-X-DISCONTINUITY-SEQUENCE value");
+      }
+      pl.discontinuity_sequence = *v;
     } else if (starts_with(line, "#EXTINF:")) {
       const auto d = parse_duration_s(line.c_str() + 8);
       if (!d) return make_error("m3u8", "bad #EXTINF duration");

@@ -28,6 +28,9 @@ struct MediaPlaylist {
   int version = 3;
   Duration target_duration{4};
   std::uint64_t media_sequence = 0;
+  /// #EXT-X-DISCONTINUITY-SEQUENCE: discontinuities that precede the first
+  /// segment listed (RFC 8216 §4.3.3.3). Written only when non-zero.
+  std::uint64_t discontinuity_sequence = 0;
   bool ended = false;  // #EXT-X-ENDLIST present
   std::vector<SegmentRef> segments;
 };

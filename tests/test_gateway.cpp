@@ -210,6 +210,58 @@ TEST(GatewayStore, RepublishReopensPlaylist) {
   EXPECT_TRUE(playlist().ended);
 }
 
+TEST(GatewayStore, RepublishDiscontinuityLeavesTheWindowCounted) {
+  auto cfg = test_config();
+  cfg.segment_target = seconds(1);  // one 36-frame GOP per segment
+  cfg.playlist_window = 3;
+  cfg.retain_extra = 1;
+  gateway::Gateway gw(cfg);
+  ASSERT_TRUE(gw.start().ok());
+  gateway::HlsFetchClient client;
+  ASSERT_TRUE(client.connect(gw.http_port()).ok());
+  gateway::SegmentStore& store = gw.store();
+  const std::string key = "republish0002";
+  const gateway::SyntheticMedia media = gateway::synthetic_frames(2, 72);
+  const TimePoint t0{};
+  const auto playlist = [&] {
+    const http::Response r = fetch(gw, client, "/hls/" + key + "/media.m3u8");
+    EXPECT_EQ(r.status, 200);
+    auto pl = hls::parse_m3u8(to_string(r.body.view()));
+    EXPECT_TRUE(pl.ok());
+    return pl.ok() ? pl.value() : hls::MediaPlaylist{};
+  };
+  // One whole publish; its last segment is flushed at its end.
+  const auto publish = [&] {
+    store.on_publish_start(key, t0);
+    for (const auto& s : media.samples) store.on_sample(key, s, t0);
+    store.on_publish_end(key, t0);
+  };
+
+  publish();
+  const std::uint64_t n = store.segments_stored();  // per publish
+  ASSERT_GE(n, 2u);
+  bool listed_uncounted = false;  // a discontinuity still in the window
+  for (std::uint64_t k = 2; k <= 5; ++k) {
+    publish();  // segment (k-1)*n follows the (k-1)th discontinuity
+    ASSERT_EQ(store.segments_stored(), k * n);
+    const hls::MediaPlaylist pl = playlist();
+    ASSERT_EQ(pl.segments.size(), 3u);
+    ASSERT_EQ(pl.media_sequence, k * n - 3);
+    // Counted once its segment has left the window (RFC 8216 §6.2.2),
+    // whether or not the store still retains it.
+    std::uint64_t left = 0;
+    for (std::uint64_t j = 1; j < k; ++j) left += j * n < k * n - 3;
+    EXPECT_EQ(pl.discontinuity_sequence, left) << k;
+    for (const hls::SegmentRef& seg : pl.segments) {
+      const bool follows = seg.sequence % n == 0;
+      EXPECT_EQ(seg.discontinuity, follows) << seg.uri;
+      listed_uncounted = listed_uncounted || follows;
+    }
+  }
+  EXPECT_TRUE(listed_uncounted);
+  EXPECT_GE(playlist().discontinuity_sequence, 3u);
+}
+
 TEST(GatewayRtmp, PlayerGetsCalibratedBurstThenLive) {
   gateway::Gateway gw(test_config());
   ASSERT_TRUE(gw.start().ok());

@@ -48,6 +48,30 @@ TEST(Playlist, DiscontinuitySequenceDoesNotMarkASegment) {
   EXPECT_TRUE(parsed.value().segments[1].discontinuity);
 }
 
+TEST(Playlist, DiscontinuitySequenceRoundtrip) {
+  MediaPlaylist pl;
+  pl.media_sequence = 9;
+  pl.discontinuity_sequence = 3;
+  pl.segments = {{"seg_9.ts", seconds(3.6), 9},
+                 {"seg_10.ts", seconds(3.6), 10, /*discontinuity=*/true}};
+  const std::string text = write_m3u8(pl);
+  // The tag precedes the first segment (RFC 8216 §4.3.3.3).
+  EXPECT_LT(text.find("#EXT-X-DISCONTINUITY-SEQUENCE:3\n"),
+            text.find("#EXTINF"));
+  auto parsed = parse_m3u8(text);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value().discontinuity_sequence, 3u);
+  EXPECT_EQ(write_m3u8(parsed.value()), text);
+  // Zero is the default and is not written.
+  pl.discontinuity_sequence = 0;
+  EXPECT_EQ(write_m3u8(pl).find("DISCONTINUITY-SEQUENCE"),
+            std::string::npos);
+  EXPECT_FALSE(parse_m3u8("#EXTM3U\n#EXT-X-DISCONTINUITY-SEQUENCE:-1\n")
+                   .ok());
+  EXPECT_FALSE(parse_m3u8("#EXTM3U\n#EXT-X-DISCONTINUITY-SEQUENCE:x\n")
+                   .ok());
+}
+
 TEST(Playlist, MissingHeaderRejected) {
   EXPECT_FALSE(parse_m3u8("#EXT-X-VERSION:3\n").ok());
 }
@@ -143,6 +167,22 @@ TEST(HlsEdgeLog, ReopenClearsEndAndMarksDiscontinuity) {
   EXPECT_NE(write_m3u8(pl).find("#EXT-X-DISCONTINUITY\n#EXTINF:3.600,\n"
                                 "seg_2.ts\n"),
             std::string::npos);
+}
+
+TEST(HlsEdgeLog, DiscontinuitySequenceCountsDiscontinuitiesLeftBehind) {
+  EdgeLog log(0, seconds(3.6), 2);
+  log.append(edge_segment(0), time_at(0));
+  log.reopen();
+  log.append(edge_segment(1), time_at(0));  // follows a discontinuity
+  // Segment 1 is still listed: its own tag carries the discontinuity.
+  EXPECT_EQ(log.live(time_at(0)).discontinuity_sequence, 0u);
+  log.append(edge_segment(2), time_at(0));
+  EXPECT_EQ(log.live(time_at(0)).discontinuity_sequence, 0u);
+  log.append(edge_segment(3), time_at(0));  // window: 2, 3
+  EXPECT_EQ(log.live(time_at(0)).discontinuity_sequence, 1u);
+  log.retain_last(1);  // segment 1 leaves the log too
+  EXPECT_EQ(log.live(time_at(0)).discontinuity_sequence, 1u);
+  EXPECT_EQ(log.vod().discontinuity_sequence, 1u);
 }
 
 TEST(HlsEdgeUri, FormatsAndParsesSegmentUris) {
