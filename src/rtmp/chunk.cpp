@@ -291,25 +291,34 @@ Result<bool> ChunkReader::parse_one(BytesView in, std::size_t& cursor) {
   return true;
 }
 
+std::uint32_t max_message_length(MessageType type) {
+  const auto t = static_cast<std::uint8_t>(type);
+  if (t >= 1 && t <= 6) return 4u << 10;
+  if (type == MessageType::Audio || type == MessageType::Video) {
+    return 4u << 20;
+  }
+  return 256u << 10;
+}
+
 Status ChunkReader::admit(MessageType type, std::uint32_t length) const {
-  if (length > limits_.max_length(type)) {
+  if (length > max_message_length(type)) {
     return make_error("rtmp_chunk",
                       strf("type %u message declares %u bytes, over its "
                            "cap of %u",
                            static_cast<unsigned>(type), length,
-                           limits_.max_length(type)));
+                           max_message_length(type)));
   }
   if (length <= chunk_size_) return {};  // completes in this chunk
-  if (partial_streams_ + 1 > limits_.max_partial_streams) {
+  if (partial_streams_ + 1 > kMaxPartialStreams) {
     return make_error("rtmp_chunk",
                       strf("more than %zu chunk streams hold a partial "
                            "message",
-                           limits_.max_partial_streams));
+                           kMaxPartialStreams));
   }
-  if (partial_bytes_ + length > limits_.max_partial_bytes) {
+  if (partial_bytes_ + length > kMaxPartialBytes) {
     return make_error("rtmp_chunk",
                       strf("partial messages declare more than %zu bytes",
-                           limits_.max_partial_bytes));
+                           kMaxPartialBytes));
   }
   return {};
 }

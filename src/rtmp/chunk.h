@@ -67,40 +67,27 @@ class ChunkWriter {
 /// is held until its last chunk arrives, so a peer that starts messages on
 /// many chunk streams, or declares huge ones, could make the reader hold
 /// memory it never gives back. Going over any cap fails the connection
-/// with an `rtmp_chunk` error. The defaults sit far above what this
-/// project's writers send: a few chunk streams, media messages of at most
-/// a few hundred KiB.
-struct ChunkLimits {
-  /// Chunk streams holding a partial message at once.
-  std::size_t max_partial_streams = 16;
-  /// Declared lengths of all partial messages, summed: a partial message's
-  /// buffer never outgrows its declared length, so this bounds the bytes
-  /// held for reassembly.
-  std::size_t max_partial_bytes = 8u << 20;
-  /// Declared message length, by type: protocol control (types 1-6),
-  /// media (audio, video) and everything else (commands, data, shared
-  /// objects, aggregates).
-  std::uint32_t max_control_length = 4u << 10;
-  std::uint32_t max_media_length = 4u << 20;
-  std::uint32_t max_other_length = 256u << 10;
-
-  std::uint32_t max_length(MessageType type) const {
-    const auto t = static_cast<std::uint8_t>(type);
-    if (t >= 1 && t <= 6) return max_control_length;
-    if (type == MessageType::Audio || type == MessageType::Video) {
-      return max_media_length;
-    }
-    return max_other_length;
-  }
-};
+/// with an `rtmp_chunk` error. The caps sit far above what this project's
+/// writers send: a few chunk streams, media messages of at most a few
+/// hundred KiB.
+///
+/// Chunk streams holding a partial message at once.
+constexpr std::size_t kMaxPartialStreams = 16;
+/// Declared lengths of all partial messages, summed: a partial message's
+/// buffer never outgrows its declared length, so this bounds the bytes
+/// held for reassembly.
+constexpr std::size_t kMaxPartialBytes = 8u << 20;
+/// Declared message length, by type: 4 KiB for protocol control (types
+/// 1-6), 4 MiB for audio and video, 256 KiB for everything else
+/// (commands, data, shared objects, aggregates).
+std::uint32_t max_message_length(MessageType type);
 
 /// Incremental chunk stream parser: feed arbitrary byte slices; complete
 /// messages come out in order. Handles interleaved chunk streams and
-/// inbound SetChunkSize messages transparently, within `ChunkLimits`.
+/// inbound SetChunkSize messages transparently, within the reassembly
+/// budget above.
 class ChunkReader {
  public:
-  explicit ChunkReader(ChunkLimits limits = {}) : limits_(limits) {}
-
   /// Append bytes; parses as many complete chunks as possible.
   /// Complete messages are appended to the internal queue.
   Status push(BytesView data);
@@ -153,7 +140,6 @@ class ChunkReader {
   /// budget (it stays partial when it spans more than one chunk).
   Status admit(MessageType type, std::uint32_t length) const;
 
-  ChunkLimits limits_;
   Bytes buffer_;  // an incomplete chunk left over from earlier pushes
   std::uint32_t chunk_size_ = kDefaultChunkSize;
   std::map<std::uint32_t, StreamState> streams_;

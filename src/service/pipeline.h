@@ -99,7 +99,6 @@ class LiveBroadcastPipeline {
   /// session whose viewer plays RTMP calls this once accessVideo answers,
   /// since nobody fetches its edge. Idempotent; the RTMP side is untouched.
   void release_hls();
-  bool hls_released() const { return hls_released_; }
 
   /// --- RTMP side ---
   /// The origin's stream: RTMP viewers attach to it for the join burst

@@ -56,7 +56,7 @@ void register_builtin_targets();
 /// size to `chunk_size`, then opens chunk streams 3, 4, ... `streams` of
 /// them, each with the first chunk of a `message_length`-byte video
 /// message that is never finished: the reassembly-exhaustion probe that a
-/// reader's ChunkLimits must stop.
+/// ChunkReader's reassembly budget must stop.
 Bytes rtmp_chunk_stream_flood(std::size_t streams, std::uint32_t chunk_size,
                               std::uint32_t message_length);
 

@@ -211,7 +211,7 @@ TEST(Chunk, InterleavedMidMessageChunks) {
   EXPECT_EQ(msgs[1].timestamp_ms, 100u);
 }
 
-// ---- Reassembly budget (ChunkLimits) ----
+// ---- Reassembly budget ----
 
 /// Feed `wire` in slices of `step` bytes (0 = random 1..4096, seeded) and
 /// return the first error, or "" when every push succeeds.
@@ -256,7 +256,6 @@ TEST(ChunkBudget, PartialBytesCapFailsBeforeTheStreamCap) {
 }
 
 TEST(ChunkBudget, DeclaredLengthCapPerType) {
-  const ChunkLimits limits;
   // The original probe's 16 MB message fails on its first chunk header.
   const Bytes huge = testing::rtmp_chunk_stream_flood(1, 64 << 10, 16000000);
   ChunkReader reader;
@@ -268,7 +267,7 @@ TEST(ChunkBudget, DeclaredLengthCapPerType) {
                            MessageType::Video, MessageType::DataAmf0,
                            MessageType::CommandAmf0}) {
     for (std::uint32_t extra : {0u, 1u}) {
-      const std::uint32_t length = limits.max_length(type) + extra;
+      const std::uint32_t length = max_message_length(type) + extra;
       ChunkWriter writer(64 << 10);
       ByteWriter w;
       writer.write(w, kCsidCommand, make_msg(type, 0, 1, length, 0x11));
