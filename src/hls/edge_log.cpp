@@ -65,15 +65,11 @@ void EdgeLog::append(Segment seg, TimePoint available_at) {
           available_at >= segments_.back().available_at));
   segments_.push_back(EdgeSegment{std::move(seg), available_at,
                                   std::exchange(discontinuity_next_, false)});
-  if (segments_.back().discontinuity) ++discontinuities_;
 }
 
 void EdgeLog::retain_last(std::size_t keep) {
   while (segments_.size() > keep) {
-    if (segments_.front().discontinuity) {
-      --discontinuities_;
-      ++dropped_discontinuities_;
-    }
+    if (segments_.front().discontinuity) ++dropped_discontinuities_;
     segments_.pop_front();
   }
 }
@@ -102,7 +98,7 @@ MediaPlaylist EdgeLog::render(std::size_t first, std::size_t last,
   pl.ended = ended;
   pl.media_sequence = first_sequence() + first;
   pl.discontinuity_sequence = dropped_discontinuities_;
-  for (std::size_t i = 0; discontinuities_ != 0 && i < first; ++i) {
+  for (std::size_t i = 0; i < first; ++i) {
     if (segments_[i].discontinuity) ++pl.discontinuity_sequence;
   }
   pl.segments.reserve(last - first);

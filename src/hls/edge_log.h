@@ -59,7 +59,6 @@ class EdgeLog {
   void clear() {
     segments_.clear();
     dropped_discontinuities_ = 0;
-    discontinuities_ = 0;
   }
 
   /// The stream ended: the live playlist carries #EXT-X-ENDLIST.
@@ -95,9 +94,7 @@ class EdgeLog {
   Duration target_;
   std::size_t window_;
   std::deque<EdgeSegment> segments_;
-  /// Discontinuities among the segments held, and among those dropped
-  /// from the front by retain_last().
-  std::uint64_t discontinuities_ = 0;
+  /// Discontinuities among the segments retain_last() dropped.
   std::uint64_t dropped_discontinuities_ = 0;
   bool ended_ = false;
   bool discontinuity_next_ = false;
