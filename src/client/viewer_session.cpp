@@ -329,7 +329,37 @@ HlsViewerSession::HlsViewerSession(sim::Simulation& sim,
   edge_server_.attach(pipe.info().id, &pipe);
 }
 
+HlsViewerSession::~HlsViewerSession() { detach_consumer(); }
+
+void HlsViewerSession::detach_consumer() {
+  if (consumer_ != 0) pipe_.detach_consumer(std::exchange(consumer_, 0));
+}
+
+void HlsViewerSession::on_finish() { detach_consumer(); }
+
+std::uint64_t HlsViewerSession::low_water() const {
+  if (!started_fetching_) {
+    if (mode_ == Mode::Replay) return 0;
+    return served_window_first_.value_or(
+        service::LiveBroadcastPipeline::kLiveWindow);
+  }
+  // Held sequences were all taken from next_seq_, so lie below it.
+  return held_.empty() ? next_seq_
+                       : *std::min_element(held_.begin(), held_.end());
+}
+
+void HlsViewerSession::publish_low_water() {
+  if (consumer_ != 0) pipe_.advance_consumer(consumer_, low_water());
+}
+
+void HlsViewerSession::release_slot(std::uint64_t seq) {
+  --in_flight_;
+  held_.erase(std::find(held_.begin(), held_.end(), seq));
+  publish_low_water();
+}
+
 void HlsViewerSession::begin() {
+  consumer_ = pipe_.attach_consumer(low_water());
   if (adaptive_ && pipe_.rendition_count() > 1) {
     // Fetch the master playlist first, then poll the media playlist.
     get_playlist("master.m3u8", &HlsViewerSession::on_master_playlist);
@@ -349,6 +379,16 @@ void HlsViewerSession::get_playlist(const char* name, PlaylistFn then) {
     http::Request get;
     get.path = std::move(path);
     const http::Response resp = edge_server_.handle(get, t_edge);
+    if (then == &HlsViewerSession::on_media_playlist &&
+        mode_ == Mode::Live && !served_window_first_) {
+      // The first playlist this viewer can start from, whenever it
+      // arrives: no segment from its window on may be evicted.
+      const hls::EdgeLog& log = pipe_.edge_log();
+      if (log.servable(t_edge) > 0) {
+        served_window_first_ = log.window_first_sequence(t_edge);
+        publish_low_water();
+      }
+    }
     edge_a_link_.send(resp.serialize(),
                       [this, then](TimePoint, util::BufferSlice data) {
       device_.downlink().send(std::move(data),
@@ -466,6 +506,7 @@ void HlsViewerSession::maybe_fetch_next() {
   while (in_flight_ < 2 && next_seq_ <= last_known_seq_) {
     const std::uint64_t seq = next_seq_++;
     ++in_flight_;
+    held_.push_back(seq);
     if (adaptive_) {
       const std::size_t previous = current_rendition_;
       current_rendition_ = pick_rendition();
@@ -483,6 +524,7 @@ void HlsViewerSession::maybe_fetch_next() {
     issue_fetch(seq, current_rendition_, /*attempt=*/0,
                 /*edge_idx=*/static_cast<int>(seq % 2));
   }
+  publish_low_water();
 }
 
 void HlsViewerSession::issue_fetch(std::uint64_t seq, std::size_t rendition,
@@ -548,15 +590,15 @@ void HlsViewerSession::issue_fetch(std::uint64_t seq, std::size_t rendition,
     const hls::EdgeSegment* es =
         pipe_.edge_log(rendition).find(seq, t_edge);
     edge_link.send(resp.serialize(),
-                   [this, es, rendition, fetch_start, fid,
+                   [this, es, seq, rendition, fetch_start, fid,
                     edge_idx](TimePoint, util::BufferSlice data) {
       device_.downlink().send(
           std::move(data),
-          [this, es, rendition, fetch_start, fid,
+          [this, es, seq, rendition, fetch_start, fid,
            edge_idx](TimePoint t2, util::BufferSlice d) {
             if (!live_fetches_.contains(fid)) return;  // timed out
             settle_fetch(fid);
-            --in_flight_;
+            release_slot(seq);
             consecutive_failures_ = 0;
             if (finished_ || es == nullptr) return;
             auto parsed = http::Response::parse_slice(d);
@@ -598,14 +640,14 @@ void HlsViewerSession::handle_fetch_failure(std::uint64_t seq,
   if (resilience_ == nullptr || finished_) {
     // No resilience: drop the fetch; the slot frees and the next
     // playlist poll moves the client past the hole.
-    --in_flight_;
+    release_slot(seq);
     return;
   }
   const fault::BackoffConfig& pol = resilience_->hls_retry;
   if (pol.max_attempts > 0 && attempt + 1 >= pol.max_attempts) {
     // Retry budget exhausted: abandon this segment. Enough abandoned
     // segments in a row and the player gives up entirely.
-    --in_flight_;
+    release_slot(seq);
     ++consecutive_failures_;
     if (obs_ != nullptr) {
       obs_->metrics.counter("hls_segments_abandoned_total").add(1);
@@ -627,7 +669,7 @@ void HlsViewerSession::handle_fetch_failure(std::uint64_t seq,
   sim_.schedule_after(delay,
                       [this, seq, rendition, attempt, edge_idx] {
     if (finished_) {
-      --in_flight_;
+      release_slot(seq);
       return;
     }
     issue_fetch(seq, rendition, attempt + 1, 1 - edge_idx);

@@ -240,6 +240,7 @@ class HlsViewerSession : public ViewerSession {
                    obs::Obs* obs = nullptr,
                    const fault::Plan& faults = fault::Plan::none(),
                    const fault::ResilienceConfig* resilience = nullptr);
+  ~HlsViewerSession() override;
 
   /// Playlist polls + segment GETs issued (request-rate ablations).
   std::uint64_t http_requests() const { return http_requests_; }
@@ -260,6 +261,7 @@ class HlsViewerSession : public ViewerSession {
   using PlaylistFn = void (HlsViewerSession::*)(const std::string& body);
 
   void begin() override;
+  void on_finish() override;
   TimePoint layer_horizon() const override {
     // The playlist poll chain stops within one poll interval of finish.
     return std::max({edge_a_link_.busy_until(), edge_b_link_.busy_until(),
@@ -292,6 +294,19 @@ class HlsViewerSession : public ViewerSession {
   /// and the master playlist's advertised bandwidths.
   std::size_t pick_rendition() const;
 
+  /// The lowest sequence this viewer may still request (its consumer
+  /// mark on the pipeline): the oldest held sequence, else next_seq_;
+  /// before the first playlist, the live window's start (pinned at the
+  /// first one the edge serves) or 0 for a replay.
+  std::uint64_t low_water() const;
+  /// Hand low_water() to the pipeline, which may then evict.
+  void publish_low_water();
+  /// Sequence `seq` no longer holds an in-flight slot (delivered,
+  /// abandoned, or dropped after the finish).
+  void release_slot(std::uint64_t seq);
+  /// Detach from the pipeline: nothing is fetched after the finish.
+  void detach_consumer();
+
   /// Base path of this broadcast's content on the edges.
   std::string hls_base() const { return "/hls/" + pipe_.info().id + "/"; }
 
@@ -316,6 +331,13 @@ class HlsViewerSession : public ViewerSession {
   bool playlist_ended_ = false;
   bool refetch_scheduled_ = false;
   int in_flight_ = 0;
+  /// Sequences holding an in-flight slot: fetching or awaiting a retry.
+  std::vector<std::uint64_t> held_;
+  /// Consumer token on the pipeline's edge (0 = not attached).
+  int consumer_ = 0;
+  /// First sequence of the first non-empty live playlist the edge served
+  /// this viewer; the viewer starts at or after it.
+  std::optional<std::uint64_t> served_window_first_;
   /// Fetches awaiting a response: fetch id -> its timeout (empty without
   /// a resilience policy). A settled fetch (delivered, failed or timed
   /// out) is missing, and any late event for it is a no-op.

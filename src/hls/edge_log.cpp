@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <charconv>
+#include <stdexcept>
 #include <utility>
+
+#include "util/strings.h"
 
 namespace psc::hls {
 
@@ -22,7 +25,11 @@ std::optional<std::uint64_t> parse_digits(std::string_view text) {
 
 std::string rendition_uri(std::size_t rendition, std::string_view leaf) {
   std::string out;
-  if (rendition != 0) out = "r" + std::to_string(rendition) + "/";
+  if (rendition != 0) {
+    out = 'r';
+    out += std::to_string(rendition);
+    out += '/';
+  }
   out += leaf;
   return out;
 }
@@ -71,7 +78,24 @@ void EdgeLog::retain_last(std::size_t keep) {
   while (segments_.size() > keep) {
     if (segments_.front().discontinuity) ++dropped_discontinuities_;
     segments_.pop_front();
+    if (evicted_ > 0) --evicted_;
   }
+}
+
+std::size_t EdgeLog::evict(std::uint64_t low_water, TimePoint now) {
+  const std::uint64_t first = first_sequence();
+  const std::size_t below =
+      low_water <= first ? 0
+                         : static_cast<std::size_t>(std::min<std::uint64_t>(
+                               low_water - first, segments_.size()));
+  const std::size_t end = std::min(below, window_first(now));
+  std::size_t freed = 0;
+  for (; evicted_ < end; ++evicted_) {
+    util::BufferSlice& ts = segments_[evicted_].segment.ts_data;
+    freed += ts.size();
+    ts.reset();  // the last reference: the block returns to its arena
+  }
+  return freed;
 }
 
 void EdgeLog::reopen() {
@@ -79,12 +103,14 @@ void EdgeLog::reopen() {
   discontinuity_next_ = !segments_.empty();
 }
 
+std::size_t EdgeLog::servable(TimePoint now) const {
+  std::size_t n = segments_.size();
+  while (n > 0 && segments_[n - 1].available_at > now) --n;
+  return n;
+}
+
 MediaPlaylist EdgeLog::live(TimePoint now) const {
-  std::size_t servable = segments_.size();
-  while (servable > 0 && segments_[servable - 1].available_at > now) {
-    --servable;
-  }
-  return render(servable - std::min(servable, window_), servable, ended_);
+  return render(window_first(now), servable(now), ended_);
 }
 
 MediaPlaylist EdgeLog::vod() const {
@@ -117,7 +143,14 @@ const EdgeSegment* EdgeLog::find(std::uint64_t sequence,
       sequence - first_sequence() >= segments_.size()) {
     return nullptr;
   }
-  const EdgeSegment& es = segments_[sequence - first_sequence()];
+  const std::size_t i = sequence - first_sequence();
+  if (i < evicted_) {
+    throw std::logic_error(
+        strf("EdgeLog: segment %llu of rendition %zu was requested after "
+             "its bytes were evicted",
+             static_cast<unsigned long long>(sequence), rendition_));
+  }
+  const EdgeSegment& es = segments_[i];
   return es.available_at <= now ? &es : nullptr;
 }
 

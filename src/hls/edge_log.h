@@ -3,8 +3,15 @@
 // with the time each became servable, its live and VOD playlists, lookup
 // by sequence, the segment-URI scheme and the /hls/ request path split.
 // The two servers differ only in their playlist leaf names.
+//
+// A log may give back old segments' bytes (evict()) while keeping their
+// metadata — sequence, duration, start DTS, availability time and the
+// discontinuity flag — so both playlists render exactly as before. Only
+// the simulated pipeline evicts, on behalf of the HLS viewers attached to
+// it (service::LiveBroadcastPipeline); the gateway's store never does.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -59,7 +66,17 @@ class EdgeLog {
   void clear() {
     segments_.clear();
     dropped_discontinuities_ = 0;
+    evicted_ = 0;
   }
+
+  /// Give back the TS bytes of every segment whose sequence is below
+  /// `low_water` and which has left the live window at `now`; the
+  /// segments stay listed. Returns the bytes given back. Eviction only
+  /// moves forward: a segment once evicted stays so.
+  std::size_t evict(std::uint64_t low_water, TimePoint now);
+  /// Sequence of the oldest segment whose bytes are still held (one past
+  /// the newest segment when every one is evicted).
+  std::uint64_t evicted_below() const { return first_sequence() + evicted_; }
 
   /// The stream ended: the live playlist carries #EXT-X-ENDLIST.
   void end_stream() { ended_ = true; }
@@ -75,7 +92,15 @@ class EdgeLog {
   MediaPlaylist live(TimePoint now) const;
   /// The replay playlist: every segment, #EXT-X-ENDLIST set.
   MediaPlaylist vod() const;
+  /// How many segments are servable at `now` (they are a prefix).
+  std::size_t servable(TimePoint now) const;
+  /// Sequence of the first segment of the live window at `now`.
+  std::uint64_t window_first_sequence(TimePoint now) const {
+    return first_sequence() + window_first(now);
+  }
   /// Segment `sequence`, or nullptr when it is not servable at `now`.
+  /// Throws std::logic_error for a segment whose bytes were evicted: an
+  /// attached viewer never asks for one, so such a request is a bug.
   const EdgeSegment* find(std::uint64_t sequence, TimePoint now) const;
 
   std::size_t size() const { return segments_.size(); }
@@ -86,6 +111,11 @@ class EdgeLog {
 
  private:
   MediaPlaylist render(std::size_t first, std::size_t last, bool ended) const;
+  /// Index of the live window's first segment at `now`.
+  std::size_t window_first(TimePoint now) const {
+    const std::size_t n = servable(now);
+    return n - std::min(n, window_);
+  }
   std::uint64_t first_sequence() const {
     return segments_.empty() ? 0 : segments_.front().segment.sequence;
   }
@@ -96,6 +126,8 @@ class EdgeLog {
   std::deque<EdgeSegment> segments_;
   /// Discontinuities among the segments retain_last() dropped.
   std::uint64_t dropped_discontinuities_ = 0;
+  /// The first `evicted_` segments hold no bytes.
+  std::size_t evicted_ = 0;
   bool ended_ = false;
   bool discontinuity_next_ = false;
 };

@@ -1,6 +1,7 @@
 #include "service/pipeline.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "media/transcode.h"
 
@@ -69,11 +70,53 @@ void LiveBroadcastPipeline::set_obs(obs::Obs* obs) {
     segments_shipped_ = nullptr;
     segment_delivery_ = nullptr;
     hls_released_total_ = nullptr;
+    bytes_evicted_ = nullptr;
     return;
   }
   segments_shipped_ = &obs->metrics.counter("pipeline_segments_total");
   segment_delivery_ = &obs->metrics.histogram("pipeline_segment_delivery_s");
   hls_released_total_ = &obs->metrics.counter("pipeline_hls_released_total");
+  bytes_evicted_ =
+      &obs->metrics.counter("pipeline_segment_bytes_evicted_total");
+}
+
+int LiveBroadcastPipeline::attach_consumer(std::uint64_t low_water) {
+  for (const auto& r : renditions_) {
+    if (low_water < r.edge.evicted_below()) {
+      throw std::logic_error(strf(
+          "pipeline %s: consumer from segment %llu attached after segment "
+          "%llu was evicted",
+          info_.id.c_str(), static_cast<unsigned long long>(low_water),
+          static_cast<unsigned long long>(r.edge.evicted_below() - 1)));
+    }
+  }
+  const int token = ++next_consumer_;
+  consumers_.emplace(token, low_water);
+  evict_unreachable();
+  return token;
+}
+
+void LiveBroadcastPipeline::advance_consumer(int token,
+                                             std::uint64_t low_water) {
+  auto it = consumers_.find(token);
+  if (it == consumers_.end() || it->second == low_water) return;
+  it->second = low_water;
+  evict_unreachable();
+}
+
+void LiveBroadcastPipeline::detach_consumer(int token) {
+  if (consumers_.erase(token) > 0) evict_unreachable();
+}
+
+void LiveBroadcastPipeline::evict_unreachable() {
+  if (consumers_.empty()) return;
+  std::uint64_t low_water = kLiveWindow;
+  for (const auto& [token, mark] : consumers_) {
+    low_water = std::min(low_water, mark);
+  }
+  std::size_t freed = 0;
+  for (auto& r : renditions_) freed += r.edge.evict(low_water, sim_.now());
+  if (freed > 0 && bytes_evicted_ != nullptr) bytes_evicted_->add(freed);
 }
 
 void LiveBroadcastPipeline::release_hls() {
@@ -85,6 +128,7 @@ void LiveBroadcastPipeline::release_hls() {
     r.edge.clear();
     r.segmenter.discard();  // the open partial segment's buffer
   }
+  consumers_.clear();
 }
 
 void LiveBroadcastPipeline::start(Duration run_for) {
@@ -172,6 +216,9 @@ void LiveBroadcastPipeline::on_sample_at_origin(TimePoint now,
                              TimePoint t, util::BufferSlice /*d*/) mutable {
                            if (hls_released_) return;
                            renditions_[r].edge.append(std::move(seg), t);
+                           // The window moved: its oldest segment may have
+                           // left it behind every consumer.
+                           evict_unreachable();
                            if (segments_shipped_ != nullptr) {
                              segments_shipped_->add(1);
                              segment_delivery_->record(to_s(t - cut));

@@ -14,10 +14,21 @@
 //
 // Segment lifetimes: a segment is cut when a keyframe closes it, lives in
 // the packaging-delay event and then on the CDN link, and lands in its
-// rendition's edge log, which keeps it until the pipeline retires. The
-// HLS half is released (release_hls()) as soon as it cannot be fetched:
-// when the session's viewer plays RTMP — in the paper, Periscope put a
-// broadcast on the HLS/CDN path only past ~100 viewers — and at
+// rendition's edge log. The log keeps its bytes only while a viewer can
+// still fetch them. HLS viewers attach to the pipeline as consumers
+// (attach_consumer(), as RTMP viewers attach to the origin), each with a
+// low-water mark: the lowest sequence it may still request. A segment's
+// TS bytes go back to the arena once its sequence is below every
+// consumer's mark and it has left the live window, in every rendition —
+// the window condition keeps it for a live viewer that has yet to join.
+// Its metadata stays, so both playlists are unchanged; a GET for it
+// throws std::logic_error. With no consumer attached (a replay recorded
+// for later, the tests' bare pipelines) nothing is evicted. Each evicted
+// byte counts in `pipeline_segment_bytes_evicted_total`.
+//
+// The HLS half is released (release_hls()) as soon as it cannot be
+// fetched: when the session's viewer plays RTMP — in the paper, Periscope
+// put a broadcast on the HLS/CDN path only past ~100 viewers — and at
 // retirement. After that the open segment and the edge logs are gone,
 // samples stop at the origin, and a segment still in flight is dropped
 // where it lands.
@@ -28,6 +39,8 @@
 // such stalls in the unlimited-bandwidth dataset.
 #pragma once
 
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -117,6 +130,22 @@ class LiveBroadcastPipeline {
   /// The master playlist listing every rendition.
   std::string master_playlist() const;
 
+  /// --- HLS consumers ---
+  /// The low-water mark of a live viewer that has not read a playlist
+  /// yet: the live window's first sequence, wherever the window is when
+  /// a segment is considered. A replay viewer starts at 0.
+  static constexpr std::uint64_t kLiveWindow = UINT64_MAX;
+  /// Register a viewer that may request any sequence from `low_water` on.
+  /// Returns a non-zero token. Throws std::logic_error when a segment it
+  /// may request was already evicted.
+  int attach_consumer(std::uint64_t low_water);
+  /// Move consumer `token`'s mark (to a sequence not yet evicted) and
+  /// evict what no consumer can fetch any more.
+  void advance_consumer(int token, std::uint64_t low_water);
+  /// The viewer is done. Once the last consumer detaches, nothing more is
+  /// evicted.
+  void detach_consumer(int token);
+
   /// Broadcaster NTP epoch (wall-clock at pts 0).
   double epoch_s() const { return epoch_s_; }
 
@@ -144,6 +173,9 @@ class LiveBroadcastPipeline {
   void produce_next();
   void on_sample_at_origin(TimePoint now, media::MediaSample sample);
   void schedule_hiccup();
+  /// Evict, in every rendition, the segments below every consumer's mark
+  /// that have left the live window.
+  void evict_unreachable();
 
   struct RenditionState {
     RenditionSpec spec;
@@ -165,10 +197,13 @@ class LiveBroadcastPipeline {
   TimePoint stop_at_{};
   OriginStream origin_;
   std::vector<RenditionState> renditions_;
+  std::map<int, std::uint64_t> consumers_;  // token -> low-water mark
+  int next_consumer_ = 0;
   std::uint64_t samples_produced_ = 0;
   obs::Obs* obs_ = nullptr;
   obs::Counter* segments_shipped_ = nullptr;
   obs::Counter* hls_released_total_ = nullptr;
+  obs::Counter* bytes_evicted_ = nullptr;
   obs::Histogram* segment_delivery_ = nullptr;
 };
 

@@ -1,6 +1,10 @@
 // HLS playlist and segmenter tests.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "hls/edge_log.h"
 #include "hls/playlist.h"
 #include "hls/segmenter.h"
@@ -183,6 +187,89 @@ TEST(HlsEdgeLog, DiscontinuitySequenceCountsDiscontinuitiesLeftBehind) {
   log.retain_last(1);  // segment 1 leaves the log too
   EXPECT_EQ(log.live(time_at(0)).discontinuity_sequence, 1u);
   EXPECT_EQ(log.vod().discontinuity_sequence, 1u);
+}
+
+/// A segment holding `bytes` bytes of TS.
+Segment segment_with_bytes(std::uint64_t sequence, std::size_t bytes) {
+  Segment seg = edge_segment(sequence);
+  seg.duration = seconds(3.0 + 0.1 * static_cast<double>(sequence));
+  seg.start_dts = seconds(3.6 * static_cast<double>(sequence));
+  seg.ts_data = Bytes(bytes, static_cast<std::uint8_t>(sequence));
+  return seg;
+}
+
+/// Segments 0..7 at t = 1..8 s, segment 2 after a discontinuity; a
+/// window of three.
+EdgeLog eviction_log() {
+  EdgeLog log(1, seconds(3.6), 3);
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    if (i == 2) log.reopen();
+    log.append(segment_with_bytes(i, 100 + i),
+               time_at(1.0 + static_cast<double>(i)));
+  }
+  return log;
+}
+
+TEST(HlsEdgeLog, EvictKeepsLiveAndVodPlaylistsIdentical) {
+  EdgeLog log = eviction_log();
+  std::vector<std::string> live_before;
+  for (double t = 0; t <= 9; t += 0.5) {
+    live_before.push_back(write_m3u8(log.live(time_at(t))));
+  }
+  const std::string vod_before = write_m3u8(log.vod());
+
+  // At t = 8 the window is 5..7; below a mark of 6, segments 0..4 go.
+  EXPECT_EQ(log.evict(6, time_at(8)), 100u + 101 + 102 + 103 + 104);
+  EXPECT_EQ(log.evicted_below(), 5u);
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(log[i].segment.ts_data.empty(), i < 5) << i;
+    EXPECT_EQ(log[i].segment.sequence, i);
+    EXPECT_EQ(log[i].segment.start_dts,
+              seconds(3.6 * static_cast<double>(i)));
+    EXPECT_EQ(log[i].available_at, time_at(1.0 + static_cast<double>(i)));
+    EXPECT_EQ(log[i].discontinuity, i == 2);
+  }
+  std::size_t k = 0;
+  for (double t = 0; t <= 9; t += 0.5, ++k) {
+    EXPECT_EQ(write_m3u8(log.live(time_at(t))), live_before[k]) << t;
+  }
+  EXPECT_EQ(write_m3u8(log.vod()), vod_before);
+}
+
+TEST(HlsEdgeLog, EvictStopsAtTheMarkAndTheLiveWindow) {
+  EdgeLog log = eviction_log();
+  // Nothing has left the window at t = 3 (segments 0..2 are servable).
+  EXPECT_EQ(log.evict(8, time_at(3)), 0u);
+  // The mark holds segment 2 although the window at t = 8 starts at 5.
+  EXPECT_EQ(log.evict(2, time_at(8)), 100u + 101);
+  EXPECT_EQ(log.evicted_below(), 2u);
+  // A lower mark later does not bring bytes back or evict again.
+  EXPECT_EQ(log.evict(1, time_at(8)), 0u);
+  EXPECT_EQ(log.evicted_below(), 2u);
+  // A mark past every segment still stops at the window.
+  EXPECT_EQ(log.evict(UINT64_MAX, time_at(8)), 102u + 103 + 104);
+  EXPECT_EQ(log.evicted_below(), 5u);
+  EXPECT_EQ(log.window_first_sequence(time_at(8)), 5u);
+  // clear() forgets eviction with the segments.
+  log.clear();
+  EXPECT_EQ(log.evicted_below(), 0u);
+}
+
+TEST(HlsEdgeLog, EvictedSegmentGetThrows) {
+  EdgeLog log = eviction_log();
+  log.evict(6, time_at(8));
+  EXPECT_THROW(log.find(0, time_at(8)), std::logic_error);
+  EXPECT_THROW(log.find(4, time_at(99)), std::logic_error);
+  const EdgeSegment* five = log.find(5, time_at(8));
+  ASSERT_NE(five, nullptr);
+  EXPECT_EQ(five->segment.ts_data.size(), 105u);
+  EXPECT_EQ(log.find(8, time_at(99)), nullptr);  // never cut
+  // Trimming the evicted head leaves lookups consistent.
+  log.retain_last(5);
+  EXPECT_EQ(log.evicted_below(), 5u);
+  EXPECT_EQ(log.find(2, time_at(99)), nullptr);  // trimmed
+  EXPECT_THROW(log.find(4, time_at(99)), std::logic_error);
+  EXPECT_NE(log.find(5, time_at(99)), nullptr);
 }
 
 TEST(HlsEdgeUri, FormatsAndParsesSegmentUris) {

@@ -3,11 +3,18 @@
 // truth, bandwidth-limit effects.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "analysis/reconstruct.h"
 #include "analysis/stats.h"
 #include "client/device.h"
 #include "client/viewer_session.h"
+#include "hls/playlist.h"
 #include "obs/bundle.h"
+#include "service/cdn_edge.h"
 #include "service/pipeline.h"
 #include "service/servers.h"
 #include "testing/fuzz_target.h"
@@ -221,6 +228,139 @@ TEST(Pipeline, RetireAfterReleaseIsHarmlessAndCountedOnce) {
   // Only the release of a producing pipeline counts: not the repeat, not
   // either retirement.
   EXPECT_EQ(obs.metrics.counter("pipeline_hls_released_total").value(), 1);
+}
+
+/// A laddered pipeline on its own simulation, with a metric sink.
+struct EdgeTap {
+  explicit EdgeTap(std::uint64_t seed)
+      : pipe(sim, test_broadcast(seed), laddered_pipeline()) {
+    pipe.set_obs(&obs);
+    pipe.start(seconds(80));
+  }
+  void run_until(double t_s) { sim.run_until(time_at(t_s)); }
+  std::int64_t evicted_bytes() {
+    return obs.metrics.counter("pipeline_segment_bytes_evicted_total")
+        .value();
+  }
+
+  obs::Obs obs;
+  sim::Simulation sim;
+  service::LiveBroadcastPipeline pipe;
+};
+
+TEST(Pipeline, NoConsumerAttachedEvictsNothing) {
+  EdgeTap tap(11);
+  tap.run_until(10);
+  // A consumer that leaves before any segment leaves the window evicts
+  // nothing, and once it is gone nothing is evicted either.
+  tap.pipe.detach_consumer(
+      tap.pipe.attach_consumer(service::LiveBroadcastPipeline::kLiveWindow));
+  tap.run_until(70);
+  for (std::size_t r = 0; r < tap.pipe.rendition_count(); ++r) {
+    const hls::EdgeLog& log = tap.pipe.edge_log(r);
+    ASSERT_GE(log.size(), 15u) << r;
+    EXPECT_EQ(log.evicted_below(), 0u) << r;
+    for (const hls::EdgeSegment& es : log) {
+      EXPECT_FALSE(es.segment.ts_data.empty()) << r;
+    }
+  }
+  EXPECT_EQ(tap.evicted_bytes(), 0);
+}
+
+TEST(Pipeline, ConsumerMarksAndTheLiveWindowBoundEviction) {
+  EdgeTap kept(12);     // no consumer: keeps every segment's bytes
+  EdgeTap evicting(12);
+  evicting.run_until(5);
+  const int live = evicting.pipe.attach_consumer(
+      service::LiveBroadcastPipeline::kLiveWindow);
+  const int lagging = evicting.pipe.attach_consumer(2);
+  std::vector<std::string> live_kept, live_evicting;
+  const auto snapshot = [](EdgeTap& tap, double t,
+                           std::vector<std::string>& out) {
+    tap.run_until(t);
+    for (std::size_t r = 0; r < tap.pipe.rendition_count(); ++r) {
+      out.push_back(hls::write_m3u8(tap.pipe.edge_log(r).live(time_at(t))));
+    }
+  };
+  for (double t = 6; t <= 50; t += 1.0) {
+    snapshot(kept, t, live_kept);
+    snapshot(evicting, t, live_evicting);
+  }
+  // At 50 s the window has moved past segment 2: the lagging mark holds.
+  for (std::size_t r = 0; r < evicting.pipe.rendition_count(); ++r) {
+    const hls::EdgeLog& log = evicting.pipe.edge_log(r);
+    ASSERT_GT(log.window_first_sequence(time_at(50)), 5u) << r;
+    EXPECT_EQ(log.evicted_below(), 2u) << r;
+  }
+  evicting.pipe.advance_consumer(lagging, 5);
+  for (std::size_t r = 0; r < evicting.pipe.rendition_count(); ++r) {
+    EXPECT_EQ(evicting.pipe.edge_log(r).evicted_below(), 5u) << r;
+  }
+  // Without the lagging viewer, the window alone bounds eviction.
+  evicting.pipe.detach_consumer(lagging);
+  for (double t = 51; t <= 60; t += 1.0) {
+    snapshot(kept, t, live_kept);
+    snapshot(evicting, t, live_evicting);
+  }
+  std::int64_t evicted = 0;
+  for (std::size_t r = 0; r < evicting.pipe.rendition_count(); ++r) {
+    const hls::EdgeLog& log = evicting.pipe.edge_log(r);
+    const hls::EdgeLog& full = kept.pipe.edge_log(r);
+    EXPECT_EQ(log.evicted_below(), log.window_first_sequence(time_at(60)));
+    ASSERT_EQ(log.size(), full.size());
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      const bool gone = i < log.evicted_below();
+      EXPECT_EQ(log[i].segment.ts_data.empty(), gone) << r << "/" << i;
+      if (gone) {
+        evicted += static_cast<std::int64_t>(full[i].segment.ts_data.size());
+      } else {
+        EXPECT_TRUE(std::ranges::equal(log[i].segment.ts_data,
+                                       full[i].segment.ts_data));
+      }
+    }
+    EXPECT_EQ(hls::write_m3u8(log.vod()), hls::write_m3u8(full.vod()));
+  }
+  EXPECT_EQ(live_evicting, live_kept);
+  EXPECT_GT(evicted, 0);
+  EXPECT_EQ(evicting.evicted_bytes(), evicted);
+  // The last consumer leaves: later segments keep their bytes.
+  evicting.pipe.detach_consumer(live);
+  const std::uint64_t below = evicting.pipe.edge_log().evicted_below();
+  evicting.run_until(75);
+  EXPECT_EQ(evicting.pipe.edge_log().evicted_below(), below);
+}
+
+TEST(Pipeline, ConsumerAttachedBelowEvictedSegmentsThrows) {
+  EdgeTap tap(13);
+  tap.pipe.attach_consumer(service::LiveBroadcastPipeline::kLiveWindow);
+  tap.run_until(45);
+  ASSERT_GT(tap.pipe.edge_log().evicted_below(), 0u);
+  // A replay viewer would need segment 0, whose bytes are gone.
+  EXPECT_THROW(tap.pipe.attach_consumer(0), std::logic_error);
+  // A live viewer starts inside the window: fine.
+  EXPECT_NE(tap.pipe.attach_consumer(
+                service::LiveBroadcastPipeline::kLiveWindow),
+            0);
+}
+
+TEST(Pipeline, ConsumerGetForEvictedSegmentThrows) {
+  EdgeTap tap(14);
+  tap.pipe.attach_consumer(service::LiveBroadcastPipeline::kLiveWindow);
+  tap.run_until(45);
+  service::CdnEdge edge("edge.test");
+  edge.attach(tap.pipe.info().id, &tap.pipe);
+  const auto get = [&](const std::string& leaf) {
+    http::Request req;
+    req.path = "/hls/" + tap.pipe.info().id + "/" + leaf;
+    return edge.handle(req, time_at(45));
+  };
+  EXPECT_EQ(get("playlist.m3u8").status, 200);
+  EXPECT_EQ(get("vod.m3u8").status, 200);
+  EXPECT_THROW(get("seg_0.ts"), std::logic_error);
+  EXPECT_THROW(get("r1/seg_0.ts"), std::logic_error);
+  const std::uint64_t first =
+      tap.pipe.edge_log().window_first_sequence(time_at(45));
+  EXPECT_EQ(get("seg_" + std::to_string(first) + ".ts").status, 200);
 }
 
 struct SessionHarness {
