@@ -194,10 +194,11 @@ void StreamReconstructor::feed_rtmp(TimePoint t, BytesView data) {
     error_ = s.error();
     return;
   }
-  // Drained record by record, so message completion times are known.
+  // Drained record by record, so message completion times are known. Tags
+  // are read in place: the NAL views point into the message payload.
   reader_.drain([&](const rtmp::Message& msg) {
     if (msg.type == rtmp::MessageType::Video) {
-      auto tag = flv::parse_video_tag(msg.payload);
+      auto tag = flv::view_video_tag(msg.payload);
       if (!tag) return;
       if (tag.value().packet_type == flv::AvcPacketType::SequenceHeader) {
         auto cfg = media::parse_avc_decoder_config(tag.value().data);
@@ -214,7 +215,7 @@ void StreamReconstructor::feed_rtmp(TimePoint t, BytesView data) {
                                   tag.value().composition_time_ms);
       analyze_access_unit(pts, t, msg.payload.size());
     } else if (msg.type == rtmp::MessageType::Audio) {
-      auto tag = flv::parse_audio_tag(msg.payload);
+      auto tag = flv::view_audio_tag(msg.payload);
       if (!tag) return;
       note_adts(tag.value().data);
     }
@@ -222,34 +223,36 @@ void StreamReconstructor::feed_rtmp(TimePoint t, BytesView data) {
 }
 
 void StreamReconstructor::feed_hls(TimePoint t, BytesView segment) {
-  mpegts::TsDemuxer demux;
-  if (auto s = demux.push(segment); !s) {
-    error_ = s.error();
-    return;
-  }
-  demux.flush();
-
   SegmentInfo seg;
   seg.bytes = segment.size();
   double pts_lo = 1e18, pts_hi = -1e18;
   std::size_t seg_video_bytes = 0;
   std::vector<double> seg_qps;
-  for (const mpegts::TsSample& s : demux.take_samples()) {
-    if (s.kind == media::SampleKind::Video) {
-      if (!media::annexb_nal_views(s.data, nals_)) continue;
+  // Access units arrive as views into the demuxer's PES buffers, video
+  // in stream order; nothing reads the interleaving with audio.
+  const mpegts::TsDemuxer::Visitor visit = [&](const mpegts::TsAccessUnit&
+                                                   au) {
+    if (au.kind == media::SampleKind::Video) {
+      if (!media::annexb_nal_views(au.data, nals_)) return;
       const std::size_t before = out_.frames.size();
-      analyze_access_unit(s.pts, t, s.data.size());
+      analyze_access_unit(au.pts, t, au.data.size());
       if (out_.frames.size() > before) {
         seg_qps.push_back(out_.frames.back().qp);
         ++seg.frames;
       }
-      seg_video_bytes += s.data.size();
-      pts_lo = std::min(pts_lo, to_s(s.pts));
-      pts_hi = std::max(pts_hi, to_s(s.pts));
+      seg_video_bytes += au.data.size();
+      pts_lo = std::min(pts_lo, to_s(au.pts));
+      pts_hi = std::max(pts_hi, to_s(au.pts));
     } else {
-      note_adts(s.data);
+      note_adts(au.data);
     }
+  };
+  mpegts::TsDemuxer demux;
+  if (auto s = demux.push(segment, visit); !s) {
+    error_ = s.error();
+    return;
   }
+  demux.flush(visit);
   if (seg.frames > 0 && pts_hi > pts_lo) {
     seg.duration = seconds(pts_hi - pts_lo + 1.0 / kNominalFps);
     seg.video_bitrate_bps =

@@ -51,15 +51,16 @@ namespace {
 constexpr std::size_t kVideoTagHeaderSize = 5;
 constexpr std::size_t kAudioTagHeaderSize = 2;
 
-/// The header fields of a video tag body; `data` is left empty.
-Result<VideoTag> parse_video_tag_header(BytesView body) {
+}  // namespace
+
+Result<VideoTagView> view_video_tag(BytesView body) {
   ByteReader r(body);
   auto b0 = r.u8();
   if (!b0) return b0.error();
   if ((b0.value() & 0x0F) != kCodecAvc) {
     return make_error("unsupported", "non-AVC video tag");
   }
-  VideoTag tag;
+  VideoTagView tag;
   tag.keyframe =
       ((b0.value() >> 4) & 0x0F) == static_cast<int>(VideoFrameFlag::Keyframe);
   auto pt = r.u8();
@@ -71,21 +72,39 @@ Result<VideoTag> parse_video_tag_header(BytesView body) {
   std::int32_t v = static_cast<std::int32_t>(cts.value());
   if (v & 0x800000) v |= static_cast<std::int32_t>(0xFF000000u);
   tag.composition_time_ms = v;
+  tag.data = body.subspan(kVideoTagHeaderSize);
   return tag;
 }
 
-/// The header fields of an audio tag body; `data` is left empty.
-Result<AudioTag> parse_audio_tag_header(BytesView body) {
+Result<AudioTagView> view_audio_tag(BytesView body) {
   ByteReader r(body);
   auto b0 = r.u8();
   if (!b0) return b0.error();
   if ((b0.value() >> 4) != kSoundFormatAac) {
     return make_error("unsupported", "non-AAC audio tag");
   }
-  AudioTag tag;
+  AudioTagView tag;
   auto pt = r.u8();
   if (!pt) return pt.error();
   tag.packet_type = static_cast<AacPacketType>(pt.value());
+  tag.data = body.subspan(kAudioTagHeaderSize);
+  return tag;
+}
+
+namespace {
+
+/// The owning tag of a view: header fields only, `data` left empty.
+VideoTag header_of(const VideoTagView& v) {
+  VideoTag tag;
+  tag.keyframe = v.keyframe;
+  tag.packet_type = v.packet_type;
+  tag.composition_time_ms = v.composition_time_ms;
+  return tag;
+}
+
+AudioTag header_of(const AudioTagView& v) {
+  AudioTag tag;
+  tag.packet_type = v.packet_type;
   return tag;
 }
 
@@ -99,30 +118,34 @@ void take_payload(Bytes& data, Bytes&& body, std::size_t header) {
 }  // namespace
 
 Result<VideoTag> parse_video_tag(BytesView body) {
-  auto tag = parse_video_tag_header(body);
-  if (!tag) return tag;
-  tag.value().data.assign(body.begin() + kVideoTagHeaderSize, body.end());
+  auto view = view_video_tag(body);
+  if (!view) return view.error();
+  VideoTag tag = header_of(view.value());
+  tag.data.assign(view.value().data.begin(), view.value().data.end());
   return tag;
 }
 
 Result<VideoTag> parse_video_tag(Bytes&& body) {
-  auto tag = parse_video_tag_header(body);
-  if (!tag) return tag;
-  take_payload(tag.value().data, std::move(body), kVideoTagHeaderSize);
+  auto view = view_video_tag(body);
+  if (!view) return view.error();
+  VideoTag tag = header_of(view.value());
+  take_payload(tag.data, std::move(body), kVideoTagHeaderSize);
   return tag;
 }
 
 Result<AudioTag> parse_audio_tag(BytesView body) {
-  auto tag = parse_audio_tag_header(body);
-  if (!tag) return tag;
-  tag.value().data.assign(body.begin() + kAudioTagHeaderSize, body.end());
+  auto view = view_audio_tag(body);
+  if (!view) return view.error();
+  AudioTag tag = header_of(view.value());
+  tag.data.assign(view.value().data.begin(), view.value().data.end());
   return tag;
 }
 
 Result<AudioTag> parse_audio_tag(Bytes&& body) {
-  auto tag = parse_audio_tag_header(body);
-  if (!tag) return tag;
-  take_payload(tag.value().data, std::move(body), kAudioTagHeaderSize);
+  auto view = view_audio_tag(body);
+  if (!view) return view.error();
+  AudioTag tag = header_of(view.value());
+  take_payload(tag.data, std::move(body), kAudioTagHeaderSize);
   return tag;
 }
 

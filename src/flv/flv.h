@@ -56,6 +56,22 @@ struct AudioTag {
   Bytes data;
 };
 
+/// A tag's header fields, with its payload viewed in place in the body
+/// it was read from (valid as long as that body is).
+struct VideoTagView {
+  bool keyframe = false;
+  AvcPacketType packet_type = AvcPacketType::Nalu;
+  std::int32_t composition_time_ms = 0;
+  BytesView data;
+};
+struct AudioTagView {
+  AacPacketType packet_type = AacPacketType::Raw;
+  BytesView data;
+};
+Result<VideoTagView> view_video_tag(BytesView body);
+Result<AudioTagView> view_audio_tag(BytesView body);
+
+/// The same, with the payload copied out of `body`.
 Result<VideoTag> parse_video_tag(BytesView body);
 Result<AudioTag> parse_audio_tag(BytesView body);
 /// The same, taking over `body`: the tag's data is `body` with the header

@@ -262,16 +262,21 @@ void TsMuxer::mux_sample_into(ByteWriter& out,
                 pcr);
 }
 
-Status TsDemuxer::push(BytesView ts_bytes) {
+Status TsDemuxer::push(BytesView ts_bytes, const Visitor& visit) {
   if (ts_bytes.size() % kTsPacketSize != 0) {
     return Error{"malformed", "TS buffer not a multiple of 188 bytes"};
   }
   for (std::size_t off = 0; off < ts_bytes.size(); off += kTsPacketSize) {
-    if (auto s = handle_packet(ts_bytes.subspan(off, kTsPacketSize)); !s) {
+    if (auto s = handle_packet(ts_bytes.subspan(off, kTsPacketSize), visit);
+        !s) {
       return s;
     }
   }
   return {};
+}
+
+Status TsDemuxer::push(BytesView ts_bytes) {
+  return push(ts_bytes, collector());
 }
 
 Status TsDemuxer::handle_psi(std::uint16_t pid, BytesView pkt,
@@ -325,7 +330,7 @@ Status TsDemuxer::handle_psi(std::uint16_t pid, BytesView pkt,
   return {};
 }
 
-Status TsDemuxer::handle_packet(BytesView pkt) {
+Status TsDemuxer::handle_packet(BytesView pkt, const Visitor& visit) {
   ++packets_;
   if (pkt[0] != 0x47) return Error{"malformed", "TS sync byte missing"};
   const bool pusi = (pkt[1] & 0x40) != 0;
@@ -360,7 +365,7 @@ Status TsDemuxer::handle_packet(BytesView pkt) {
   st.last_cc = cc;
 
   if (pusi) {
-    finish_pes(pid, st);
+    finish_pes(pid, st, visit);
     st.keyframe = rai;
   }
   const BytesView payload = pkt.subspan(payload_off);
@@ -368,54 +373,71 @@ Status TsDemuxer::handle_packet(BytesView pkt) {
   return {};
 }
 
-void TsDemuxer::finish_pes(std::uint16_t pid, PidState& st) {
+void TsDemuxer::finish_pes(std::uint16_t pid, PidState& st,
+                           const Visitor& visit) {
   if (st.pes_buffer.empty()) return;
-  Bytes buf = std::move(st.pes_buffer);
+  if (const auto au = read_pes(pid, st)) visit(*au);
   st.pes_buffer.clear();
+}
 
+std::optional<TsAccessUnit> TsDemuxer::read_pes(std::uint16_t pid,
+                                                const PidState& st) const {
+  const Bytes& buf = st.pes_buffer;
   ByteReader r(buf);
   auto start = r.u24be();
-  if (!start || start.value() != 0x000001) return;
+  if (!start || start.value() != 0x000001) return std::nullopt;
   auto stream_id = r.u8();
-  if (!stream_id) return;
+  if (!stream_id) return std::nullopt;
   auto pes_len = r.u16be();
-  if (!pes_len) return;
+  if (!pes_len) return std::nullopt;
   auto flags1 = r.u8();
-  if (!flags1) return;
+  if (!flags1) return std::nullopt;
   auto flags2 = r.u8();
-  if (!flags2) return;
+  if (!flags2) return std::nullopt;
   auto hdr_len = r.u8();
-  if (!hdr_len) return;
+  if (!hdr_len) return std::nullopt;
   const std::size_t data_start = r.position() + hdr_len.value();
 
-  TsSample s;
+  TsAccessUnit au;
   const auto st_it = pid_stream_type_.find(pid);
   const std::uint8_t stream_type =
       st_it != pid_stream_type_.end() ? st_it->second : kStreamTypeAvc;
-  s.kind = stream_type == kStreamTypeAac ? media::SampleKind::Audio
-                                         : media::SampleKind::Video;
-  s.keyframe = st.keyframe;
+  au.kind = stream_type == kStreamTypeAac ? media::SampleKind::Audio
+                                          : media::SampleKind::Video;
+  au.keyframe = st.keyframe;
   const std::uint8_t pd = (flags2.value() >> 6) & 0x3;
   if (pd & 0x2) {
     auto pts = read_pts_field(r);
-    if (!pts) return;
-    s.pts = from_pts90k(pts.value());
-    s.dts = s.pts;
+    if (!pts) return std::nullopt;
+    au.pts = from_pts90k(pts.value());
+    au.dts = au.pts;
   }
   if (pd == 0x3) {
     auto dts = read_pts_field(r);
-    if (!dts) return;
-    s.dts = from_pts90k(dts.value());
+    if (!dts) return std::nullopt;
+    au.dts = from_pts90k(dts.value());
   }
-  if (data_start > buf.size()) return;
-  s.data.assign(buf.begin() + static_cast<std::ptrdiff_t>(data_start),
-                buf.end());
-  samples_.push_back(std::move(s));
+  if (data_start > buf.size()) return std::nullopt;
+  au.data = BytesView(buf).subspan(data_start);
+  return au;
 }
 
-void TsDemuxer::flush() {
-  for (auto& [pid, st] : pids_) finish_pes(pid, st);
+TsDemuxer::Visitor TsDemuxer::collector() {
+  return [this](const TsAccessUnit& au) {
+    TsSample& s = samples_.emplace_back();
+    s.kind = au.kind;
+    s.pts = au.pts;
+    s.dts = au.dts;
+    s.keyframe = au.keyframe;
+    s.data.assign(au.data.begin(), au.data.end());
+  };
 }
+
+void TsDemuxer::flush(const Visitor& visit) {
+  for (auto& [pid, st] : pids_) finish_pes(pid, st, visit);
+}
+
+void TsDemuxer::flush() { flush(collector()); }
 
 std::vector<TsSample> TsDemuxer::take_samples() {
   // PES packets complete per PID in stream order; merge by DTS so callers

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <vector>
@@ -78,17 +79,37 @@ struct TsSample {
   Bytes data;
 };
 
+/// One access unit as the demuxer completes it. `data` views the
+/// demuxer's PES buffer: it is valid only while the visitor runs.
+struct TsAccessUnit {
+  media::SampleKind kind = media::SampleKind::Video;
+  Duration pts{0};
+  Duration dts{0};
+  bool keyframe = false;  // random_access_indicator from adaptation field
+  BytesView data;
+};
+
 /// Reassembles PES payloads from TS packets, discovering the program
 /// layout from PAT/PMT like a standard demuxer (stream types 0x1B AVC
 /// video and 0x0F ADTS audio are recognised; other PIDs are skipped).
 /// Push whole packets (any multiple of 188 bytes); call flush() at end
 /// of stream to release the final partially-buffered PES packets.
+///
+/// Each completed access unit goes to a visitor, per PID in stream order,
+/// as a view into that PID's PES buffer, which keeps its capacity from
+/// one PES packet to the next. The visitor-less push()/flush() copy each
+/// unit into a TsSample for take_samples() instead.
 class TsDemuxer {
  public:
+  using Visitor = std::function<void(const TsAccessUnit&)>;
+
+  Status push(BytesView ts_bytes, const Visitor& visit);
+  void flush(const Visitor& visit);
+
   Status push(BytesView ts_bytes);
   void flush();
-
-  /// Samples completed so far (moves them out).
+  /// Samples collected so far (moves them out), merged across PIDs in
+  /// decode (DTS) order.
   std::vector<TsSample> take_samples();
 
   std::size_t packets_seen() const { return packets_; }
@@ -101,10 +122,18 @@ class TsDemuxer {
     std::optional<std::uint8_t> last_cc;
   };
 
-  Status handle_packet(BytesView pkt);
+  Status handle_packet(BytesView pkt, const Visitor& visit);
   Status handle_psi(std::uint16_t pid, BytesView pkt,
                     std::size_t payload_off);
-  void finish_pes(std::uint16_t pid, PidState& st);
+  /// Hand the PES packet buffered for `pid` to `visit`, then empty the
+  /// buffer (keeping its capacity).
+  void finish_pes(std::uint16_t pid, PidState& st, const Visitor& visit);
+  /// The access unit of `st`'s buffered PES packet, or nullopt when its
+  /// header is malformed.
+  std::optional<TsAccessUnit> read_pes(std::uint16_t pid,
+                                       const PidState& st) const;
+  /// The visitor of the collecting push()/flush(): copy into samples_.
+  Visitor collector();
 
   std::map<std::uint16_t, PidState> pids_;
   std::map<std::uint16_t, std::uint8_t> pid_stream_type_;  // from PMT
