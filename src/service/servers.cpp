@@ -49,24 +49,24 @@ MediaServerPool::MediaServerPool(std::uint64_t seed) {
 const MediaServer& MediaServerPool::rtmp_origin_for(
     const geo::GeoPoint& broadcaster, const std::string& broadcast_id) const {
   // Nearest region by great-circle distance, then a deterministic pick
-  // among that region's servers.
+  // among that region's servers, which the constructor laid out as one
+  // contiguous run per region, in kRegions order.
   double best = 1e18;
-  std::string best_region;
+  std::size_t first = 0;  // of the current region's run
+  std::size_t best_first = 0;
+  std::size_t best_count = 0;
   for (const RegionSpec& r : kRegions) {
     const double d =
         geo::distance_km(broadcaster, geo::GeoPoint{r.lat, r.lon});
     if (d < best) {
       best = d;
-      best_region = r.name;
+      best_first = first;
+      best_count = static_cast<std::size_t>(r.servers);
     }
+    first += static_cast<std::size_t>(r.servers);
   }
-  std::vector<const MediaServer*> in_region;
-  for (const MediaServer& s : origins_) {
-    if (s.region == best_region) in_region.push_back(&s);
-  }
-  const std::size_t idx =
-      std::hash<std::string>{}(broadcast_id) % in_region.size();
-  return *in_region[idx];
+  const std::size_t idx = std::hash<std::string>{}(broadcast_id) % best_count;
+  return origins_[best_first + idx];
 }
 
 const MediaServer& MediaServerPool::hls_edge_for(

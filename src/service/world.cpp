@@ -43,6 +43,7 @@ World::World(sim::Simulation& sim, const WorldConfig& cfg, std::uint64_t seed)
     hotspot_weights_.push_back(
         1.0 / std::pow(static_cast<double>(i + 1), cfg_.hotspot_zipf_s));
   }
+  hotspot_weight_total_ = Rng::weighted_total(hotspot_weights_);
 
   // Arrival rate so that E[concurrent] = rate * E[duration] matches the
   // target. E[duration] for the log-normal mixture:
@@ -60,7 +61,8 @@ geo::GeoPoint World::draw_location() {
     return geo::GeoPoint{rng_.uniform(-55, 68), rng_.uniform(-180, 180)};
   }
   // Weighted hotspot choice + Gaussian scatter around it.
-  const Hotspot& h = hotspots_[rng_.weighted_index(hotspot_weights_)];
+  const Hotspot& h = hotspots_[rng_.weighted_index(hotspot_weights_,
+                                                   hotspot_weight_total_)];
   geo::GeoPoint p;
   p.lat_deg =
       std::clamp(h.center.lat_deg + rng_.normal(0, h.spread_deg), -89.0, 89.0);

@@ -82,6 +82,7 @@ class World : public WorldView {
   Rng rng_;
   std::vector<Hotspot> hotspots_;
   std::vector<double> hotspot_weights_;  // Zipf draw weight of hotspots_[i]
+  double hotspot_weight_total_ = 0;      // their sum, for every draw
   double arrival_rate_hz_ = 1.0;
   std::map<BroadcastId, std::unique_ptr<BroadcastInfo>> broadcasts_;
   std::size_t total_created_ = 0;

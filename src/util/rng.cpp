@@ -21,9 +21,17 @@ std::int64_t Rng::zipf(std::int64_t n, double s) {
   }
 }
 
+double Rng::weighted_total(std::span<const double> weights) {
+  return std::accumulate(weights.begin(), weights.end(), 0.0);
+}
+
 std::size_t Rng::weighted_index(std::span<const double> weights) {
+  return weighted_index(weights, weighted_total(weights));
+}
+
+std::size_t Rng::weighted_index(std::span<const double> weights,
+                                double total) {
   assert(!weights.empty());
-  const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
   double r = uniform() * total;
   for (std::size_t i = 0; i < weights.size(); ++i) {
     r -= weights[i];

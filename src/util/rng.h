@@ -80,6 +80,11 @@ class Rng {
 
   /// Draw an index in [0, weights.size()) proportionally to weights.
   std::size_t weighted_index(std::span<const double> weights);
+  /// The same with the weights' sum, `total`, computed once by the
+  /// caller (weighted_total()), for weights drawn from many times.
+  std::size_t weighted_index(std::span<const double> weights, double total);
+  /// The sum weighted_index() scales its draw by.
+  static double weighted_total(std::span<const double> weights);
 
   SplitMix64Engine& engine() { return engine_; }
 
