@@ -247,12 +247,12 @@ void StreamReconstructor::feed_hls(TimePoint t, BytesView segment) {
       note_adts(au.data);
     }
   };
-  mpegts::TsDemuxer demux;
-  if (auto s = demux.push(segment, visit); !s) {
+  demux_.reset();  // each segment is a TS file of its own
+  if (auto s = demux_.push(segment, visit); !s) {
     error_ = s.error();
     return;
   }
-  demux.flush(visit);
+  demux_.flush(visit);
   if (seg.frames > 0 && pts_hi > pts_lo) {
     seg.duration = seconds(pts_hi - pts_lo + 1.0 / kNominalFps);
     seg.video_bitrate_bps =

@@ -24,6 +24,7 @@
 #include "media/aac.h"
 #include "media/h264.h"
 #include "media/types.h"
+#include "mpegts/mpegts.h"
 #include "net/capture.h"
 #include "rtmp/chunk.h"
 #include "util/result.h"
@@ -125,6 +126,7 @@ class StreamReconstructor {
   std::size_t audio_bytes_ = 0;
   std::uint64_t fed_bytes_ = 0;  // RTMP bytes fed, handshake included
   rtmp::ChunkReader reader_;  // RTMP only
+  mpegts::TsDemuxer demux_;   // HLS only; its PES buffers are reused
 };
 
 /// Dissect a client-side RTMP capture (handshake + chunk stream), packet

@@ -8,7 +8,9 @@
 // metadata — sequence, duration, start DTS, availability time and the
 // discontinuity flag — so both playlists render exactly as before. Only
 // the simulated pipeline evicts, on behalf of the HLS viewers attached to
-// it (service::LiveBroadcastPipeline); the gateway's store never does.
+// it (service::LiveBroadcastPipeline, which counts the bytes given back in
+// `pipeline_segment_bytes_evicted_total`); the gateway's store never
+// does.
 #pragma once
 
 #include <algorithm>

@@ -439,6 +439,19 @@ void TsDemuxer::flush(const Visitor& visit) {
 
 void TsDemuxer::flush() { flush(collector()); }
 
+void TsDemuxer::reset() {
+  for (auto& [pid, st] : pids_) {
+    st.pes_buffer.clear();
+    st.keyframe = false;
+    st.last_cc.reset();
+  }
+  pid_stream_type_.clear();
+  pmt_pid_ = 0;
+  samples_.clear();
+  packets_ = 0;
+  cc_errors_ = 0;
+}
+
 std::vector<TsSample> TsDemuxer::take_samples() {
   // PES packets complete per PID in stream order; merge by DTS so callers
   // see one decode-ordered feed.

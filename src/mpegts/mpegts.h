@@ -112,6 +112,11 @@ class TsDemuxer {
   /// decode (DTS) order.
   std::vector<TsSample> take_samples();
 
+  /// Start over as a new demuxer would (program layout, per-PID state,
+  /// counters and collected samples forgotten) but keep the PES buffers'
+  /// capacity, for a reader that demuxes one TS file after another.
+  void reset();
+
   std::size_t packets_seen() const { return packets_; }
   std::size_t continuity_errors() const { return cc_errors_; }
 

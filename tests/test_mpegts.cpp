@@ -1,6 +1,9 @@
 // MPEG-TS mux/demux tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "media/encoder.h"
 #include "mpegts/mpegts.h"
 
@@ -231,6 +234,89 @@ TEST(TsRoundtrip, EncoderFeedThroughSegmentSizedStream) {
   for (const auto& s : out) out_bytes += s.data.size();
   EXPECT_EQ(in_bytes, out_bytes);
   EXPECT_EQ(demux.continuity_errors(), 0u);
+}
+
+/// Two "files" of interleaved audio and video, each opening with PSI.
+std::vector<Bytes> two_ts_files() {
+  TsMuxer mux;
+  std::vector<Bytes> files;
+  for (int f = 0; f < 2; ++f) {
+    Bytes ts = mux.psi();
+    for (int i = 0; i < 6; ++i) {
+      const double t = 0.2 * (6 * f + i);
+      const Bytes v =
+          mux.mux_sample(video_sample(t, t + 0.033, i == 0, 900 + 300 * i));
+      const Bytes a = mux.mux_sample(audio_sample(t + 0.01, 100 + i));
+      ts.insert(ts.end(), v.begin(), v.end());
+      ts.insert(ts.end(), a.begin(), a.end());
+    }
+    files.push_back(std::move(ts));
+  }
+  return files;
+}
+
+TEST(TsDemux, VisitorSeesEachUnitTakeSamplesCollects) {
+  const Bytes ts = two_ts_files()[0];
+  TsDemuxer collecting;
+  ASSERT_TRUE(collecting.push(ts).ok());
+  collecting.flush();
+  const std::vector<TsSample> want = collecting.take_samples();
+  ASSERT_EQ(want.size(), 12u);
+
+  // The visitor gets every unit once, per PID in stream order; merged by
+  // DTS the units are the collected samples.
+  std::vector<TsSample> got;
+  TsDemuxer visiting;
+  const TsDemuxer::Visitor visit = [&](const TsAccessUnit& au) {
+    got.push_back(TsSample{au.kind, au.pts, au.dts, au.keyframe,
+                           Bytes(au.data.begin(), au.data.end())});
+  };
+  ASSERT_TRUE(visiting.push(ts, visit).ok());
+  visiting.flush(visit);
+  EXPECT_TRUE(visiting.take_samples().empty());
+  std::stable_sort(got.begin(), got.end(),
+                   [](const TsSample& a, const TsSample& b) {
+                     return a.dts < b.dts;
+                   });
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].kind, want[i].kind) << i;
+    EXPECT_EQ(got[i].pts, want[i].pts) << i;
+    EXPECT_EQ(got[i].dts, want[i].dts) << i;
+    EXPECT_EQ(got[i].keyframe, want[i].keyframe) << i;
+    EXPECT_EQ(got[i].data, want[i].data) << i;
+  }
+}
+
+TEST(TsDemux, ResetDemuxesTheNextFileLikeAFreshDemuxer) {
+  const std::vector<Bytes> files = two_ts_files();
+  TsDemuxer reused;
+  ASSERT_TRUE(reused.push(files[0]).ok());
+  reused.flush();
+  reused.reset();
+  // Forgotten: the program map, so ES packets before PSI are skipped...
+  TsMuxer other;
+  ASSERT_TRUE(reused.push(other.mux_sample(video_sample(0, 0, true, 400)))
+                  .ok());
+  reused.flush();
+  EXPECT_TRUE(reused.take_samples().empty());
+  EXPECT_EQ(reused.continuity_errors(), 0u);
+  // ...and after another reset the second file demuxes as it would alone.
+  reused.reset();
+  TsDemuxer fresh;
+  ASSERT_TRUE(reused.push(files[1]).ok());
+  ASSERT_TRUE(fresh.push(files[1]).ok());
+  reused.flush();
+  fresh.flush();
+  const std::vector<TsSample> a = reused.take_samples();
+  const std::vector<TsSample> b = fresh.take_samples();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].dts, b[i].dts) << i;
+    EXPECT_EQ(a[i].data, b[i].data) << i;
+  }
+  EXPECT_EQ(reused.packets_seen(), fresh.packets_seen());
+  EXPECT_EQ(reused.continuity_errors(), fresh.continuity_errors());
 }
 
 }  // namespace
