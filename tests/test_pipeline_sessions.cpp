@@ -509,6 +509,41 @@ TEST(HlsViewer, SessionFetchesSegmentsAndPlays) {
   EXPECT_GT(near36 * 2, static_cast<int>(analysis.value().segments.size()));
 }
 
+// A live viewer whose first playlist takes ~40 s to arrive (a 60 bit/s
+// downlink) starts from that playlist's window, which by then has moved
+// on. Its mark holds that window from when the edge served it,
+// so the segments it asks for first still have their bytes although a
+// viewer at the live edge has passed them.
+TEST(Pipeline, LiveConsumerKeepsTheWindowOfItsFirstPlaylist) {
+  SessionHarness h(17, 500);
+  client::Device fast(h.sim, client::DeviceConfig{}, 18);
+  h.pipe.start(seconds(120));
+  h.sim.run_until(time_at(30));
+  const client::PlayerConfig player{millis(500), millis(2000)};
+  client::HlsViewerSession ahead(h.sim, h.pipe, fast, h.pool.hls_edges()[0],
+                                 h.pool.hls_edges()[1], player, 57);
+  client::HlsViewerSession stale(h.sim, h.pipe, h.device,
+                                 h.pool.hls_edges()[0],
+                                 h.pool.hls_edges()[1], player, 58);
+  const std::uint64_t served_first =
+      h.pipe.edge_log().window_first_sequence(time_at(30));
+  h.device.set_bandwidth_limit(60);
+  ahead.start(seconds(60));
+  stale.start(seconds(60));
+  h.sim.run_until(time_at(55));
+  // The first playlist is still on its way, and the window has moved
+  // past every segment it lists but the last two.
+  ASSERT_EQ(stale.stats().bytes_received, 0u);
+  ASSERT_GT(h.pipe.edge_log().window_first_sequence(time_at(55)),
+            served_first + 4);
+  EXPECT_EQ(h.pipe.edge_log().evicted_below(), served_first);
+  h.device.set_bandwidth_limit(20e6);
+  h.sim.run_until(time_at(100));
+  EXPECT_TRUE(stale.stats().ever_played);
+  EXPECT_TRUE(ahead.stats().ever_played);
+  EXPECT_GT(h.pipe.edge_log().evicted_below(), served_first + 4);
+}
+
 TEST(HlsViewer, DeliveryLatencyExceedsRtmp) {
   // The structural result of Fig. 5.
   SessionHarness hr(14, 10);
