@@ -1,6 +1,9 @@
 // Discrete-event simulation kernel tests.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -180,6 +183,95 @@ TEST(Simulation, CancelStress) {
   EXPECT_EQ(sim.events_executed(), fired);
   EXPECT_GT(cancelled, 0u);
   EXPECT_GT(fired, 0u);
+}
+
+// Pins the kernel's firing order: a seeded mix of schedule_at and
+// schedule_after (same-instant ties, past times clamped to now, delays
+// from 0 to ~60 s, timers past 16 s), cancels (of queued events, from
+// inside handlers, with stale handles) and run_until stops. Every fired
+// (tag, now) pair and the final counters feed one FNV-1a hash, so any
+// change to the (when, seq) order or to the clock moves it.
+TEST(Simulation, FiringOrderPinned) {
+  Simulation sim;
+  SplitMix64Engine rng(2029);
+  std::uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&hash](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (v >> (8 * i)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  const auto mix_time = [&mix](TimePoint t) {
+    const double s = to_s(t);
+    std::uint64_t bits;
+    std::memcpy(&bits, &s, sizeof bits);
+    mix(bits);
+  };
+  // Every handle ever issued: fired and cancelled ones stay as stale.
+  std::vector<EventHandle> handles;
+  std::uint64_t next_tag = 0;
+  constexpr std::uint64_t kMaxEvents = 20000;
+  std::function<void()> schedule_one;
+  const auto cancel_random = [&] {
+    if (!handles.empty()) sim.cancel(handles[rng() % handles.size()]);
+  };
+  schedule_one = [&] {
+    if (next_tag >= kMaxEvents) return;
+    const std::uint64_t tag = next_tag++;
+    Simulation::Callback fn = [&, tag] {
+      mix(tag);
+      mix_time(sim.now());
+      const std::uint64_t r = rng() % 8;
+      if (r < 5) schedule_one();
+      if (r < 2) schedule_one();
+      if (r == 7) cancel_random();
+    };
+    const std::uint64_t kind = rng() % 16;
+    if (kind == 0) {
+      // Same instant as now: FIFO among ties at the current time.
+      handles.push_back(sim.schedule_at(sim.now(), std::move(fn)));
+    } else if (kind == 1) {
+      // A grid instant: many events share each half-second mark.
+      const double at = static_cast<double>(rng() % 240) * 0.5;
+      handles.push_back(sim.schedule_at(time_at(at), std::move(fn)));
+    } else if (kind == 2) {
+      // In the past: clamps to now.
+      const double back = static_cast<double>(rng() % 5000) * 1e-3;
+      handles.push_back(
+          sim.schedule_at(sim.now() - seconds(back), std::move(fn)));
+    } else if (kind == 3) {
+      handles.push_back(sim.schedule_after(seconds(-1.0), std::move(fn)));
+    } else if (kind < 6) {
+      // Session-length timers past 16 s.
+      const double d = 16.0 + static_cast<double>(rng() % 44000) * 1e-3;
+      handles.push_back(sim.schedule_after(seconds(d), std::move(fn)));
+    } else if (kind < 8) {
+      const double d = static_cast<double>(rng() % 60000) * 1e-3;
+      handles.push_back(sim.schedule_after(seconds(d), std::move(fn)));
+    } else {
+      // Media pacing and round trips: 0 to 200 ms.
+      const double d = static_cast<double>(rng() % 2000) * 1e-4;
+      handles.push_back(sim.schedule_after(seconds(d), std::move(fn)));
+    }
+  };
+  for (int i = 0; i < 64; ++i) schedule_one();
+  while (next_tag < kMaxEvents) {
+    sim.run_until(sim.now() + seconds(static_cast<double>(rng() % 3000) *
+                                      1e-3));
+    mix_time(sim.now());
+    // Between stops: cancel a few queued (or stale) events and add more.
+    for (std::uint64_t k = rng() % 4; k > 0; --k) cancel_random();
+    for (std::uint64_t k = rng() % 6; k > 0; --k) schedule_one();
+  }
+  sim.run_all();
+  mix(sim.events_executed());
+  mix(sim.events_scheduled());
+  mix(sim.events_cancelled());
+  mix_time(sim.now());
+  EXPECT_EQ(sim.events_scheduled(), kMaxEvents);
+  EXPECT_EQ(sim.events_executed() + sim.events_cancelled(), kMaxEvents);
+  EXPECT_GT(sim.events_cancelled(), 50u);
+  EXPECT_EQ(hash, 0x336eaa09555260b7ull) << std::hex << hash;
 }
 
 // The kernel's callback type must not heap-allocate for small captures.
