@@ -124,11 +124,10 @@ inline void emit_bench_line(
       kernel != nullptr ? kernel->allocs_per_event() : 0.0);
   if (kernel != nullptr && kernel->events_executed > 0) {
     std::printf(",\"events_executed\":%llu,\"arena_allocs\":%llu,"
-                "\"slice_retains\":%llu,\"wheel_inserts\":%llu",
+                "\"slice_retains\":%llu",
                 static_cast<unsigned long long>(kernel->events_executed),
                 static_cast<unsigned long long>(kernel->arena_allocations),
-                static_cast<unsigned long long>(kernel->slice_retains),
-                static_cast<unsigned long long>(kernel->wheel_inserts));
+                static_cast<unsigned long long>(kernel->slice_retains));
   }
   for (const auto& [key, value] : extra) {
     std::printf(",\"%s\":%g", key.c_str(), value);

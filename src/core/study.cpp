@@ -455,8 +455,8 @@ void Study::finalize_obs() {
       .add(static_cast<double>(sim_.events_cancelled()));
   o->metrics.counter("sim_callback_heap_allocs_total")
       .add(static_cast<double>(sim_.callback_heap_allocs()));
-  o->metrics.counter("sim_wheel_inserts_total")
-      .add(static_cast<double>(sim_.wheel_inserts()));
+  o->metrics.counter("sim_queue_depth_at_schedule_total")
+      .add(static_cast<double>(sim_.queue_depth_at_schedule()));
   o->metrics.gauge("sim_heap_depth_max")
       .set_max(static_cast<double>(sim_.max_heap_depth()));
 
@@ -506,7 +506,6 @@ KernelTotals Study::kernel_totals() const {
   KernelTotals t;
   t.events_executed = sim_.events_executed();
   t.events_scheduled = sim_.events_scheduled();
-  t.wheel_inserts = sim_.wheel_inserts();
   t.callback_heap_allocs = sim_.callback_heap_allocs();
   const util::BufferArena::Stats arena = arena_.stats();
   t.arena_allocations = arena.allocations();

@@ -146,6 +146,8 @@ struct SessionRecord {
 struct KernelTotals {
   std::uint64_t events_executed = 0;
   std::uint64_t events_scheduled = 0;
+  /// Always 0: the kernel's calendar wheel is gone. Kept because the
+  /// bench/suite result digest and `sim.wheel_insert_share` still read it.
   std::uint64_t wheel_inserts = 0;
   std::uint64_t callback_heap_allocs = 0;
   /// Fresh allocator hits attributable to the media-path arena
@@ -158,7 +160,6 @@ struct KernelTotals {
   void merge(const KernelTotals& o) {
     events_executed += o.events_executed;
     events_scheduled += o.events_scheduled;
-    wheel_inserts += o.wheel_inserts;
     callback_heap_allocs += o.callback_heap_allocs;
     arena_allocations += o.arena_allocations;
     arena_buffers_reused += o.arena_buffers_reused;

@@ -39,8 +39,8 @@ TEST(NextDueBound, EarlyButNeverLate) {
   for (double w : whens) {
     const auto bound = sim.next_due_bound();
     ASSERT_TRUE(bound.has_value());
-    // The bound may be early (wheel-bucket floor) but never past the
-    // actually-next event, and never behind the current clock.
+    // The bound may be early (a cancelled node at the heap top) but never
+    // past the actually-next event, and never behind the current clock.
     EXPECT_LE(to_s(*bound), w);
     EXPECT_GE(to_s(*bound), to_s(sim.now()));
     sim.run_until(time_at(w));

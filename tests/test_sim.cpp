@@ -4,7 +4,12 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <memory>
+#include <random>
+#include <set>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/simulation.h"
@@ -272,6 +277,281 @@ TEST(Simulation, FiringOrderPinned) {
   EXPECT_EQ(sim.events_executed() + sim.events_cancelled(), kMaxEvents);
   EXPECT_GT(sim.events_cancelled(), 50u);
   EXPECT_EQ(hash, 0x336eaa09555260b7ull) << std::hex << hash;
+}
+
+// ---- Order, clock and cancel edges ----
+//
+// These tests were written for the two-tier kernel (a calendar wheel in
+// front of the heap) and keep its names — bucket, tier, cursor, overflow —
+// so their IDs read through. Each still asserts firing order, the clock
+// after run_until or cancel semantics, now against the one-heap kernel.
+
+TEST(SimWheel, SameTickFifoWithinOneBucket) {
+  // Three events at the same instant plus one 1.6 ms earlier: FIFO among
+  // equals, time order otherwise.
+  Simulation s;
+  std::vector<int> order;
+  s.schedule_at(time_at(0.0131), [&] { order.push_back(1); });
+  s.schedule_at(time_at(0.0131), [&] { order.push_back(2); });
+  s.schedule_at(time_at(0.0115), [&] { order.push_back(0); });
+  s.schedule_at(time_at(0.0131), [&] { order.push_back(3); });
+  s.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(SimWheel, SameTickFifoAcrossTiers) {
+  // Same instant, one node scheduled up front and one scheduled later from
+  // a handler: sequence order must still decide.
+  Simulation s;
+  std::vector<int> order;
+  s.schedule_at(time_at(0.0050), [&] { order.push_back(1); });
+  s.schedule_at(time_at(0.0045), [&] {
+    s.schedule_at(time_at(0.0050), [&] { order.push_back(2); });
+  });
+  s.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(SimWheel, CancelWhileResidentInBucket) {
+  Simulation s;
+  int fired = 0;
+  EventHandle h = s.schedule_at(time_at(0.1), [&] { ++fired; });
+  EXPECT_TRUE(s.cancel(h));
+  EXPECT_FALSE(s.cancel(h));  // second cancel is a stale handle
+  s.schedule_at(time_at(0.2), [&] { fired += 10; });
+  s.run_all();
+  EXPECT_EQ(fired, 10);
+  EXPECT_EQ(s.events_cancelled(), 1u);
+  EXPECT_FALSE(s.pending());
+}
+
+TEST(SimWheel, FarFutureOverflowPromotes) {
+  // A node 10 s out, scheduled first, fires after near ones scheduled
+  // later — including one scheduled from a handler.
+  Simulation s;
+  std::vector<int> order;
+  s.schedule_at(time_at(10.0), [&] { order.push_back(2); });
+  s.schedule_at(time_at(0.01), [&] {
+    order.push_back(1);
+    s.schedule_at(time_at(0.05), [&] { order.push_back(10); });
+  });
+  s.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 10, 2}));
+  EXPECT_EQ(to_s(s.now()), 10.0);
+}
+
+TEST(SimWheel, RunUntilStopsMidBucketAndResumes) {
+  // Two events 0.8 ms apart straddling a run_until boundary: the first
+  // fires, the second must wait for the next run_until call (not be
+  // dropped or fired early).
+  Simulation s;
+  std::vector<int> order;
+  s.schedule_at(time_at(0.0410), [&] { order.push_back(1); });
+  s.schedule_at(time_at(0.0418), [&] { order.push_back(2); });
+  s.run_until(time_at(0.0414));
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(to_s(s.now()), 0.0414);  // clock advances to the horizon
+  EXPECT_TRUE(s.pending());
+  s.run_until(time_at(1.0));
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(SimWheel, FarFutureHeapNodeDoesNotMaskWheelResidents) {
+  // A far-future node scheduled first must not keep an earlier one, due
+  // before `until`, from firing in this run_until call.
+  Simulation s;
+  std::vector<int> order;
+  s.schedule_at(time_at(50.0), [&] { order.push_back(99); });
+  s.schedule_at(time_at(0.1), [&] { order.push_back(1); });
+  s.run_until(time_at(1.0));
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  s.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 99}));
+}
+
+TEST(SimWheel, CursorRollsOverTheBucketArrayManyTimes) {
+  // A periodic event with a 10 ms period over 10 s: the clock only moves
+  // forward and lands on the last tick.
+  Simulation s;
+  int ticks = 0;
+  double last = -1.0;
+  bool monotone = true;
+  std::function<void()> tick = [&] {
+    if (to_s(s.now()) < last) monotone = false;
+    last = to_s(s.now());
+    if (++ticks < 1000) s.schedule_after(seconds(0.01), tick);
+  };
+  s.schedule_at(time_at(0.0), tick);
+  s.run_all();
+  EXPECT_EQ(ticks, 1000);
+  EXPECT_TRUE(monotone);
+  EXPECT_NEAR(last, 9.99, 1e-9);
+}
+
+TEST(SimWheel, PastEventsClampToNowAndFireInSeqOrder) {
+  Simulation s;
+  std::vector<int> order;
+  s.schedule_at(time_at(0.5), [&] {
+    // Scheduling into the past clamps to now(); among clamped events
+    // sequence order decides.
+    s.schedule_at(time_at(0.1), [&] { order.push_back(1); });
+    s.schedule_at(time_at(0.2), [&] { order.push_back(2); });
+    s.schedule_at(s.now(), [&] { order.push_back(3); });
+  });
+  s.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(to_s(s.now()), 0.5);
+}
+
+TEST(SimWheel, MatchesReferenceHeapOrderingUnderStress) {
+  // Differential check against an exact (when, seq) reference ordering:
+  // random schedules (including same-instant and cancels) and run_until
+  // cuts at arbitrary times.
+  for (int trial = 0; trial < 40; ++trial) {
+    std::mt19937_64 rng(trial * 104729u + 3u);
+    Simulation s;
+    std::set<std::tuple<double, long>> ref;  // (fire time, seq)
+    std::map<long, double> when_of;
+    long seq = 0;
+    long fired = 0;
+    bool ok = true;
+    std::vector<std::pair<EventHandle, long>> handles;
+    std::function<void(double)> sched = [&](double base) {
+      double when = base + static_cast<double>(rng() % 10000) * 0.0005;
+      if (rng() % 8 == 0) when = base + static_cast<double>(rng() % 4);
+      if (rng() % 13 == 0) when = base;  // same-instant FIFO
+      const long my = seq++;
+      const double clamped = when < to_s(s.now()) ? to_s(s.now()) : when;
+      ref.insert({clamped, my});
+      when_of[my] = clamped;
+      handles.push_back({s.schedule_at(time_at(when), [&, my] {
+        ok = ok && !ref.empty() &&
+             *ref.begin() == std::make_tuple(to_s(s.now()), my);
+        if (!ref.empty()) ref.erase(ref.begin());
+        if (++fired < 800 && rng() % 3 != 0) sched(to_s(s.now()));
+        if (fired < 800 && rng() % 5 == 0) sched(to_s(s.now()));
+      }), my});
+    };
+    for (int i = 0; i < 50; ++i) sched(static_cast<double>(rng() % 100) * 0.01);
+    for (int i = 0; i < 10; ++i) {
+      auto [h, id] = handles[rng() % handles.size()];
+      if (s.cancel(h)) ref.erase({when_of[id], id});
+    }
+    s.run_until(time_at(0.0101));
+    s.run_until(time_at(0.016));
+    s.run_until(time_at(1.2345));
+    s.run_all();
+    ASSERT_TRUE(ok) << "trial " << trial << " fired out of order";
+    ASSERT_TRUE(ref.empty()) << "trial " << trial << ": " << ref.size()
+                             << " events never fired";
+  }
+}
+
+// ---- Sparse schedules: run_until across empty stretches ----
+
+TEST(Simulation, SparseWheelRunUntilInsideAndAcrossEmptyStretches) {
+  Simulation s;
+  std::vector<int> order;
+  s.schedule_at(time_at(0.0102), [&] { order.push_back(1); });
+  s.schedule_at(time_at(0.2002), [&] { order.push_back(4); });
+  // Cut inside the empty stretch between the two.
+  s.run_until(time_at(0.1002));
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(to_s(s.now()), 0.1002);
+  s.schedule_at(time_at(0.1003), [&] { order.push_back(2); });
+  s.schedule_at(time_at(0.1042), [&] { order.push_back(3); });
+  EXPECT_EQ(to_s(*s.next_due_bound()), 0.1003);
+  // Cut across the rest: everything fires and the clock lands on the cut.
+  s.run_until(time_at(0.3002));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(to_s(s.now()), 0.3002);
+  s.schedule_at(time_at(0.4002), [&] { order.push_back(7); });
+  EXPECT_EQ(to_s(*s.next_due_bound()), 0.4002);
+  // Cut short of it: nothing fires, the clock still moves to the cut.
+  s.run_until(time_at(0.3502));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(to_s(s.now()), 0.3502);
+  s.schedule_at(time_at(0.3503), [&] { order.push_back(5); });
+  s.schedule_at(time_at(0.3522), [&] { order.push_back(6); });
+  s.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(Simulation, SparseWheelFarFutureHeapNodeLandsAmongWheelNodes) {
+  Simulation s;
+  std::vector<int> order;
+  s.schedule_at(time_at(0.6002), [&] {
+    order.push_back(3);
+    s.schedule_at(time_at(0.6003), [&] { order.push_back(4); });
+    s.schedule_at(time_at(0.6042), [&] { order.push_back(5); });
+  });
+  s.schedule_at(time_at(0.4002), [&] {
+    order.push_back(0);
+    // Nodes on both sides of the far node.
+    s.schedule_at(time_at(0.5902), [&] { order.push_back(1); });
+    s.schedule_at(time_at(0.6202), [&] { order.push_back(6); });
+  });
+  s.run_until(time_at(0.5942));
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  s.schedule_at(time_at(0.5943), [&] { order.push_back(2); });
+  s.schedule_at(time_at(0.5962), [&] { order.push_back(2); });
+  EXPECT_EQ(to_s(*s.next_due_bound()), 0.5943);
+  s.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 2, 3, 4, 5, 6}));
+}
+
+TEST(Simulation, SparseWheelMatchesHeapOrderAndWalkInsertCount) {
+  // Events seconds apart, random cuts: the firing log, the clock after
+  // every cut and whether anything is pending equal those of a reference
+  // (when, seq) queue driven by the same schedule.
+  struct Reference {
+    std::set<std::tuple<double, long, int>> queue;  // (when, seq, id)
+    long seq = 0;
+    double now = 0;
+    std::vector<std::pair<int, double>> log;
+
+    void sched(double gap, int id) { queue.insert({now + gap, seq++, id}); }
+    void run_events_until(double until) {
+      while (!queue.empty() && std::get<0>(*queue.begin()) <= until) {
+        const auto [when, s, id] = *queue.begin();
+        queue.erase(queue.begin());
+        now = when;
+        log.push_back({id, when});
+        if (id % 3 != 0 && id < 600) {
+          sched(0.5 + (id * 7919 % 997) * 0.025, id + 1000);
+        }
+      }
+    }
+  };
+  std::mt19937_64 rng(2024);
+  Simulation sim;
+  Reference ref;
+  std::vector<std::pair<int, double>> fired;
+  std::function<void(double, int)> sched = [&](double gap, int id) {
+    sim.schedule_after(seconds(gap), [&, id] {
+      fired.push_back({id, to_s(sim.now())});
+      if (id % 3 != 0 && id < 600) {
+        sched(0.5 + (id * 7919 % 997) * 0.025, id + 1000);
+      }
+    });
+  };
+  for (int id = 0; id < 400; ++id) {
+    const double gap = static_cast<double>(rng() % 400000) * 1e-4;  // 0-40 s
+    sched(gap, id);
+    ref.sched(gap, id);
+  }
+  for (double cut = 0.0; cut < 90.0;) {
+    cut += static_cast<double>(rng() % 50000) * 1e-4;  // up to 5 s
+    sim.run_until(time_at(cut));
+    ref.run_events_until(cut);
+    if (ref.now < cut) ref.now = cut;
+    ASSERT_EQ(to_s(sim.now()), ref.now);
+    ASSERT_EQ(sim.next_due_bound().has_value(), !ref.queue.empty());
+  }
+  sim.run_all();
+  ref.run_events_until(1e18);
+  EXPECT_EQ(fired, ref.log);
+  EXPECT_EQ(sim.events_executed(), ref.log.size());
 }
 
 // The kernel's callback type must not heap-allocate for small captures.
