@@ -103,10 +103,10 @@ void Simulation::run_events_until(TimePoint until) {
 
 std::optional<TimePoint> Simulation::next_due_bound() const {
   if (live_count_ == 0) return std::nullopt;
-  // A live event is queued, so the heap is not empty; its top is the
-  // earliest node, live or cancelled.
-  const TimePoint top = heap_.front().when;
-  return top < now_ ? now_ : top;
+  // A live event is queued, so the heap is not empty. No node is due
+  // before now(): schedules clamp to it and the clock only moves to a
+  // popped node or to an `until` short of the top.
+  return heap_.front().when;
 }
 
 void Simulation::run_all() {

@@ -84,7 +84,7 @@ class Simulation {
   bool pending() const { return live_count_ > 0; }
 
   /// Lower bound on the due time of the next live event, or nullopt when
-  /// nothing is pending: the heap top, clamped to now(). The bound may be
+  /// nothing is pending: the heap top, never before now(). The bound may be
   /// early — a cancelled node still resting at the top pulls it down — but
   /// it is never late, which is the contract a wall-clock pacer needs to
   /// size its poll timeout (gateway::SimBridge): waking too early costs
