@@ -13,7 +13,7 @@
 //     ordering it needs.
 //   * Heap nodes are 24 trivially-copyable bytes ({when, seq, slot, gen});
 //     sift operations never move a callback. The 4-ary layout halves tree
-//     depth vs binary and keeps the child scan inside one cache line.
+//     depth vs binary, and a node's four children are adjacent in memory.
 //   * Callbacks live in a slot table as InlineCallback<96>, so the common
 //     lambda capture (`this` + a few words) never heap-allocates.
 //   * Handles are generation-counted: cancel() is O(1) — the node stays

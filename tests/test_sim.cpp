@@ -43,12 +43,13 @@ TEST(Simulation, RunUntilStopsAndSetsClock) {
   Simulation sim;
   int fired = 0;
   sim.schedule_at(time_at(5.0), [&] { ++fired; });
+  sim.schedule_at(time_at(10.0), [&] { ++fired; });  // due at `until`: fires
   sim.schedule_at(time_at(15.0), [&] { ++fired; });
   sim.run_until(time_at(10.0));
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(fired, 2);
   EXPECT_DOUBLE_EQ(to_s(sim.now()), 10.0);
   sim.run_until(time_at(20.0));
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(fired, 3);
 }
 
 TEST(Simulation, ScheduleAfterFromHandler) {
